@@ -13,7 +13,6 @@ from .geometry import (
     ZnLattice,
     closest_lattice_points,
     enumerate_in_box,
-    make_lattice,
     reduce_planar_basis,
 )
 from .constructions import (

@@ -9,7 +9,6 @@ identical configuration and seed regardless of the thread setting.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -57,17 +56,6 @@ def _parse_basis(s: str):
     return Vec(parts[:2]), Vec(parts[2:])
 
 
-def _thread_count(args) -> int:
-    # accepted for interface compatibility; all computations are sequential,
-    # so results never depend on it
-    env = os.environ.get("VORONORM_THREADS")
-    if args.threads is not None:
-        return args.threads
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def _emit(args, payload: dict, csv_text: str = None) -> None:
     if args.format == "json":
         text = reports.to_json(payload)
@@ -112,21 +100,27 @@ def cmd_property_d(args) -> int:
     # default radii: 3/2 suffices for the Cayley graphs (generator extent
     # < 1/2); the hexagon pattern lives at the scale of its basis, so its
     # default derives from the edge step extent
+    radius = args.radius
     if args.family == "an":
-        g = an_cayley_graph(args.dim, args.radius or Fraction(3, 2))
+        radius = Fraction(3, 2) if radius is None else radius
+        g = an_cayley_graph(args.dim, radius)
         gauge = gauge_an(args.dim)
         dim = args.dim
     elif args.family == "dn":
-        g = dn_cayley_graph(args.dim, args.radius or Fraction(3, 2))
+        radius = Fraction(3, 2) if radius is None else radius
+        g = dn_cayley_graph(args.dim, radius)
         gauge = gauge_dn(args.dim)
         dim = args.dim
     else:
         pattern = _pattern_from_args(args)
-        radius = args.radius or 7 * hex_step_extent(pattern)
+        radius = 7 * hex_step_extent(pattern) if radius is None else radius
         g = hex_pattern_graph(pattern, radius)
         gauge = pattern.gauge
         dim = 2
     rep = check_property_d(g, gauge, args.mode)
+    if rep.interior_vertices == 0:
+        # no pair was checked, so "holds" would be vacuous
+        raise ValueError(f"radius {radius} leaves no interior vertex to check")
     _emit(args, reports.property_d_dict(rep, args.family, dim))
     return EXIT_OK
 
@@ -226,6 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _validate(args) -> None:
     needs_dim = {"an", "dn", "cube"}
     fam = getattr(args, "family", None)
@@ -239,13 +238,16 @@ def _validate(args) -> None:
         raise SystemExit(EXIT_USAGE)
     if fam == "dn" and args.dim is not None and args.dim < 4:
         raise SystemExit(EXIT_USAGE)
+    if args.func is cmd_property_d and args.radius is not None and args.radius <= 0:
+        _usage_error(f"--radius must be positive, got {args.radius}")
+    if args.func is cmd_color and args.samples < 1:
+        _usage_error(f"--samples must be at least 1, got {args.samples}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args)
-    _thread_count(args)
     try:
         return args.func(args)
     except DegenerateCell as e:

@@ -252,14 +252,12 @@ def dual_generators(lattice: Lattice) -> list:
 
 @dataclass(frozen=True)
 class PolytopeData:
-    """A lattice Voronoi cell: tiling lattice, gauge, vertices, and the
-    generators of the lattice on which the graphs live (half dual)."""
+    """A lattice Voronoi cell: tiling lattice, gauge and vertices."""
 
     family: str
     lattice: Lattice
     gauge: GaugeNorm
     vertices: tuple
-    generators_half_dual: tuple
 
     def vertex_extent(self) -> Fraction:
         """Max per-coordinate extent of the cell (attained at a vertex)."""
@@ -283,7 +281,6 @@ def polytope_an(n: int) -> PolytopeData:
         lattice=lat,
         gauge=gauge_an(n),
         vertices=tuple(vertices_an(n)),
-        generators_half_dual=tuple(g / 2 for g in dual_generators(lat)),
     )
     data.check_vertices_on_boundary()
     return data
@@ -296,7 +293,6 @@ def polytope_dn(n: int) -> PolytopeData:
         lattice=lat,
         gauge=gauge_dn(n),
         vertices=tuple(vertices_dn(n)),
-        generators_half_dual=tuple(g / 2 for g in dual_generators(lat)),
     )
     data.check_vertices_on_boundary()
     return data
@@ -310,7 +306,6 @@ def polytope_cube(n: int) -> PolytopeData:
         lattice=ZnLattice(n),
         gauge=gauge_sup(n),
         vertices=tuple(vertices_cube(n)),
-        generators_half_dual=tuple(basis_vec(n, i) for i in range(n)),
     )
     data.check_vertices_on_boundary()
     return data

@@ -482,20 +482,6 @@ class PlanarLattice:
 Lattice = Union[ZnLattice, AnLattice, DnLattice, PlanarLattice]
 
 
-def make_lattice(family: str, n: int = 0, basis: tuple = ()) -> Lattice:
-    family = family.lower()
-    if family == "zn":
-        return ZnLattice(n)
-    if family == "an":
-        return AnLattice(n)
-    if family == "dn":
-        return DnLattice(n)
-    if family == "planar":
-        b0, b1 = basis
-        return PlanarLattice(Vec(b0), Vec(b1))
-    raise UnsupportedFamily(family)
-
-
 # ---------------------------------------------------------------------------
 # Module-level operations
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -83,12 +84,6 @@ class GeometricGraph:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    @property
-    def margin(self) -> Optional[Fraction]:
-        """Box inset consumed per edge step; a vertex whose coordinates stay
-        within box_radius - k*margin has its full k-neighborhood present."""
-        return self.step_extent
 
     def coords(self, i: int) -> Vec:
         return from_scaled(self.points[i], self.scale)
@@ -245,14 +240,17 @@ def build_cayley_graph(
             raise ValueError("generator set not symmetric")
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
-    adj = [0] * len(pts)
-    for i, p in enumerate(pts):
-        for g in gens:
-            q = tuple(a + b for a, b in zip(p, g))
-            j = index.get(q)
-            if j is not None and j != i:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    # the generators are symmetric, so scanning each vertex's own
+    # generators finds every edge from both ends
+    steps = [g for g in gens if any(g)]
+    adj = []
+    for p in pts:
+        m = 0
+        for g in steps:
+            j = index.get(tuple(map(add, p, g)))
+            if j is not None:
+                m |= 1 << j
+        adj.append(m)
     ext = max(Fraction(abs(c), scale) for g in gens for c in g)
     return GeometricGraph(
         scale,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .coloring import ColoringReport, WitnessResult
 from .density import DensityCertificate
-from .graphs import GeometricGraph, PropertyDReport, write_edge_list
+from .graphs import GeometricGraph, PropertyDReport
 from .independence import CounterexampleReport, CubeCertificate, RatioSequence
 
 
@@ -239,9 +239,3 @@ def to_text(payload: dict) -> str:
 
     walk(payload)
     return "\n".join(lines).rstrip() + "\n"
-
-
-def graph_edge_list(g: GeometricGraph) -> str:
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    return buf.getvalue()

@@ -73,7 +73,7 @@ def test_criterion_1_an_certificates():
 
 
 def test_criterion_2_an_formula_cross_check():
-    with criterion("2 (A_n closed form vs box scan, n=2..6)"):
+    with criterion("2 (A_n closed form vs brute-force count, n=2..6)"):
         t0 = time.monotonic()
         for n in range(2, 7):
             brute = an_brute_neighborhood_counts(n)

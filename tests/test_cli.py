@@ -169,3 +169,39 @@ def test_stdout_output(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["family"] == "an"
+
+
+@pytest.mark.parametrize("radius", ["-1", "0"])
+def test_property_d_rejects_non_positive_radius(tmp_path, capsys, radius):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["property-d", "an", "--dim", "2", "--radius", radius, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--radius" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_property_d_refuses_box_without_interior_vertex(tmp_path, capsys):
+    # at radius 1/2 no vertex of (1/2)A_2^# keeps its 2-step neighbourhood
+    # in the box, so no pair would be checked and "holds" would be vacuous
+    out = tmp_path / "out.json"
+    code = main(["property-d", "an", "--dim", "2", "--radius", "1/2", "--out", str(out)])
+    assert code == 2
+    assert "interior" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_color_rejects_non_positive_samples(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["color", "an", "--dim", "2", "--samples", samples, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_bad_threads_environment_is_ignored(tmp_path, monkeypatch):
+    _, plain = run_cli(["bound", "cube", "--dim", "2"], tmp_path, "plain.json")
+    monkeypatch.setenv("VORONORM_THREADS", "abc")
+    code, raw = run_cli(["bound", "cube", "--dim", "2"], tmp_path, "env.json")
+    assert code == 0
+    assert raw == plain

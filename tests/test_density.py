@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -22,7 +23,15 @@ from voronorm.density import (
     verify_dn_bound,
     verify_hexagon_bound,
 )
-from voronorm.geometry import Vec, reduce_planar_basis, zero_vec
+from voronorm.geometry import (
+    Vec,
+    an_half_dual_scale,
+    dn_half_dual_scale,
+    enumerate_an_half_dual_scaled,
+    enumerate_dn_half_dual_scaled,
+    reduce_planar_basis,
+    zero_vec,
+)
 from voronorm.graphs import an_cayley_graph, an_generators_scaled, dn_generators_scaled, hex_pattern_graph
 from voronorm.independence import max_independent_set
 
@@ -163,9 +172,11 @@ def test_verify_an_bound_small(n):
 
 
 def test_verify_an_bound_cross_check_beyond_default_range():
-    # the box-scan oracle is cheap enough to exercise past its default cap
-    cert = verify_an_bound(7, cross_check=True)
-    assert cert.matches_expected
+    # the translate count is cheap enough to cross-check the closed form past
+    # the default n <= 6 cap, up to the n <= 12 limit of the chain cliques
+    for n in range(7, 13):
+        cert = verify_an_bound(n, cross_check=True)
+        assert cert.matches_expected, n
 
 
 def test_verify_an_cross_check_detects_corruption(monkeypatch):
@@ -177,6 +188,51 @@ def test_verify_an_cross_check_detects_corruption(monkeypatch):
     monkeypatch.setattr(density, "an_brute_neighborhood_counts", lambda n: bad)
     with pytest.raises(CrossCheckMismatch):
         density.verify_an_bound(2, cross_check=True)
+
+
+# ---------------------------------------------------------------------------
+# box-scan oracle for the brute-force neighbourhood counts
+
+
+def _box_scan_counts(targets, gens, points, subset_masks):
+    """|N[C]| by scanning every lattice point of a box that holds all the
+    translates: a point counts for C when it equals or is adjacent to some
+    target whose bit is in C's mask."""
+    gen_set = set(gens)
+    hist = Counter()
+    for y in points:
+        m = 0
+        for b, q in enumerate(targets):
+            if y == q or tuple(a - c for a, c in zip(y, q)) in gen_set:
+                m |= 1 << b
+        if m:
+            hist[m] += 1
+    return {key: sum(c for m, c in hist.items() if m & mask) for key, mask in subset_masks.items()}
+
+
+def _reach(targets, gens):
+    zero = tuple([0] * len(targets[0]))
+    return max(abs(c + g) for t in targets for gen in [zero, *gens] for c, g in zip(t, gen))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_an_brute_counts_match_box_scan(n):
+    gens = an_generators_scaled(n)
+    targets = [tuple([0] * (n + 1))]
+    targets += [ChainClique(n, (w,)).points_scaled()[1] for w in range(1, n + 1)]
+    box = enumerate_an_half_dual_scaled(n, F(_reach(targets, gens), an_half_dual_scale(n)))
+    masks = {c.weights: 1 | sum(1 << w for w in c.weights) for c in enumerate_chain_cliques(n)}
+    assert an_brute_neighborhood_counts(n) == _box_scan_counts(targets, gens, box, masks)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_dn_brute_counts_match_box_scan(n):
+    gens = dn_generators_scaled(n)
+    targets = dn_cmax_points_scaled(n)
+    box = enumerate_dn_half_dual_scaled(n, F(_reach(targets, gens), dn_half_dual_scale(n)))
+    brute = dn_brute_neighborhood_counts(n)
+    masks = {extra: 1 | sum(1 << (i + 1) for i in extra) for extra in brute}
+    assert brute == _box_scan_counts(targets, gens, box, masks)
 
 
 # ---------------------------------------------------------------------------

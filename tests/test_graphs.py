@@ -2,12 +2,14 @@ import io
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from voronorm.constructions import gauge_an, gauge_dn, gauge_sup, hexagon_pattern
 from voronorm.geometry import (
     Vec,
     enumerate_an_half_dual_scaled,
+    enumerate_dn_half_dual_scaled,
     from_scaled,
     reduce_planar_basis,
     to_scaled,
@@ -88,6 +90,41 @@ def test_cayley_single_vertex_box_no_edges():
 
     g = build_cayley_graph(1, [(0, 0)], [(1, 0), (-1, 0)], F(1, 2))
     assert g.n == 1 and g.edge_count() == 0
+
+
+def _naive_cayley_adj(points, gens):
+    """Oracle: decide every ordered pair, i ~ j iff p_i - p_j is a generator.
+
+    Differences and generators are packed into one integer key each (mixed
+    radix over the range a difference can take), so each row is one
+    vectorized membership test.
+    """
+    P = np.array(points, dtype=np.int64)
+    span = 2 * int(np.abs(P).max())
+    gens = [g for g in gens if max(map(abs, g)) <= span]
+    radix = (2 * span + 1) ** np.arange(P.shape[1], dtype=np.int64)
+    gen_keys = (np.array(gens, dtype=np.int64) + span) @ radix
+    adj = []
+    for p in P:
+        hits = np.flatnonzero(np.isin((p - P + span) @ radix, gen_keys))
+        adj.append(sum(1 << int(j) for j in hits))
+    return adj
+
+
+@pytest.mark.parametrize(
+    "build, enumerate_scaled, n",
+    [
+        (an_cayley_graph, enumerate_an_half_dual_scaled, 2),
+        (an_cayley_graph, enumerate_an_half_dual_scaled, 3),
+        (dn_cayley_graph, enumerate_dn_half_dual_scaled, 4),
+    ],
+)
+def test_cayley_build_matches_naive_pair_scan(build, enumerate_scaled, n):
+    g = build(n, F(3, 2))
+    assert g.points == sorted(set(enumerate_scaled(n, F(3, 2))))
+    assert g.adj == _naive_cayley_adj(g.points, g.rule.generators)
+    for i in range(g.n):
+        assert all(g.adj[j] >> i & 1 for j in g.neighbors(i))
 
 
 def test_cayley_edges_translation_invariant():
