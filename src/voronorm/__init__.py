@@ -16,6 +16,7 @@ from .geometry import (
     reduce_planar_basis,
 )
 from .constructions import (
+    CertificateError,
     GaugeNorm,
     HexagonPattern,
     InputOffHyperplane,

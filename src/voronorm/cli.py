@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: bound, property-d, ratio, color, witness.  Exit codes:
-0 = certificate matches the expected value, 1 = mismatch, 2 = usage error,
-3 = budget exhausted / witness not found.  Reports are byte-identical for
-identical configuration and seed regardless of the thread setting.
+0 = certificate matches the expected value, 1 = mismatch or failed
+certificate check, 2 = usage error, 3 = budget exhausted / witness not
+found.  Reports are byte-identical for identical configuration and seed
+regardless of the thread setting.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .coloring import chromatic_witness_search, coset_coloring, verify_coloring
-from .constructions import gauge_an, gauge_dn, hexagon_pattern
+from .constructions import CertificateError, gauge_an, gauge_dn, hexagon_pattern
 from .density import verify_an_bound, verify_dn_bound, verify_hexagon_bound
 from .geometry import DegenerateCell, Vec, reduce_planar_basis
 from .graphs import (
@@ -238,7 +239,7 @@ def _validate(args) -> None:
         raise SystemExit(EXIT_USAGE)
     if fam == "dn" and args.dim is not None and args.dim < 4:
         raise SystemExit(EXIT_USAGE)
-    if args.func is cmd_property_d and args.radius is not None and args.radius <= 0:
+    if args.func in (cmd_property_d, cmd_witness) and args.radius is not None and args.radius <= 0:
         _usage_error(f"--radius must be positive, got {args.radius}")
     if args.func is cmd_color and args.samples < 1:
         _usage_error(f"--samples must be at least 1, got {args.samples}")
@@ -250,6 +251,9 @@ def main(argv=None) -> int:
     _validate(args)
     try:
         return args.func(args)
+    except CertificateError as e:
+        print(f"error: certificate check failed: {e}", file=sys.stderr)
+        return EXIT_MISMATCH
     except DegenerateCell as e:
         print(f"error: degenerate basis: {e}", file=sys.stderr)
         return EXIT_USAGE

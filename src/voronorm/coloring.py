@@ -4,17 +4,23 @@ exact chromatic-number computations for finite witnesses.
 The coloring assigns x to the coset of (1/2)L / L whose half-open translated
 cell contains x; ties between nearest cell centers are broken
 lexicographically, which turns the open-ball construction into a total
-function without breaking properness.
+function without breaking properness.  A color is computed on scaled
+integers: x is scaled to an integer tuple once, the lexicographically
+smallest point of L closest to 2x comes from the lattice's integer decoder,
+and its coset bits from an integer left inverse of the basis computed once
+per coloring.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .constructions import (
+    CertificateError,
     GaugeNorm,
     HexagonPattern,
     gauge_an,
@@ -24,14 +30,39 @@ from .constructions import (
 )
 from .geometry import (
     AnLattice,
+    DimensionMismatch,
     DnLattice,
     Lattice,
     Vec,
     ZnLattice,
-    closest_lattice_points,
+    from_scaled,
+    scaled_ints,
+    to_scaled,
     zero_vec,
 )
 from .graphs import GeometricGraph, _bits
+
+
+def _integer_left_inverse(cols: list) -> tuple:
+    """(M, den) with integer rows M and den > 0 such that M @ (B @ a) = den * a
+    for every a, B being the integer matrix with the given columns (full
+    column rank).  Exact Gauss-Jordan on [B | I]: the row operations that
+    take B to [I; 0] form a left inverse in their first k rows."""
+    m, k = len(cols[0]), len(cols)
+    rows = [[Fraction(c[i]) for c in cols] + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    for c in range(k):
+        piv = next((i for i in range(c, m) if rows[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("basis is not full rank")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [a / rows[c][c] for a in rows[c]]
+        for i in range(m):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    left = [row[k:] for row in rows[:k]]
+    den = math.lcm(*(a.denominator for row in left for a in row))
+    return tuple(tuple(int(a * den) for a in row) for row in left), den
 
 
 @dataclass(frozen=True)
@@ -40,7 +71,9 @@ class CosetColoring:
 
     ``lattice`` is the tiling lattice Lambda whose Voronoi cell is the unit
     ball of ``gauge``; ``basis`` spans Lambda and provides the coset
-    coordinates."""
+    coordinates.  For the cube, Lambda = 2Z^n and ``lattice`` is Z^n.
+    ``inverse`` and ``den`` map a point of Lambda, as integers at the
+    decoder's scale ``lattice.scale``, to den times its basis coordinates."""
 
     family: str
     dim: int
@@ -48,6 +81,14 @@ class CosetColoring:
     basis: tuple
     gauge: GaugeNorm
     pattern: Optional[HexagonPattern] = None
+    inverse: tuple = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cols = [to_scaled(b, self.lattice.scale) for b in self.basis]
+        inverse, den = _integer_left_inverse(cols)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "den", den)
 
     @property
     def color_count(self) -> int:
@@ -75,12 +116,24 @@ def coset_coloring(family: str, n: int = 0, pattern: Optional[HexagonPattern] = 
     raise ValueError(f"unknown family {family!r}")
 
 
-def _closest_in_tiling_lattice(coloring: CosetColoring, y: Vec) -> list:
-    """All points of Lambda closest to y (Lambda = tiling lattice)."""
+def _decode(coloring: CosetColoring, x: Vec) -> tuple:
+    """The lexicographically smallest point of Lambda closest to 2x, as
+    integers at ``lattice.scale``."""
+    w, d = scaled_ints(x)
     if coloring.family == "cube":
-        # Lambda = 2Z^n: scale down, decode in Z^n, scale back
-        return [p * 2 for p in closest_lattice_points(coloring.lattice, y / 2)]
-    return closest_lattice_points(coloring.lattice, y)
+        # the points of 2Z^n closest to 2x are twice those of Z^n closest to x
+        return tuple(2 * z for z in min(coloring.lattice.closest_scaled(w, d)))
+    return min(coloring.lattice.closest_scaled([2 * c for c in w], d))
+
+
+def _basis_coords(coloring: CosetColoring, p: Sequence[int]) -> list:
+    """Basis coordinates of the point p of Lambda (integers at ``lattice.scale``)."""
+    den = coloring.den
+    return [sum(a * b for a, b in zip(row, p)) // den for row in coloring.inverse]
+
+
+def _parity_index(coords: list) -> int:
+    return sum((c & 1) << i for i, c in enumerate(coords))
 
 
 def nearest_half_cell_center(coloring: CosetColoring, x: Vec) -> Vec:
@@ -89,57 +142,26 @@ def nearest_half_cell_center(coloring: CosetColoring, x: Vec) -> Vec:
     x lies in lambda + (1/2)P iff 2*lambda is among the Lambda points
     closest to 2x; the lexicographically smallest closest point makes the
     assignment total and deterministic."""
-    cands = _closest_in_tiling_lattice(coloring, x * 2)
-    return min(cands) / 2
-
-
-def _coords_in_basis(basis, target: Vec) -> list:
-    """Exact coordinates of target in the given basis (consistent,
-    full-column-rank system; raises on inconsistency)."""
-    m = target.dim
-    k = len(basis)
-    rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    # Gaussian elimination with exact fractions
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivval = rows[r][c]
-        rows[r] = [a / pivval for a in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    if len(piv_cols) != k:
-        raise ValueError("basis is not full rank")
-    for i in range(r, m):
-        if rows[i][k] != 0:
-            raise ValueError("target not in the span of the basis")
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][k]
-    return sol
+    return from_scaled(_decode(coloring, x), 2 * coloring.lattice.scale)
 
 
 def coset_index(coloring: CosetColoring, lam: Vec) -> int:
     """Index of the coset of (1/2)Lambda / Lambda containing lam."""
-    coords = _coords_in_basis(coloring.basis, lam * 2)
-    bits = []
-    for c in coords:
-        if c.denominator != 1:
-            raise ValueError(f"{lam} is not in (1/2)Lambda")
-        bits.append(c.numerator % 2)
-    return sum(b << i for i, b in enumerate(bits))
+    scale = coloring.lattice.scale
+    cols = [to_scaled(b, scale) for b in coloring.basis]
+    if len(lam) != len(cols[0]):
+        raise DimensionMismatch(f"expected dim {len(cols[0])}, got {len(lam)}")
+    w, d = scaled_ints(lam)
+    target = [2 * scale * c for c in w]  # d * 2lam at the decoder's scale
+    coords = _basis_coords(coloring, [c // d for c in target])
+    if [d * sum(c * col[i] for c, col in zip(coords, cols)) for i in range(len(w))] != target:
+        raise ValueError(f"{lam} is not in (1/2)Lambda")
+    return _parity_index(coords)
 
 
 def color(coloring: CosetColoring, x: Vec) -> int:
     """Total coloring function: coset index of the nearest half-cell center."""
-    return coset_index(coloring, nearest_half_cell_center(coloring, x))
+    return _parity_index(_basis_coords(coloring, _decode(coloring, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +206,7 @@ def _random_boundary_vector(coloring: CosetColoring, rng: random.Random) -> Vec:
     while True:
         d = _random_point(coloring, rng)
         if any(c != 0 for c in d):
-            return d / coloring.gauge.value(d)
+            return d / coloring.gauge.closed_form(d)
 
 
 def boundary_catalog(coloring: CosetColoring) -> list:
@@ -231,7 +253,7 @@ def boundary_catalog(coloring: CosetColoring) -> list:
     for c in centers:
         for v in verts:
             mid = (c + v) / 2
-            if coloring.gauge.value(mid) == 1:
+            if coloring.gauge.is_unit(mid):
                 out.append(mid)
     return sorted(set(out))
 
@@ -244,7 +266,8 @@ def verify_coloring(coloring: CosetColoring, samples: int, seed: int) -> Colorin
     for _ in range(samples):
         x = _random_point(coloring, rng)
         b = _random_boundary_vector(coloring, rng)
-        assert coloring.gauge.value(b) == 1
+        if not coloring.gauge.is_unit(b):
+            raise CertificateError(f"sampled step {b} is not at gauge distance 1")
         cx, cy = color(coloring, x), color(coloring, x + b)
         if cx == cy:
             violations.append(ColoringViolation(x, x + b, cx))

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable
 
 from .geometry import (
     AnLattice,
@@ -25,6 +25,7 @@ from .geometry import (
     ZnLattice,
     basis_vec,
     lcm_denominator,
+    scaled_ints,
     to_scaled,
 )
 
@@ -33,34 +34,82 @@ class InputOffHyperplane(ValueError):
     """An A_n gauge was evaluated off the zero-sum hyperplane."""
 
 
+class CertificateError(Exception):
+    """A check that guards an emitted certificate failed."""
+
+
+def _an_form(d) -> int:
+    return max(d) - min(d)
+
+
+def _dn_form(d) -> int:
+    # sum of the two largest absolute values
+    m1 = m2 = 0
+    for c in d:
+        a = -c if c < 0 else c
+        if a > m1:
+            m1, m2 = a, m1
+        elif a > m2:
+            m2 = a
+    return m1 + m2
+
+
+def _sup_form(d) -> int:
+    return max(-min(d), max(d))
+
+
 @dataclass(frozen=True)
 class GaugeNorm:
     """Polytope norm as a finite max of affine functionals.
 
     value(x) = max over (a, c) of <a, x> / c.  The functional set is closed
     under negation, so the evaluator is centrally symmetric and positively
-    homogeneous by construction.  ``kind`` selects a closed-form fast path
-    for the unit test on scaled integers; the functional list remains the
-    definition and the closed forms are cross-checked against it in tests.
+    homogeneous by construction.  ``kind`` selects a closed form on scaled
+    integers (an: max - min, dn: the two largest absolute values, sup: the
+    largest absolute value); the functional list remains the definition and
+    the closed forms are cross-checked against it in tests.
     """
 
     functionals: tuple
     require_zero_sum: bool = False
-    closed_form: Optional[Callable[[Vec], Fraction]] = None
     kind: str = "generic"
 
     def _check_domain(self, x: Vec) -> None:
         if self.require_zero_sum and x.sum() != 0:
             raise InputOffHyperplane(f"sum {x.sum()} != 0")
 
+    def _check_scaled_domain(self, y) -> None:
+        if self.require_zero_sum and sum(y) != 0:
+            raise InputOffHyperplane(f"sum {sum(y)} != 0")
+
+    def _integer_form(self):
+        """The closed form f of ``kind`` with value(y/s) = f(y)/s for
+        integer tuples y, or None if the kind has none."""
+        return {"an": _an_form, "dn": _dn_form, "sup": _sup_form}.get(self.kind)
+
     def value(self, x: Vec) -> Fraction:
         self._check_domain(x)
         return max(a.dot(x) / c for a, c in self.functionals)
 
+    def closed_form(self, x: Vec) -> Fraction:
+        """value(x), by the closed form of ``kind`` on x scaled to integers
+        (by the functional list if the kind has no closed form)."""
+        form = self._integer_form()
+        if form is None:
+            return self.value(x)
+        y, scale = scaled_ints(x)
+        self._check_scaled_domain(y)
+        return Fraction(form(y), scale)
+
+    def is_unit(self, x: Vec) -> bool:
+        """value(x) == 1, decided by ``unit_checker`` on x scaled to integers."""
+        y, scale = scaled_ints(x)
+        self._check_scaled_domain(y)
+        return self.unit_checker(scale)(y)
+
     def value_scaled(self, y, scale: int) -> Fraction:
         """value of the point y/scale, with y given in scaled integers."""
-        if self.require_zero_sum and sum(y) != 0:
-            raise InputOffHyperplane(f"sum {sum(y)} != 0")
+        self._check_scaled_domain(y)
         return max(
             sum(ai * yi for ai, yi in zip(a, y)) / (c * scale)
             for a, c in self.functionals
@@ -76,7 +125,8 @@ class GaugeNorm:
             k = math.lcm(k, (c * scale).denominator)
             rows.append(tuple(int(ai * k) for ai in a))
             t = c * scale * k
-            assert t.denominator == 1
+            if t.denominator != 1:
+                raise CertificateError(f"threshold {t} of functional {a} is not an integer")
             thresholds.append(int(t))
         return rows, thresholds
 
@@ -85,26 +135,12 @@ class GaugeNorm:
 
         max_j x_j - min_i x_i equals the pairwise-difference max, and
         max_{i<j}(|x_i|+|x_j|) equals the sum of the two largest absolute
-        values, so the closed forms below agree with the functional lists.
+        values, so the closed forms agree with the functional lists.
         """
-        if self.kind == "an":
-            return lambda d: max(d) - min(d) == scale
-        if self.kind == "dn":
-
-            def check_dn(d):
-                m1 = m2 = 0
-                for c in d:
-                    a = -c if c < 0 else c
-                    if a > m1:
-                        m1, m2 = a, m1
-                    elif a > m2:
-                        m2 = a
-                return m1 + m2 == scale
-
-            return check_dn
-        if self.kind == "sup":
-            return lambda d: max(-min(d), max(d)) == scale
-        return self.system_checker(scale)
+        form = self._integer_form()
+        if form is None:
+            return self.system_checker(scale)
+        return lambda d: form(d) == scale
 
     def system_checker(self, scale: int) -> Callable:
         """Predicate on scaled integers y: value(y/scale) == 1, decided on
@@ -142,11 +178,7 @@ def gauge_an(n: int) -> GaugeNorm:
         a[j] = 1
         a[i] = -1
         funcs.append((Vec(a), Fraction(1)))
-
-    def closed(x: Vec) -> Fraction:
-        return max(x) - min(x)
-
-    return GaugeNorm(tuple(funcs), require_zero_sum=True, closed_form=closed, kind="an")
+    return GaugeNorm(tuple(funcs), require_zero_sum=True, kind="an")
 
 
 def gauge_dn(n: int) -> GaugeNorm:
@@ -161,12 +193,7 @@ def gauge_dn(n: int) -> GaugeNorm:
                 a[i] = si
                 a[j] = sj
                 funcs.append((Vec(a), Fraction(1)))
-
-    def closed(x: Vec) -> Fraction:
-        m = sorted((abs(a) for a in x), reverse=True)
-        return m[0] + m[1]
-
-    return GaugeNorm(tuple(funcs), closed_form=closed, kind="dn")
+    return GaugeNorm(tuple(funcs), kind="dn")
 
 
 def gauge_sup(n: int) -> GaugeNorm:
@@ -179,11 +206,7 @@ def gauge_sup(n: int) -> GaugeNorm:
             a = [0] * n
             a[i] = s
             funcs.append((Vec(a), Fraction(1)))
-
-    def closed(x: Vec) -> Fraction:
-        return x.max_abs()
-
-    return GaugeNorm(tuple(funcs), closed_form=closed, kind="sup")
+    return GaugeNorm(tuple(funcs), kind="sup")
 
 
 def gauge_planar(basis: ReducedPlanarBasis) -> GaugeNorm:

@@ -40,7 +40,9 @@ class Vec(tuple):
     __slots__ = ()
 
     def __new__(cls, comps: Iterable[RatLike]) -> "Vec":
-        return tuple.__new__(cls, tuple(Fraction(c) for c in comps))
+        # exact Fractions pass through: Fraction(c) on one takes the slow
+        # numbers.Rational path
+        return tuple.__new__(cls, tuple(c if type(c) is Fraction else Fraction(c) for c in comps))
 
     @property
     def dim(self) -> int:
@@ -121,8 +123,14 @@ def from_scaled(t: Sequence[int], scale: int) -> Vec:
     return Vec(Fraction(c, scale) for c in t)
 
 
+def scaled_ints(v: Sequence[Fraction]) -> tuple:
+    """(w, d): the least d > 0 and the integer list w with v = w / d."""
+    d = math.lcm(*(a.denominator for a in v))
+    return [a.numerator * (d // a.denominator) for a in v], d
+
+
 def _round_half_up(x: Fraction) -> int:
-    # nearest integer, half-ties toward +inf; used only to seed searches
+    # nearest integer, half-ties toward +inf
     return math.floor(x + Fraction(1, 2))
 
 
@@ -131,33 +139,24 @@ def _int_range(radius: Fraction) -> range:
     return range(-b, b + 1)
 
 
-def _ints_within(target: Fraction, budget: Fraction) -> list:
-    """All integers z with (z - target)^2 <= budget, nearest first."""
-    if budget < 0:
-        return []
-    out = []
-    c0 = _round_half_up(target)
-    z = c0
-    while (Fraction(z) - target) ** 2 <= budget:
-        out.append(z)
-        z += 1
-    z = c0 - 1
-    while (Fraction(z) - target) ** 2 <= budget:
-        out.append(z)
-        z -= 1
-    return out
-
-
-def _closest_integer_points(y: Vec, sum_zero: bool = False, even_sum: bool = False) -> list:
-    """All integer tuples z minimizing |z - y|^2, optionally constrained to
-    zero sum or even sum.  Pure integer arithmetic: with d the common
-    denominator of y, cost terms are (z_i*d - w_i)^2 for w = d*y."""
-    m = y.dim
-    d = 1
-    for c in y:
-        d = math.lcm(d, c.denominator)
-    w = [int(c * d) for c in y]
-    best = [sum(v * v for v in w)]  # cost of z = 0, always feasible here
+def _closest_integer_points(w: Sequence[int], d: int, sum_zero: bool = False, even_sum: bool = False) -> list:
+    """All integer tuples z minimizing |z - w/d|^2, optionally constrained to
+    zero sum (w must then have zero sum) or even sum.  Pure integer
+    arithmetic: the cost of z is the sum of (z_i*d - w_i)^2.  The search
+    starts from the cost of a feasible rounding t of w/d."""
+    m = len(w)
+    t = [(2 * c + d) // (2 * d) for c in w]  # nearest integers, half-ties up
+    s = sum(t)
+    if sum_zero and s != 0:
+        # step the |s| coordinates where the step costs least
+        step = -1 if s > 0 else 1
+        for i in sorted(range(m), key=lambda i: step * (t[i] * d - w[i]))[: abs(s)]:
+            t[i] += step
+    if even_sum and s % 2:
+        # re-round the coordinate farthest from its nearest integer
+        i = max(range(m), key=lambda i: abs(w[i] - t[i] * d))
+        t[i] += 1 if w[i] >= t[i] * d else -1
+    best = [sum((z * d - c) ** 2 for z, c in zip(t, w))]
     hits: list = []
     last = m - 1
 
@@ -223,6 +222,7 @@ def _closest_integer_points(y: Vec, sum_zero: bool = False, even_sum: bool = Fal
 class ZnLattice:
     n: int
     family = "zn"
+    scale = 1  # points are integer tuples
 
     def __post_init__(self):
         if self.n < 1:
@@ -232,9 +232,9 @@ class ZnLattice:
     def ambient_dim(self) -> int:
         return self.n
 
-    def _check_dim(self, v: Vec) -> None:
-        if v.dim != self.ambient_dim:
-            raise DimensionMismatch(f"expected dim {self.ambient_dim}, got {v.dim}")
+    def _check_dim(self, v: Sequence) -> None:
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(f"expected dim {self.ambient_dim}, got {len(v)}")
 
     def contains(self, v: Vec) -> bool:
         self._check_dim(v)
@@ -247,21 +247,14 @@ class ZnLattice:
         rng = _int_range(Fraction(radius))
         return sorted(Vec(c) for c in product(rng, repeat=self.n))
 
-    def nearby_point(self, x: Vec) -> Vec:
-        return Vec([_round_half_up(a) for a in x])
-
-    def closest_points(self, x: Vec) -> list:
-        self._check_dim(x)
+    def closest_scaled(self, w: Sequence[int], d: int) -> list:
+        """All lattice points closest to w/d, as integer tuples at ``scale``."""
+        self._check_dim(w)
         per_coord = []
-        for a in x:
-            lo = math.floor(a)
-            if a - lo == Fraction(1, 2):
-                per_coord.append((lo, lo + 1))
-            elif a - lo < Fraction(1, 2):
-                per_coord.append((lo,))
-            else:
-                per_coord.append((lo + 1,))
-        return sorted(Vec(c) for c in product(*per_coord))
+        for c in w:
+            lo, r = divmod(c, d)
+            per_coord.append((lo, lo + 1) if 2 * r == d else (lo,) if 2 * r < d else (lo + 1,))
+        return list(product(*per_coord))
 
 
 @dataclass(frozen=True)
@@ -270,6 +263,7 @@ class AnLattice:
 
     n: int
     family = "an"
+    scale = 1
 
     def __post_init__(self):
         if self.n < 2:
@@ -279,9 +273,9 @@ class AnLattice:
     def ambient_dim(self) -> int:
         return self.n + 1
 
-    def _check_dim(self, v: Vec) -> None:
-        if v.dim != self.ambient_dim:
-            raise DimensionMismatch(f"expected dim {self.ambient_dim}, got {v.dim}")
+    def _check_dim(self, v: Sequence) -> None:
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(f"expected dim {self.ambient_dim}, got {len(v)}")
 
     def contains(self, v: Vec) -> bool:
         self._check_dim(v)
@@ -304,27 +298,12 @@ class AnLattice:
                 out.append(Vec(head + (last,)))
         return sorted(out)
 
-    def nearby_point(self, x: Vec) -> Vec:
-        # integral rounding repaired to zero sum; adjusts the coordinates
-        # where the unit step costs least
-        r = [_round_half_up(a) for a in x]
-        d = sum(r)
-        if d != 0:
-            step = -1 if d > 0 else 1
-            order = sorted(
-                range(len(r)), key=lambda i: (Fraction(step) * (Fraction(r[i]) - x[i]), i)
-            )
-            for i in order[: abs(d)]:
-                r[i] += step
-        return Vec(r)
-
-    def closest_points(self, x: Vec) -> list:
-        self._check_dim(x)
-        if x.sum() != 0:
+    def closest_scaled(self, w: Sequence[int], d: int) -> list:
+        """All lattice points closest to w/d, as integer tuples at ``scale``."""
+        self._check_dim(w)
+        if sum(w) != 0:
             raise DimensionMismatch("point off the zero-sum hyperplane")
-        t = self.nearby_point(x)
-        hits = _closest_integer_points(x - t, sum_zero=True)
-        return sorted(Vec(h) + t for h in hits)
+        return _closest_integer_points(w, d, sum_zero=True)
 
 
 @dataclass(frozen=True)
@@ -333,6 +312,7 @@ class DnLattice:
 
     n: int
     family = "dn"
+    scale = 1
 
     def __post_init__(self):
         if self.n < 3:
@@ -342,9 +322,9 @@ class DnLattice:
     def ambient_dim(self) -> int:
         return self.n
 
-    def _check_dim(self, v: Vec) -> None:
-        if v.dim != self.ambient_dim:
-            raise DimensionMismatch(f"expected dim {self.ambient_dim}, got {v.dim}")
+    def _check_dim(self, v: Sequence) -> None:
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(f"expected dim {self.ambient_dim}, got {len(v)}")
 
     def contains(self, v: Vec) -> bool:
         self._check_dim(v)
@@ -371,31 +351,18 @@ class DnLattice:
                     out.append(Vec(head + (last,)))
         return sorted(out)
 
-    def nearby_point(self, x: Vec) -> Vec:
-        r = [_round_half_up(a) for a in x]
-        if sum(r) % 2 != 0:
-            # flip the rounding of the coordinate where it costs least
-            best = None
-            for i, a in enumerate(x):
-                f = a - r[i]
-                for step in (1, -1):
-                    extra = (f - step) ** 2 - f * f
-                    if best is None or (extra, i, step) < best:
-                        best = (extra, i, step)
-            _, i, step = best
-            r[i] += step
-        return Vec(r)
-
-    def closest_points(self, x: Vec) -> list:
-        self._check_dim(x)
-        t = self.nearby_point(x)
-        hits = _closest_integer_points(x - t, even_sum=True)
-        return sorted(Vec(h) + t for h in hits)
+    def closest_scaled(self, w: Sequence[int], d: int) -> list:
+        """All lattice points closest to w/d, as integer tuples at ``scale``."""
+        self._check_dim(w)
+        return _closest_integer_points(w, d, even_sum=True)
 
 
 @dataclass(frozen=True)
 class PlanarLattice:
-    """Rank-2 lattice in R^2 spanned by b0, b1."""
+    """Rank-2 lattice in R^2 spanned by b0, b1.
+
+    ``scale`` is the common denominator of the basis; ``int_basis`` holds
+    the basis vectors at that scale."""
 
     b0: Vec
     b1: Vec
@@ -406,6 +373,9 @@ class PlanarLattice:
             raise DimensionMismatch("planar basis vectors must have dim 2")
         if self.det() == 0:
             raise DegenerateCell("planar basis is linearly dependent")
+        scale = lcm_denominator([self.b0, self.b1])
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "int_basis", (to_scaled(self.b0, scale), to_scaled(self.b1, scale)))
 
     @property
     def ambient_dim(self) -> int:
@@ -447,36 +417,48 @@ class PlanarLattice:
                     out.append(v)
         return sorted(out)
 
-    def nearby_point(self, x: Vec) -> Vec:
-        c0, c1 = self.coefficients(x)
-        return self.from_coefficients(_round_half_up(c0), _round_half_up(c1))
+    def closest_scaled(self, w: Sequence[int], d: int) -> list:
+        """All lattice points closest to w/d, as integer tuples at ``scale``.
 
-    def closest_points(self, x: Vec) -> list:
-        if x.dim != 2:
+        With u = scale*w, the point a0*b0 + a1*b1 costs |u - d*(a0*p + a1*q)|^2
+        for the integer basis (p, q).  For fixed a0 the least cost over real
+        a1, times |q|^2, is |r|^2 |q|^2 - <r, q>^2 with r = u - d*a0*p; it is
+        convex in a0, so a0 runs outward from the Cramer solution until that
+        bound exceeds the best cost, and a1 likewise for each a0."""
+        if len(w) != 2:
             raise DimensionMismatch("expected dim 2")
-        g00 = self.b0.norm2()
-        g01 = self.b0.dot(self.b1)
-        g11 = self.b1.norm2()
-        detg = g00 * g11 - g01 * g01
-        c0, c1 = self.coefficients(x)
-        best = [(x - self.nearby_point(x)).norm2()]
+        (p0, p1), (q0, q1) = self.int_basis
+        u0, u1 = self.scale * w[0], self.scale * w[1]
+        n0, n1, den = u0 * q1 - u1 * q0, p0 * u1 - p1 * u0, d * (p0 * q1 - p1 * q0)
+        if den < 0:
+            n0, n1, den = -n0, -n1, -den
+        a0c, a1c = (2 * n0 + den) // (2 * den), (2 * n1 + den) // (2 * den)
+        e0, e1 = u0 - d * (a0c * p0 + a1c * q0), u1 - d * (a0c * p1 + a1c * q1)
+        best = e0 * e0 + e1 * e1
         hits: list = []
-        # cost(a0, a1) = g11*(a1 - a1_min)^2 + d0^2 * detg/g11  (completed square)
-        for a0 in _ints_within(c0, best[0] * g11 / detg):
-            d0 = Fraction(a0) - c0
-            floor_cost = d0 * d0 * detg / g11
-            if floor_cost > best[0]:
-                continue
-            a1_min = c1 - d0 * g01 / g11
-            for a1 in _ints_within(a1_min, (best[0] - floor_cost) / g11):
-                cost = floor_cost + g11 * (Fraction(a1) - a1_min) ** 2
-                if cost > best[0]:
-                    continue
-                if cost < best[0]:
-                    best[0] = cost
-                    hits.clear()
-                hits.append(self.from_coefficients(a0, a1))
-        return sorted(hits)
+        qq = q0 * q0 + q1 * q1
+        for step0 in (1, -1):
+            a0 = a0c if step0 == 1 else a0c - 1
+            while True:
+                r0, r1 = u0 - d * a0 * p0, u1 - d * a0 * p1
+                rq, rr = r0 * q0 + r1 * q1, r0 * r0 + r1 * r1
+                if rr * qq - rq * rq > best * qq:
+                    break
+                # cost(a1) = rr - 2*d*a1*rq + d^2*qq*a1^2, least at a1 = rq/(d*qq)
+                a1m = (2 * rq + d * qq) // (2 * d * qq)
+                for step1 in (1, -1):
+                    a1 = a1m if step1 == 1 else a1m - 1
+                    while True:
+                        cost = rr - 2 * d * a1 * rq + d * d * qq * a1 * a1
+                        if cost > best:
+                            break
+                        if cost < best:
+                            best = cost
+                            hits.clear()
+                        hits.append((a0 * p0 + a1 * q0, a0 * p1 + a1 * q1))
+                        a1 += step1
+                a0 += step0
+        return hits
 
 
 Lattice = Union[ZnLattice, AnLattice, DnLattice, PlanarLattice]
@@ -492,7 +474,8 @@ def closest_lattice_points(lattice: Lattice, x: Vec) -> list:
     Ties are returned in full; callers needing a single representative must
     apply their own deterministic tie-break.
     """
-    return lattice.closest_points(Vec(x))
+    w, d = scaled_ints(Vec(x))
+    return sorted(from_scaled(p, lattice.scale) for p in lattice.closest_scaled(w, d))
 
 
 def enumerate_in_box(lattice: Lattice, radius: RatLike) -> list:
@@ -505,7 +488,7 @@ def enumerate_in_box(lattice: Lattice, radius: RatLike) -> list:
 
 def in_voronoi_cell(lattice: Lattice, x: Vec) -> bool:
     """Whether x is at least as close to 0 as to every other lattice point."""
-    return zero_vec(x.dim) in lattice.closest_points(x)
+    return zero_vec(x.dim) in closest_lattice_points(lattice, x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import os
 import pytest
 
 from voronorm.cli import main
+from voronorm.coloring import coset_coloring, verify_coloring
+from voronorm.constructions import CertificateError, GaugeNorm
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -205,3 +207,28 @@ def test_bad_threads_environment_is_ignored(tmp_path, monkeypatch):
     code, raw = run_cli(["bound", "cube", "--dim", "2"], tmp_path, "env.json")
     assert code == 0
     assert raw == plain
+
+
+@pytest.mark.parametrize("radius", ["0", "-2"])
+def test_witness_rejects_non_positive_radius(tmp_path, capsys, radius):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--basis", "3,0,1,3", "--k", "4", "--radius", radius, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--radius" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_broken_gauge_fails_the_coloring_certificate(tmp_path, capsys, monkeypatch):
+    # a normalisation off by a factor 2 puts every sampled step at gauge 1/2;
+    # the guard must raise (not assert, which python -O strips) and the CLI
+    # must map it to exit 1 with a one-line message and no report
+    monkeypatch.setattr(GaugeNorm, "closed_form", lambda self, x: 2 * self.value(x))
+    with pytest.raises(CertificateError):
+        verify_coloring(coset_coloring("an", 2), 5, seed=1)
+    out = tmp_path / "out.json"
+    code = main(["color", "an", "--dim", "2", "--samples", "5", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate check failed") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,7 +1,10 @@
+import functools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voronorm.coloring import (
     boundary_catalog,
@@ -10,6 +13,7 @@ from voronorm.coloring import (
     chromatic_witness_search,
     color,
     coset_coloring,
+    coset_index,
     nearest_half_cell_center,
     proper_coloring_check,
     verify_chromatic_number,
@@ -19,10 +23,13 @@ from voronorm.constructions import hexagon_pattern, project_to_hyperplane
 from voronorm.geometry import (
     AnLattice,
     DnLattice,
+    PlanarLattice,
     Vec,
     ZnLattice,
+    closest_lattice_points,
     enumerate_in_box,
     reduce_planar_basis,
+    to_scaled,
     zero_vec,
 )
 from voronorm.graphs import GeometricGraph, LineRule, hex_unit_distance_graph
@@ -100,6 +107,171 @@ def test_verify_coloring_hexagon():
     rep = verify_coloring(coset_coloring("hexagon", pattern=_pattern()), 300, seed=7)
     assert rep.holds
     assert rep.color_count == 4
+
+
+# ---------------------------------------------------------------------------
+# the integer coloring against the exact Fraction oracle
+
+# derandomized so that every run of the suite draws the same examples
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=120)
+
+
+def _coords_in_basis(basis, target: Vec) -> list:
+    """Exact coordinates of target in the given basis (consistent,
+    full-column-rank system; raises on inconsistency)."""
+    m = target.dim
+    k = len(basis)
+    rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(m)]
+    # Gaussian elimination with exact fractions
+    piv_cols = []
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivval = rows[r][c]
+        rows[r] = [a / pivval for a in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+    if len(piv_cols) != k:
+        raise ValueError("basis is not full rank")
+    for i in range(r, m):
+        if rows[i][k] != 0:
+            raise ValueError("target not in the span of the basis")
+    sol = [F(0)] * k
+    for i, c in enumerate(piv_cols):
+        sol[c] = rows[i][k]
+    return sol
+
+
+def _oracle_center(coloring, x: Vec) -> Vec:
+    """The least point of the full tie set of Lambda closest to 2x, halved."""
+    if coloring.family == "cube":
+        # Lambda = 2Z^n: scale down, decode in Z^n, scale back
+        cands = [p * 2 for p in closest_lattice_points(coloring.lattice, x)]
+    else:
+        cands = closest_lattice_points(coloring.lattice, x * 2)
+    return min(cands) / 2
+
+
+def _oracle_index(coloring, lam: Vec) -> int:
+    coords = _coords_in_basis(coloring.basis, lam * 2)
+    assert all(c.denominator == 1 for c in coords)
+    return sum((c.numerator % 2) << i for i, c in enumerate(coords))
+
+
+ORACLE_COLORINGS = {
+    "an2": coset_coloring("an", 2),
+    "an3": coset_coloring("an", 3),
+    "an4": coset_coloring("an", 4),
+    "dn4": coset_coloring("dn", 4),
+    "cube2": coset_coloring("cube", 2),
+    "cube3": coset_coloring("cube", 3),
+    "hexagon": coset_coloring("hexagon", pattern=_pattern()),
+    # a rational basis: the planar decoder works at scale 2
+    "hexagon-half": coset_coloring(
+        "hexagon", pattern=hexagon_pattern(reduce_planar_basis(Vec([F(3, 2), 0]), Vec([F(1, 2), F(3, 2)])))
+    ),
+}
+
+
+def _in_domain(coloring, comps) -> Vec:
+    v = Vec(comps)
+    return project_to_hyperplane(v) if coloring.family == "an" else v
+
+
+def _points(coloring):
+    """Generic rationals, half-integer points, and points of (1/2)Lambda plus
+    a half or whole boundary vector of the catalog (the half steps land on
+    half-cell boundaries, where the closest-point tie sets are largest)."""
+    m = len(coloring.basis[0])
+    small = st.sampled_from([1, 2, 3, 4, 6, 8]).flatmap(
+        lambda d: st.integers(-3 * d, 3 * d).map(lambda k: F(k, d))
+    )
+    halves = st.integers(-6, 6).map(lambda k: F(k, 2))
+    catalog = boundary_catalog(coloring)
+    ties = st.tuples(
+        st.lists(st.integers(-3, 3), min_size=len(coloring.basis), max_size=len(coloring.basis)),
+        st.sampled_from(catalog),
+        st.sampled_from([F(1, 2), F(1), F(0)]),
+    ).map(
+        lambda t: sum((g * F(a, 2) for a, g in zip(t[0], coloring.basis)), zero_vec(m)) + t[1] * t[2]
+    )
+    return st.one_of(
+        st.lists(small, min_size=m, max_size=m).map(lambda c: _in_domain(coloring, c)),
+        st.lists(halves, min_size=m, max_size=m).map(lambda c: _in_domain(coloring, c)),
+        ties,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COLORINGS))
+@PROPERTY
+@given(data=st.data())
+def test_color_matches_fraction_oracle(name, data):
+    coloring = ORACLE_COLORINGS[name]
+    x = data.draw(_points(coloring))
+    lam = _oracle_center(coloring, x)
+    assert nearest_half_cell_center(coloring, x) == lam
+    assert coset_index(coloring, lam) == _oracle_index(coloring, lam)
+    assert color(coloring, x) == _oracle_index(coloring, lam)
+
+
+def test_coset_index_rejects_points_off_half_lattice():
+    c = coset_coloring("dn", 4)
+    assert coset_index(c, Vec([F(1, 2), F(1, 2), 0, 0])) == 1
+    with pytest.raises(ValueError):
+        coset_index(c, Vec([F(1, 2), 0, 0, 0]))  # 2*lam has odd sum
+    with pytest.raises(ValueError):
+        coset_index(coset_coloring("an", 2), Vec([F(1, 2), 0, 0]))  # off the hyperplane
+    with pytest.raises(ValueError):
+        coset_index(coset_coloring("cube", 2), Vec([F(1, 3), 0]))
+    with pytest.raises(ValueError):
+        coset_index(c, Vec([0, 0, 0]))
+
+
+BRUTE_LATTICES = {
+    "z1": ZnLattice(1),
+    "z3": ZnLattice(3),
+    "a2": AnLattice(2),
+    "a3": AnLattice(3),
+    "a4": AnLattice(4),
+    "d4": DnLattice(4),
+    "planar": PlanarLattice(Vec([3, 0]), Vec([1, 3])),
+    "planar-half": PlanarLattice(Vec([F(3, 2), 0]), Vec([F(1, 2), F(3, 2)])),
+    "planar-skew": PlanarLattice(Vec([1, 3]), Vec([F(5, 2), -1])),  # negative determinant
+}
+
+
+@functools.cache
+def _box_points(name: str) -> tuple:
+    """Every lattice point with coordinates in [-4, 4], as integers at a
+    common scale; each closest point to a target in [-1, 1]^m lies in it."""
+    pts = enumerate_in_box(BRUTE_LATTICES[name], 4)
+    scale = math.lcm(*(a.denominator for p in pts for a in p))
+    return pts, [to_scaled(p, scale) for p in pts], scale
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_LATTICES))
+@PROPERTY
+@given(data=st.data())
+def test_closest_lattice_points_match_box_search(name, data):
+    lattice = BRUTE_LATTICES[name]
+    pts, ints, scale = _box_points(name)
+    m = lattice.ambient_dim
+    coord = st.sampled_from([1, 2, 3, 4, 6]).flatmap(lambda d: st.integers(-d, d).map(lambda k: F(k, d)))
+    x = Vec(data.draw(st.lists(coord, min_size=m, max_size=m)))
+    if lattice.family == "an":
+        x = project_to_hyperplane(x)
+    d = math.lcm(*(a.denominator for a in x))
+    w = [int(a * d) * scale for a in x]
+    costs = [sum((c * d - t) ** 2 for c, t in zip(p, w)) for p in ints]
+    least = min(costs)
+    assert closest_lattice_points(lattice, x) == sorted(p for p, c in zip(pts, costs) if c == least)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,12 @@ def test_closed_form_cross_check():
     for _ in range(50):
         x = Vec([F(rnd.randint(-24, 24), 6) for _ in range(4)])
         xa = project_to_hyperplane(x)
-        assert ga.value(xa) == ga.closed_form(xa)
-        assert gd.value(x) == gd.closed_form(x)
-        assert gs.value(Vec(x[:3])) == gs.closed_form(Vec(x[:3]))
+        for g, v in ((ga, xa), (gd, x), (gs, Vec(x[:3]))):
+            assert g.value(v) == g.closed_form(v)
+            if any(v):
+                # is_unit decides value == 1 on the scaled integers
+                u = v / g.value(v)
+                assert g.is_unit(u) and not g.is_unit(u * 2) and not g.is_unit(u / 3)
 
 
 def test_unit_checker_agrees_with_functional_list():
