@@ -1,21 +1,22 @@
 """Finite geometric graphs: box-restricted unit-distance graphs, Cayley
 graphs on half dual lattices, and the hexagon pattern graph.
 
-Vertices are stored as scaled integer tuples (one global denominator per
-graph) and adjacency as per-vertex bitmasks, so every distance test is pure
-integer arithmetic.  A vectorized integer edge scan (numpy) is used for the
-quadratic pair scans; the naive scan is kept as an oracle.
+Vertices are stored as scaled integer tuples (one denominator per graph,
+the family's scale) and adjacency as per-vertex bitmasks, so every distance
+test is pure integer arithmetic.  Unit-distance edges come from one bitset
+kernel on the gauge's integer system; a pair-by-pair scan is its oracle
+in the tests.  Unit-distance graphs are capped at
+MAX_UNIT_DISTANCE_VERTICES vertices, checked before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .constructions import GaugeNorm, HexagonPattern, polytope_an, polytope_cube, polytope_dn
 from .geometry import (
@@ -25,7 +26,6 @@ from .geometry import (
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
     from_scaled,
-    lcm_denominator,
     to_scaled,
 )
 
@@ -147,76 +147,66 @@ def _bits(mask: int) -> list:
 # ---------------------------------------------------------------------------
 # Edge scans
 
+# Largest vertex count a unit-distance graph may have: its adjacency can be
+# complete (the cube), and 2^14 bitmasks of 2^14 bits take 32 MiB.
+MAX_UNIT_DISTANCE_VERTICES = 1 << 14
 
-def _edges_naive(points: Sequence[tuple], rows, thresholds) -> list:
-    """Quadratic scan with pure integer arithmetic (oracle path)."""
+
+def _check_unit_distance_size(count: int) -> None:
+    if count > MAX_UNIT_DISTANCE_VERTICES:
+        raise ValueError(
+            f"unit-distance graph of {count} vertices exceeds the limit of "
+            f"{MAX_UNIT_DISTANCE_VERTICES}"
+        )
+
+
+def _unit_edges(points: Sequence[tuple], rows, thresholds) -> list:
+    """Adjacency bitmasks: j ~ i iff A(p_i - p_j) <= T with at least one
+    equality.
+
+    Row by row, with v_j = a.p_j, the condition a.(p_i - p_j) <= t reads
+    v_j >= v_i - t and its equality v_j = v_i - t; both are read off one
+    bitmask per value (the equality) and their suffix unions (the bound).
+    """
     n = len(points)
-    adj = [0] * n
-    for i in range(n):
-        pi = points[i]
-        for j in range(i + 1, n):
-            d = tuple(a - b for a, b in zip(pi, points[j]))
-            ok_le = True
-            any_eq = False
-            for a, t in zip(rows, thresholds):
-                v = sum(ai * di for ai, di in zip(a, d))
-                if v > t:
-                    ok_le = False
-                    break
-                if v == t:
-                    any_eq = True
-            if ok_le and any_eq:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
-
-
-def _edges_fast(points: Sequence[tuple], rows, thresholds) -> list:
-    """Vectorized integer scan; exact as long as int64 cannot overflow."""
-    n = len(points)
-    if n == 0:
-        return []
-    P = np.array(points, dtype=np.int64)
-    A = np.array(rows, dtype=np.int64)
-    T = np.array(thresholds, dtype=np.int64)
-    # overflow guard: |A @ d| <= max|A| * dim * 2*max|P|
-    bound = int(np.abs(A).max()) * P.shape[1] * 2 * int(np.abs(P).max() or 1)
-    if bound >= 2**62:
-        return _edges_naive(points, rows, thresholds)
-    hits = np.zeros((n, n), dtype=bool)
-    V = P @ A.T  # A @ (p_i - p_j) = V[i] - V[j]
-    for i in range(n - 1):
-        vals = V[i + 1 :] - V[i]
-        hits[i, i + 1 :] = (vals <= T).all(axis=1) & (vals == T).any(axis=1)
-    hits |= hits.T
-    return [
-        int.from_bytes(np.packbits(hits[i], bitorder="little").tobytes(), "little")
-        for i in range(n)
-    ]
+    within = [(1 << n) - 1] * n
+    on_face = [0] * n
+    for a, t in zip(rows, thresholds):
+        vals = [sum(map(mul, a, p)) for p in points]
+        at = {}
+        for j, v in enumerate(vals):
+            at[v] = at.get(v, 0) | (1 << j)
+        keys = sorted(at)
+        suffix = [0] * (len(keys) + 1)
+        for k in range(len(keys) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] | at[keys[k]]
+        for i, v in enumerate(vals):
+            within[i] &= suffix[bisect_left(keys, v - t)]
+            on_face[i] |= at.get(v - t, 0)
+    return [w & f for w, f in zip(within, on_face)]
 
 
 def build_unit_distance_graph(
-    points: Iterable[Vec],
+    scale: int,
+    points: Iterable[tuple],
     gauge: GaugeNorm,
     box_radius: Optional[Fraction] = None,
     step_extent: Optional[Fraction] = None,
-    naive: bool = False,
 ) -> GeometricGraph:
-    """Graph on the given points with edges at gauge distance exactly 1.
+    """Graph on the given scaled integer points (coordinates times
+    ``scale``) with edges at gauge distance exactly 1.
 
     ``step_extent`` should be the per-coordinate extent of the unit ball
     (max |v_i| over the cell's vertices) when margin metadata is needed.
+    Raises ValueError above MAX_UNIT_DISTANCE_VERTICES distinct points.
     """
-    pts = sorted(set(Vec(p) for p in points))
-    scale = lcm_denominator(pts)
-    scaled = [to_scaled(p, scale) for p in pts]
+    pts = sorted(set(points))
+    _check_unit_distance_size(len(pts))
     rows, thresholds = gauge.integer_system(scale)
-    scan = _edges_naive if naive else _edges_fast
-    adj = scan(scaled, rows, thresholds)
     return GeometricGraph(
         scale,
-        scaled,
-        adj,
+        pts,
+        _unit_edges(pts, rows, thresholds),
         UnitDistanceRule(gauge),
         box_radius=box_radius,
         step_extent=step_extent,
@@ -311,20 +301,18 @@ def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
     """Box-restricted subgraph of the unit-distance graph on (1/2)A_n^#."""
     radius = Fraction(radius)
     data = polytope_an(n)
-    scale = an_half_dual_scale(n)
-    pts = [from_scaled(p, scale) for p in enumerate_an_half_dual_scaled(n, radius)]
+    pts = enumerate_an_half_dual_scaled(n, radius)
     return build_unit_distance_graph(
-        pts, data.gauge, box_radius=radius, step_extent=data.vertex_extent()
+        an_half_dual_scale(n), pts, data.gauge, box_radius=radius, step_extent=data.vertex_extent()
     )
 
 
 def dn_unit_distance_graph(n: int, radius) -> GeometricGraph:
     radius = Fraction(radius)
     data = polytope_dn(n)
-    scale = dn_half_dual_scale(n)
-    pts = [from_scaled(p, scale) for p in enumerate_dn_half_dual_scaled(n, radius)]
+    pts = enumerate_dn_half_dual_scaled(n, radius)
     return build_unit_distance_graph(
-        pts, data.gauge, box_radius=radius, step_extent=data.vertex_extent()
+        dn_half_dual_scale(n), pts, data.gauge, box_radius=radius, step_extent=data.vertex_extent()
     )
 
 
@@ -332,9 +320,9 @@ def cube_graph(n: int) -> GeometricGraph:
     """The 0/1 cube under the sup norm; complete by construction."""
     from itertools import product as _product
 
+    _check_unit_distance_size(2**n)
     data = polytope_cube(n)
-    pts = [Vec(t) for t in _product((0, 1), repeat=n)]
-    return build_unit_distance_graph(pts, data.gauge, box_radius=None, step_extent=None)
+    return build_unit_distance_graph(1, _product((0, 1), repeat=n), data.gauge)
 
 
 def hex_step_extent(pattern: HexagonPattern) -> Fraction:
@@ -403,14 +391,10 @@ def _hex_vertices(pattern: HexagonPattern, radius: Fraction):
 def hex_unit_distance_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
     """Box subgraph of the unit-distance graph on the pattern's vertex set."""
     radius = Fraction(radius)
-    scale = pattern.scale()
     pts, tags = _hex_vertices(pattern, radius)
-    # the unit-distance builder picks its own (possibly smaller) scale, so
-    # key the class tags by exact coordinates
-    tag_by_vec = {from_scaled(p, scale): t for p, t in tags.items()}
     ext = max(v.max_abs() for v in pattern.v)
-    g = build_unit_distance_graph(tag_by_vec, pattern.gauge, box_radius=radius, step_extent=ext)
-    g.tags = [tag_by_vec[g.coords(i)] for i in range(g.n)]
+    g = build_unit_distance_graph(pattern.scale(), pts, pattern.gauge, box_radius=radius, step_extent=ext)
+    g.tags = [tags[p] for p in g.points]
     return g
 
 

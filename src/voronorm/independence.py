@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .constructions import CertificateError
 from .geometry import an_half_dual_scale
 from .graphs import GeometricGraph, LineRule, _bits, an_unit_distance_graph, cube_graph
 from .density import ChainClique
@@ -89,7 +90,8 @@ def max_independent_set(g: GeometricGraph, node_budget: Optional[int] = None) ->
     full = (1 << n) - 1
     alpha, witness_mask, proven, upper, nodes = _solve_mask(adj, full, budget)
     witness = _bits(witness_mask)
-    assert is_independent_set(g, witness)
+    if not is_independent_set(g, witness):
+        raise CertificateError("maximum independent set witness is not independent")
     return MisResult(alpha, witness, n, proven, upper, nodes)
 
 
@@ -279,11 +281,13 @@ def _solve_mask(adj, full: int, budget: int):
         val, wit = _solve_rec(adj_sets, best - 1, state, budget)
     except _BudgetExceeded:
         return best, best_mask, False, root_bound, state["nodes"]
-    assert val >= best
+    if val < best:
+        raise CertificateError(f"search returned {val}, below the greedy incumbent {best}")
     mask = 0
     for v in wit:
         mask |= 1 << v
-    assert mask.bit_count() == val
+    if mask.bit_count() != val:
+        raise CertificateError(f"witness of size {mask.bit_count()} for a claimed alpha of {val}")
     return val, mask, True, val, state["nodes"]
 
 
@@ -459,11 +463,14 @@ def counterexample_density_gap(
         vk = g.find_scaled((-k,))
         cand = ((1 << g.n) - 1) & ~(g.adj[vk] | (1 << vk))
         alpha_rest, mask, proven, _, _ = _solve_mask(g.adj, cand, node_budget or DEFAULT_NODE_BUDGET)
-        assert proven
+        if not proven:
+            raise CertificateError(f"search for the set containing -{k} ran out of budget")
         members = [vk] + _bits(mask)
-        assert is_independent_set(g, members)
+        if not is_independent_set(g, members):
+            raise CertificateError(f"witness for -{k} is not independent")
         max_pos = max(g.points[i][0] for i in members)
-        assert max_pos <= 2 * k, f"witness for -{k} contains a vertex above 2k"
+        if max_pos > 2 * k:
+            raise CertificateError(f"witness for -{k} contains a vertex above 2k")
         runs.append(
             ConstrainedRun(
                 k=k,

@@ -1,11 +1,14 @@
 import json
 import os
+import time
 
 import pytest
 
+from voronorm import independence
 from voronorm.cli import main
 from voronorm.coloring import coset_coloring, verify_coloring
 from voronorm.constructions import CertificateError, GaugeNorm
+from voronorm.graphs import cube_graph
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -231,4 +234,40 @@ def test_broken_gauge_fails_the_coloring_certificate(tmp_path, capsys, monkeypat
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: certificate check failed") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dependent_mis_witness_fails_the_certificate(tmp_path, capsys, monkeypatch):
+    # a solver whose witness holds two adjacent vertices of the complete
+    # graph K_4; the re-check must raise (not assert, which python -O
+    # strips) and the CLI must exit 1 with a one-line message and no report
+    monkeypatch.setattr(independence, "_solve_mask", lambda adj, full, budget: (2, 0b11, True, 2, 0))
+    with pytest.raises(CertificateError):
+        independence.max_independent_set(cube_graph(2))
+    out = tmp_path / "out.json"
+    code = main(["ratio", "cube", "--dim", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate check failed") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "cube", "--dim", "15"],
+        ["bound", "cube", "--dim", "40"],
+        ["ratio", "cube", "--dim", "16"],
+        ["ratio", "an", "--dim", "2", "--radii", "40"],  # 57,841 points
+    ],
+)
+def test_oversized_unit_distance_graph_exits_2(tmp_path, capsys, argv):
+    # refused before the adjacency is allocated: 2^16 complete bitmasks
+    # alone would take 512 MiB
+    out = tmp_path / "out.json"
+    t0 = time.monotonic()
+    code = main(argv + ["--out", str(out)])
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    assert "exceeds the limit" in capsys.readouterr().err
     assert not out.exists()

@@ -1,23 +1,23 @@
 import io
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voronorm.constructions import gauge_an, gauge_dn, gauge_sup, hexagon_pattern
 from voronorm.geometry import (
     Vec,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
-    from_scaled,
     reduce_planar_basis,
     to_scaled,
     zero_vec,
 )
 from voronorm.graphs import (
-    _edges_fast,
-    _edges_naive,
+    _unit_edges,
     an_cayley_graph,
     an_generators_scaled,
     an_unit_distance_graph,
@@ -40,20 +40,83 @@ def test_cube_graph_complete():
 
 
 def test_no_edge_below_unit_distance():
-    g = build_unit_distance_graph([Vec([0, 0]), Vec([F(1, 2), 0])], gauge_sup(2))
+    g = build_unit_distance_graph(2, [(0, 0), (1, 0)], gauge_sup(2))
     assert g.edge_count() == 0
 
 
+def _edges_naive(points, rows, thresholds) -> list:
+    """Oracle: decide every pair i < j on A(p_i - p_j) <= T with at least
+    one equality, in pure integer arithmetic."""
+    n = len(points)
+    adj = [0] * n
+    for i in range(n):
+        pi = points[i]
+        for j in range(i + 1, n):
+            d = tuple(a - b for a, b in zip(pi, points[j]))
+            ok_le = True
+            any_eq = False
+            for a, t in zip(rows, thresholds):
+                v = sum(ai * di for ai, di in zip(a, d))
+                if v > t:
+                    ok_le = False
+                    break
+                if v == t:
+                    any_eq = True
+            if ok_le and any_eq:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
 def test_fast_scan_equals_naive():
-    pts = [from_scaled(p, 6) for p in enumerate_an_half_dual_scaled(2, F(3, 2))]
-    rows, thr = gauge_an(2).integer_system(6)
-    scaled = [to_scaled(p, 6) for p in sorted(set(pts))]
-    assert _edges_fast(scaled, rows, thr) == _edges_naive(scaled, rows, thr)
     b = reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))
     pat = hexagon_pattern(b)
     g = hex_pattern_graph(pat, 4)
-    rows, thr = pat.gauge.integer_system(g.scale)
-    assert _edges_fast(g.points, rows, thr) == _edges_naive(g.points, rows, thr)
+    big = 2**62
+    cases = [
+        (6, enumerate_an_half_dual_scaled(2, F(3, 2)), gauge_an(2)),
+        (g.scale, g.points, pat.gauge),
+        (1, product((0, 1), repeat=4), gauge_sup(4)),
+        (8, enumerate_an_half_dual_scaled(3, F(3, 4)), gauge_an(3)),
+        (4, enumerate_dn_half_dual_scaled(4, F(1, 2)), gauge_dn(4)),
+        # coordinates near ±2^62, where fixed-width int64 arithmetic needs an overflow guard
+        (3, [(big + x, y - big) for x, y in product(range(-3, 4), repeat=2)] + [(-big, big)], gauge_sup(2)),
+    ]
+    for scale, points, gauge in cases:
+        pts = sorted(set(points))
+        rows, thr = gauge.integer_system(scale)
+        adj = _unit_edges(pts, rows, thr)
+        assert any(adj)
+        assert adj == _edges_naive(pts, rows, thr)
+
+
+def _zero_sum(c):
+    return tuple(c) + (-sum(c),)
+
+
+# gauge, ambient dimension, coordinate span in units of the scale
+UNIT_GAUGES = {
+    "sup3": (gauge_sup(3), 3, 1),
+    "an3": (gauge_an(3), 4, 1),
+    "dn4": (gauge_dn(4), 4, 1),
+    "planar": (hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))).gauge, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_GAUGES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(data=st.data())
+def test_unit_edges_match_naive_scan(name, data):
+    gauge, m, span = UNIT_GAUGES[name]
+    scale = data.draw(st.integers(1, 4))
+    coord = st.integers(-span * scale, span * scale)
+    if gauge.require_zero_sum:
+        point = st.lists(coord, min_size=m - 1, max_size=m - 1).map(_zero_sum)
+    else:
+        point = st.lists(coord, min_size=m, max_size=m).map(tuple)
+    pts = sorted(set(data.draw(st.lists(point, min_size=8, max_size=24))))
+    rows, thr = gauge.integer_system(scale)
+    assert _unit_edges(pts, rows, thr) == _edges_naive(pts, rows, thr)
 
 
 def test_an_cayley_interior_degree():
@@ -227,13 +290,12 @@ def test_hex_pattern_edges_translation_invariant():
 
 
 def _graph_from_points(points, gauge):
-    return build_unit_distance_graph(
-        points, gauge, box_radius=F(10), step_extent=F(1)
-    )
+    """Unit-distance graph on integer points (scale 1)."""
+    return build_unit_distance_graph(1, points, gauge, box_radius=F(10), step_extent=F(1))
 
 
 def test_distance_2_pairs_path():
-    g = _graph_from_points([Vec([0]), Vec([1]), Vec([2])], gauge_sup(1))
+    g = _graph_from_points([(0,), (1,), (2,)], gauge_sup(1))
     pairs = list(graph_distance_2_pairs(g, interior_k=0))
     assert len(pairs) == 1
     u, w, common = pairs[0]
@@ -242,7 +304,7 @@ def test_distance_2_pairs_path():
 
 
 def test_distance_2_pairs_triangle():
-    g = _graph_from_points([Vec([0, 0]), Vec([1, 0]), Vec([0, 1])], gauge_sup(2))
+    g = _graph_from_points([(0, 0), (1, 0), (0, 1)], gauge_sup(2))
     assert list(graph_distance_2_pairs(g, interior_k=0)) == []
 
 
@@ -289,7 +351,7 @@ def test_property_d_rejects_unknown_mode():
 
 
 def test_edge_list_format():
-    g = _graph_from_points([Vec([0, 0]), Vec([1, 0]), Vec([0, 1])], gauge_sup(2))
+    g = _graph_from_points([(0, 0), (1, 0), (0, 1)], gauge_sup(2))
     buf = io.StringIO()
     write_edge_list(g, buf)
     lines = buf.getvalue().strip().split("\n")
