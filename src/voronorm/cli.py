@@ -156,7 +156,8 @@ def cmd_color(args) -> int:
 def cmd_witness(args) -> int:
     pattern = _pattern_from_args(args)
     g = hex_unit_distance_graph(pattern, args.radius)
-    res = chromatic_witness_search(g, pattern.gauge, args.k, node_budget=args.budget or 2_000_000)
+    budget = 2_000_000 if args.budget is None else args.budget
+    res = chromatic_witness_search(g, pattern.gauge, args.k, node_budget=budget)
     payload = reports.witness_dict(res, g)
     if res.found and args.edges_out:
         with open(args.edges_out, "w", encoding="utf-8") as fh:
@@ -243,6 +244,8 @@ def _validate(args) -> None:
         _usage_error(f"--radius must be positive, got {args.radius}")
     if args.func is cmd_color and args.samples < 1:
         _usage_error(f"--samples must be at least 1, got {args.samples}")
+    if args.func in (cmd_ratio, cmd_witness) and args.budget is not None and args.budget < 1:
+        _usage_error(f"--budget must be at least 1, got {args.budget}")
 
 
 def main(argv=None) -> int:

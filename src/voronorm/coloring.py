@@ -363,12 +363,10 @@ def chromatic_number(
 ):
     """Exact chromatic number of the induced subgraph, with a coloring."""
     verts = sorted(indices) if indices is not None else list(range(g.n))
-    vset = set(verts)
-    local = {v: g.adj[v] for v in verts}
     mask = 0
     for v in verts:
         mask |= 1 << v
-    adj = {v: local[v] & mask for v in verts}
+    adj = {v: g.adj[v] & mask for v in verts}
     if not verts:
         return 0, {}
     clique = _greedy_clique(adj, verts)

@@ -1,23 +1,23 @@
 """Exact maximum independent set machinery and independence-ratio pipelines.
 
-The solver runs reduction rules (isolated/pendant/simplicial absorption,
-degree-2 folding, domination) to a fixpoint, splits into connected
-components, and branches on a max-degree vertex under a greedy clique-cover
-bound.  It is deterministic, sequential, and budgeted by node count, so
-results are reproducible across runs and thread settings; every witness is
-re-checked by an independent validity pass.
+The solver works on int bitmasks alone.  At each node it takes every
+simplicial vertex (one whose neighbourhood is a clique) into the set, prunes
+under a greedy clique-cover bound, and branches on a max-degree vertex; the
+search is depth-first over an explicit stack, so it never recurses.  It is
+deterministic, sequential, and budgeted by node count, so results are
+reproducible across runs and thread settings; every witness is re-checked by
+an independent validity pass.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .constructions import CertificateError
 from .geometry import an_half_dual_scale
-from .graphs import GeometricGraph, LineRule, _bits, an_unit_distance_graph, cube_graph
+from .graphs import MAX_UNIT_DISTANCE_VERTICES, GeometricGraph, LineRule, _bits, an_unit_distance_graph, cube_graph
 from .density import ChainClique
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -30,7 +30,7 @@ class MisResult:
     vertex_count: int
     proven: bool
     upper_bound: int
-    nodes: int
+    nodes: int  # search nodes popped from the stack (0 when the root bounds meet)
 
     @property
     def ratio(self) -> Fraction:
@@ -85,210 +85,78 @@ def max_independent_set(g: GeometricGraph, node_budget: Optional[int] = None) ->
     """Exact alpha with witness, or bracketing bounds when the node budget
     runs out (TimedOut is a result state, not an error)."""
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    adj = g.adj
     n = g.n
-    full = (1 << n) - 1
-    alpha, witness_mask, proven, upper, nodes = _solve_mask(adj, full, budget)
+    alpha, witness_mask, proven, upper, nodes = _solve_mask(g.adj, (1 << n) - 1, budget)
     witness = _bits(witness_mask)
+    if len(witness) != alpha:
+        raise CertificateError(f"witness of size {len(witness)} for a claimed alpha of {alpha}")
     if not is_independent_set(g, witness):
         raise CertificateError("maximum independent set witness is not independent")
     return MisResult(alpha, witness, n, proven, upper, nodes)
 
 
-class _BudgetExceeded(Exception):
-    pass
+def _take_simplicial(adj, cand: int, taken: int):
+    """Move every vertex whose neighbourhood in cand is a clique from cand
+    into taken (dropping its neighbours), until none is left.
 
-
-def _cover_bound_sets(adj: dict) -> int:
-    count = 0
-    remaining = set(adj)
-    while remaining:
-        count += 1
-        v = min(remaining)
-        remaining.discard(v)
-        common = adj[v] & remaining
-        while common:
-            u = min(common)
-            remaining.discard(u)
-            common = common & adj[u] & remaining
-    return count
-
-
-def _induced(adj: dict, keep: set) -> dict:
-    return {v: adj[v] & keep for v in keep}
-
-
-def _remove_closed(adj: dict, center: int) -> None:
-    drop = adj[center] | {center}
-    for v in drop:
-        del adj[v]
-    for v in adj:
-        adj[v] -= drop
-
-
-def _components(adj: dict) -> list:
-    comps = []
-    seen = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in adj[v]:
-                    if u not in comp:
-                        comp.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _solve_rec(adj: dict, lower: int, state: dict, budget: int):
-    """Exact alpha with witness whenever alpha(adj) > lower; otherwise any
-    valid independent set of size <= lower may come back.
-
-    Reduction rules (isolated, pendant, simplicial, degree-2 fold,
-    domination) run to a fixpoint, then the graph splits into connected
-    components, then branch on a max-degree vertex.
+    Some maximum independent set of cand contains such a vertex, so the
+    move keeps alpha; it covers isolated and pendant vertices too.
     """
-    state["nodes"] += 1
-    if state["nodes"] > budget:
-        raise _BudgetExceeded
-    if not adj:
-        return 0, set()
-    # the caller hands over ownership of adj (fresh sets), so the reduction
-    # rules may mutate it in place
-    acc = 0
-    forced = []
-    folds = []
     changed = True
-    while changed and adj:
+    while changed:
         changed = False
-        for v in sorted(adj):
-            if v not in adj:
-                continue
-            ns = adj[v]
-            d = len(ns)
-            if d == 0:
-                forced.append(v)
-                acc += 1
-                del adj[v]
-                changed = True
-            elif d == 1:
-                forced.append(v)
-                acc += 1
-                _remove_closed(adj, v)
-                changed = True
-            elif d == 2:
-                u, w = sorted(ns)
-                if w in adj[u]:
-                    forced.append(v)
-                    acc += 1
-                    _remove_closed(adj, v)
-                else:
-                    # fold the path u-v-w into a fresh vertex
-                    z = state["next_id"]
-                    state["next_id"] += 1
-                    nz = (adj[u] | adj[w]) - {u, v, w}
-                    _remove_closed(adj, v)
-                    adj[z] = set(nz)
-                    for t in nz:
-                        adj[t].add(z)
-                    folds.append((z, v, u, w))
-                    acc += 1
-                changed = True
-            elif d <= 8:
-                lst = sorted(ns)
-                if all(b in adj[a] for i, a in enumerate(lst) for b in lst[i + 1 :]):
-                    forced.append(v)
-                    acc += 1
-                    _remove_closed(adj, v)
-                    changed = True
-        if not changed and adj:
-            # domination: u may be deleted when a neighbor v constrains less
-            for u in sorted(adj):
-                if u not in adj or len(adj[u]) > 32:
-                    continue
-                for v in sorted(adj[u]):
-                    if adj[v] - {u} <= adj[u]:
-                        for t in adj[u]:
-                            adj[t].discard(u)
-                        del adj[u]
-                        changed = True
-                        break
-
-    def finish(value: int, wit: set):
-        # forced vertices may include fold products, so merge them before
-        # unwinding the folds in reverse creation order
-        wit.update(forced)
-        for z, v, u, w in reversed(folds):
-            if z in wit:
-                wit.discard(z)
-                wit.add(u)
-                wit.add(w)
+        x = cand
+        while x:
+            b = x & -x
+            x ^= b
+            nv = adj[b.bit_length() - 1] & cand
+            rest = nv
+            while rest:
+                c = rest & -rest
+                rest ^= c
+                if (nv ^ c) & ~adj[c.bit_length() - 1]:
+                    break
             else:
-                wit.add(v)
-        return acc + value, wit
-
-    if not adj:
-        return finish(0, set())
-
-    comps = _components(adj)
-    if len(comps) > 1:
-        ubs = {id(c): _cover_bound_sets(_induced(adj, c)) for c in comps}
-        comps.sort(key=lambda c: (-len(c), min(c)))
-        rem = sum(ubs.values())
-        total = 0
-        wit: set = set()
-        for comp in comps:
-            rem -= ubs[id(comp)]
-            need = lower - acc - total - rem
-            val, cw = _solve_rec(_induced(adj, comp), max(need, -1), state, budget)
-            total += val
-            wit |= cw
-        return finish(total, wit)
-
-    if acc + _cover_bound_sets(adj) <= lower:
-        return finish(0, set())
-
-    v = min(sorted(adj), key=lambda t: (-len(adj[t]), t))
-    keep_in = set(adj) - adj[v] - {v}
-    val1, wit1 = _solve_rec(_induced(adj, keep_in), lower - acc - 1, state, budget)
-    best_val, best_wit = val1 + 1, wit1 | {v}
-    lower2 = max(lower - acc, best_val)
-    val2, wit2 = _solve_rec(_induced(adj, set(adj) - {v}), lower2, state, budget)
-    if val2 > best_val:
-        best_val, best_wit = val2, wit2
-    return finish(best_val, best_wit)
+                taken |= b
+                cand &= ~(nv | b)
+                x &= cand
+                changed = True
+    return cand, taken
 
 
 def _solve_mask(adj, full: int, budget: int):
-    best_mask = _greedy_independent(adj, full)
-    best = best_mask.bit_count()
+    """Maximum independent set of the vertices in the mask full.
+
+    Returns (alpha, witness mask, proven, upper bound, nodes).  Depth-first
+    search over an explicit stack of (candidates, taken) masks under the
+    clique-cover bound, branching on a vertex of maximum degree in the
+    candidates; each pop is one node.  When more than budget nodes are
+    needed, the greedy set comes back with the root bound, unproven.
+    """
+    greedy = _greedy_independent(adj, full)
+    best_mask, best = greedy, greedy.bit_count()
     root_bound = _clique_cover_bound(adj, full)
     if best == root_bound:
         return best, best_mask, True, best, 0
-    verts = _bits(full)
-    vset = set(verts)
-    adj_sets = {v: set(_bits(adj[v])) & vset for v in verts}
-    state = {"nodes": 0, "next_id": (full.bit_length() or 0) + 1}
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * len(verts) + 10000))
-    try:
-        val, wit = _solve_rec(adj_sets, best - 1, state, budget)
-    except _BudgetExceeded:
-        return best, best_mask, False, root_bound, state["nodes"]
-    if val < best:
-        raise CertificateError(f"search returned {val}, below the greedy incumbent {best}")
-    mask = 0
-    for v in wit:
-        mask |= 1 << v
-    if mask.bit_count() != val:
-        raise CertificateError(f"witness of size {mask.bit_count()} for a claimed alpha of {val}")
-    return val, mask, True, val, state["nodes"]
+    nodes = 0
+    stack = [(full, 0)]
+    while stack:
+        nodes += 1
+        if nodes > budget:
+            return greedy.bit_count(), greedy, False, root_bound, nodes
+        cand, taken = _take_simplicial(adj, *stack.pop())
+        size = taken.bit_count()
+        if size + _clique_cover_bound(adj, cand) <= best:
+            continue
+        if not cand:
+            best_mask, best = taken, size
+            continue
+        # max() keeps the first maximum, so ties go to the smallest index
+        v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+        b = 1 << v
+        stack.append((cand ^ b, taken))
+        stack.append((cand & ~(adj[v] | b), taken | b))
+    return best, best_mask, True, best, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +265,11 @@ def counterexample_graph(n_max: int) -> GeometricGraph:
     """
     if n_max < 1:
         raise ValueError("n_max >= 1 required")
+    if 2 * n_max + 1 > MAX_UNIT_DISTANCE_VERTICES:
+        raise ValueError(
+            f"counterexample graph of {2 * n_max + 1} vertices exceeds the limit of "
+            f"{MAX_UNIT_DISTANCE_VERTICES}"
+        )
     points = [(i,) for i in range(-n_max, n_max + 1)]
     index = {p: i for i, p in enumerate(points)}
     adj = [0] * len(points)
@@ -458,11 +331,12 @@ def counterexample_density_gap(
     """
     g = counterexample_graph(n_max)
     res = max_independent_set(g, node_budget)
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     runs = []
     for k in sorted(ks) if ks is not None else range(1, n_max + 1):
         vk = g.find_scaled((-k,))
         cand = ((1 << g.n) - 1) & ~(g.adj[vk] | (1 << vk))
-        alpha_rest, mask, proven, _, _ = _solve_mask(g.adj, cand, node_budget or DEFAULT_NODE_BUDGET)
+        alpha_rest, mask, proven, _, _ = _solve_mask(g.adj, cand, budget)
         if not proven:
             raise CertificateError(f"search for the set containing -{k} ran out of budget")
         members = [vk] + _bits(mask)

@@ -196,6 +196,23 @@ def test_property_d_refuses_box_without_interior_vertex(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["ratio", "an", "--dim", "2", "--radii", "1", "--budget", "0"], id="ratio-an-0"),
+        pytest.param(["ratio", "counterexample", "--n", "4", "--budget", "-1"], id="ratio-counterexample--1"),
+        pytest.param(["witness", "--basis", "3,0,1,3", "--k", "4", "--budget", "0"], id="witness-0"),
+    ],
+)
+def test_budget_rejects_non_positive(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["-5", "0"])
 def test_color_rejects_non_positive_samples(capsys, samples):
     with pytest.raises(SystemExit) as exc:
@@ -259,6 +276,7 @@ def test_dependent_mis_witness_fails_the_certificate(tmp_path, capsys, monkeypat
         ["bound", "cube", "--dim", "40"],
         ["ratio", "cube", "--dim", "16"],
         ["ratio", "an", "--dim", "2", "--radii", "40"],  # 57,841 points
+        ["ratio", "counterexample", "--n", "10000"],  # 20,001 points on the line
     ],
 )
 def test_oversized_unit_distance_graph_exits_2(tmp_path, capsys, argv):

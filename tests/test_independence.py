@@ -1,8 +1,11 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from voronorm.constructions import CertificateError
 from voronorm.graphs import GeometricGraph, LineRule, an_unit_distance_graph, cube_graph
 from voronorm.independence import (
     an_tiling_witness,
@@ -57,6 +60,55 @@ def test_solver_against_brute_force():
         assert res.alpha == _alpha_brute(n, edges)
         assert is_independent_set(g, res.witness)
         assert len(res.witness) == res.alpha
+
+
+@st.composite
+def _random_graphs(draw):
+    n = draw(st.integers(1, 14))
+    p = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    rnd = draw(st.randoms(use_true_random=False))
+    return n, [(a, b) for a in range(n) for b in range(a + 1, n) if rnd.random() < p]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(graph=_random_graphs(), budget=st.sampled_from([None, 1, 3, 10]))
+def test_solver_brackets_brute_force_alpha(graph, budget):
+    # any budget: a genuine witness of alpha vertices and alpha <= true
+    # alpha <= upper bound; a proven result is exact
+    n, edges = graph
+    g = _graph_from_edges(n, edges)
+    true_alpha = _alpha_brute(n, edges)
+    res = max_independent_set(g, budget)
+    assert is_independent_set(g, res.witness)
+    assert len(res.witness) == res.alpha
+    assert res.alpha <= true_alpha <= res.upper_bound
+    assert not res.proven or res.alpha == true_alpha
+    if budget is None:
+        assert res.proven
+
+
+def test_solver_leaves_recursion_limit_alone():
+    # start from CPython's default, so that a solver raising the limit to
+    # fit its own recursion shows even after earlier tests ran it
+    g = an_unit_distance_graph(2, F(3, 2))
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = max_independent_set(g)
+        limit = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(saved)
+    assert res.proven and res.nodes > 0
+    assert limit == 1000
+
+
+def test_wrong_size_mis_witness_fails_the_certificate(monkeypatch):
+    # an independent witness of one vertex for a claimed alpha of 2
+    monkeypatch.setattr(
+        "voronorm.independence._solve_mask", lambda adj, full, budget: (2, 0b1, True, 2, 0)
+    )
+    with pytest.raises(CertificateError):
+        max_independent_set(_graph_from_edges(3, []))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
