@@ -128,8 +128,6 @@ def cmd_property_d(args) -> int:
 
 def cmd_ratio(args) -> int:
     if args.family == "an":
-        if not args.radii:
-            raise SystemExit(EXIT_USAGE)
         seq = ratio_sequence_an(args.dim, args.radii, args.budget)
         _emit(args, reports.ratio_sequence_dict(seq), reports.ratio_sequence_csv(seq))
         return EXIT_BUDGET if seq.any_timed_out else EXIT_OK
@@ -228,18 +226,20 @@ def _usage_error(message: str):
 
 
 def _validate(args) -> None:
-    needs_dim = {"an", "dn", "cube"}
     fam = getattr(args, "family", None)
-    if fam in needs_dim and getattr(args, "dim", None) is None:
-        raise SystemExit(EXIT_USAGE)
-    if fam == "hexagon" and getattr(args, "basis", None) is None:
-        raise SystemExit(EXIT_USAGE)
-    if getattr(args, "func", None) is cmd_witness and getattr(args, "basis", None) is None:
-        raise SystemExit(EXIT_USAGE)
-    if fam == "an" and args.dim is not None and args.dim < 2:
-        raise SystemExit(EXIT_USAGE)
-    if fam == "dn" and args.dim is not None and args.dim < 4:
-        raise SystemExit(EXIT_USAGE)
+    if fam in ("an", "dn", "cube") and args.dim is None:
+        _usage_error(f"--dim is required for {fam}")
+    if (fam == "hexagon" or args.func is cmd_witness) and args.basis is None:
+        _usage_error("--basis is required for the hexagon")
+    if fam == "an" and args.dim < 2:
+        _usage_error(f"--dim must be at least 2 for an, got {args.dim}")
+    if fam == "dn" and args.dim < 4:
+        _usage_error(f"--dim must be at least 4 for dn, got {args.dim}")
+    if args.func is cmd_ratio and fam == "an":
+        if not args.radii:
+            _usage_error("--radii is required for ratio an")
+        if any(r <= 0 for r in args.radii):
+            _usage_error(f"--radii must all be positive, got {','.join(map(str, args.radii))}")
     if args.func in (cmd_property_d, cmd_witness) and args.radius is not None and args.radius <= 0:
         _usage_error(f"--radius must be positive, got {args.radius}")
     if args.func is cmd_color and args.samples < 1:

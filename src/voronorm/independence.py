@@ -3,7 +3,9 @@
 The solver works on int bitmasks alone.  At each node it takes every
 simplicial vertex (one whose neighbourhood is a clique) into the set, prunes
 under a greedy clique-cover bound, and branches on a max-degree vertex; the
-search is depth-first over an explicit stack, so it never recurses.  It is
+search is depth-first over an explicit stack, so it never recurses.  A node
+re-tests only the vertices whose neighbourhood changed since its parent's
+reduction, and the cover count stops at the prune threshold.  It is
 deterministic, sequential, and budgeted by node count, so results are
 reproducible across runs and thread settings; every witness is re-checked by
 an independent validity pass.
@@ -47,12 +49,17 @@ def is_independent_set(g: GeometricGraph, indices: Iterable[int]) -> bool:
     return True
 
 
-def _clique_cover_bound(adj, cand: int) -> int:
-    """Greedy partition of cand into maximally grown cliques; their number
-    bounds alpha from above."""
+def _clique_cover_bound(adj, cand: int, stop: int) -> int:
+    """Number of cliques in a greedy partition of cand into maximally grown
+    cliques, which bounds alpha from above.
+
+    Counting stops once it exceeds stop, so the result is at most stop + 1
+    and is at most stop exactly when the full count is; a negative stop
+    returns 0 at once.
+    """
     count = 0
     remaining = cand
-    while remaining:
+    while remaining and count <= stop:
         count += 1
         common = remaining
         while common:
@@ -95,32 +102,38 @@ def max_independent_set(g: GeometricGraph, node_budget: Optional[int] = None) ->
     return MisResult(alpha, witness, n, proven, upper, nodes)
 
 
-def _take_simplicial(adj, cand: int, taken: int):
+def _take_simplicial(adj, cand: int, taken: int, dirty: int):
     """Move every vertex whose neighbourhood in cand is a clique from cand
     into taken (dropping its neighbours), until none is left.
 
     Some maximum independent set of cand contains such a vertex, so the
-    move keeps alpha; it covers isolated and pendant vertices too.
+    move keeps alpha; it covers isolated and pendant vertices too.  Only
+    the vertices in dirty are tested: the caller guarantees that no other
+    vertex of cand is simplicial.  Passes run in ascending order; a take
+    at b dirties the neighbours of the removed vertices, which are tested
+    later in this pass if above b and in the next pass if below, so the
+    takes are those of repeated full scans, in the same order.
     """
-    changed = True
-    while changed:
-        changed = False
-        x = cand
+    while dirty:
+        x, dirty = dirty & cand, 0
         while x:
             b = x & -x
             x ^= b
             nv = adj[b.bit_length() - 1] & cand
-            rest = nv
+            rest, touched = nv, 0
             while rest:
                 c = rest & -rest
                 rest ^= c
-                if (nv ^ c) & ~adj[c.bit_length() - 1]:
+                ac = adj[c.bit_length() - 1]
+                if (nv ^ c) & ~ac:
                     break
+                touched |= ac
             else:
                 taken |= b
                 cand &= ~(nv | b)
-                x &= cand
-                changed = True
+                touched &= cand
+                x = (x & cand) | (touched & -(b << 1))
+                dirty |= touched & (b - 1)
     return cand, taken
 
 
@@ -128,34 +141,51 @@ def _solve_mask(adj, full: int, budget: int):
     """Maximum independent set of the vertices in the mask full.
 
     Returns (alpha, witness mask, proven, upper bound, nodes).  Depth-first
-    search over an explicit stack of (candidates, taken) masks under the
-    clique-cover bound, branching on a vertex of maximum degree in the
-    candidates; each pop is one node.  When more than budget nodes are
+    search over an explicit stack of (candidates, taken, dirty) masks under
+    the clique-cover bound, branching on a vertex of maximum degree in the
+    candidates; each pop is one node.  A popped node's reduced candidates
+    hold no simplicial vertex, so a child re-tests only the neighbours of
+    the vertices it removes (dirty).  When more than budget nodes are
     needed, the greedy set comes back with the root bound, unproven.
     """
     greedy = _greedy_independent(adj, full)
     best_mask, best = greedy, greedy.bit_count()
-    root_bound = _clique_cover_bound(adj, full)
+    root_bound = _clique_cover_bound(adj, full, full.bit_count())
     if best == root_bound:
         return best, best_mask, True, best, 0
     nodes = 0
-    stack = [(full, 0)]
+    stack = [(full, 0, full)]
     while stack:
         nodes += 1
         if nodes > budget:
             return greedy.bit_count(), greedy, False, root_bound, nodes
         cand, taken = _take_simplicial(adj, *stack.pop())
         size = taken.bit_count()
-        if size + _clique_cover_bound(adj, cand) <= best:
+        # prune when size + cover <= best; the count stops once it passes
+        # the limit, and a negative limit (size above best) never prunes
+        limit = best - size
+        if _clique_cover_bound(adj, cand, limit) <= limit:
             continue
         if not cand:
             best_mask, best = taken, size
             continue
-        # max() keeps the first maximum, so ties go to the smallest index
-        v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
-        b = 1 << v
-        stack.append((cand ^ b, taken))
-        stack.append((cand & ~(adj[v] | b), taken | b))
+        # the first maximum wins, so ties go to the smallest index
+        x, top, b = cand, -1, 0
+        while x:
+            c = x & -x
+            x ^= c
+            d = (adj[c.bit_length() - 1] & cand).bit_count()
+            if d > top:
+                top, b = d, c
+        nv = adj[b.bit_length() - 1] & cand
+        rest, touched = nv, 0
+        while rest:
+            c = rest & -rest
+            rest ^= c
+            touched |= adj[c.bit_length() - 1]
+        inside = cand & ~(nv | b)
+        stack.append((cand ^ b, taken, nv))
+        stack.append((inside, taken | b, touched & inside))
     return best, best_mask, True, best, nodes
 
 

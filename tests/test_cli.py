@@ -213,6 +213,39 @@ def test_budget_rejects_non_positive(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("radii", ["0", "-1", "1,0"])
+def test_ratio_rejects_non_positive_radii(tmp_path, capsys, radii):
+    # radius 0 gave a one-vertex "ratio 1/1" entry and -1 a ZeroDivisionError
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["ratio", "an", "--dim", "2", "--radii=" + radii, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--radii" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["ratio", "an", "--dim", "2"], "--radii", id="ratio-an-no-radii"),
+        pytest.param(["bound", "an"], "--dim", id="bound-an-no-dim"),
+        pytest.param(["bound", "an", "--dim", "1"], "--dim", id="bound-an-dim-1"),
+        pytest.param(["bound", "dn", "--dim", "3"], "--dim", id="bound-dn-dim-3"),
+        pytest.param(["bound", "hexagon"], "--basis", id="bound-hexagon-no-basis"),
+        pytest.param(["witness", "--k", "4"], "--basis", id="witness-no-basis"),
+    ],
+)
+def test_missing_or_too_small_argument_is_named(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["-5", "0"])
 def test_color_rejects_non_positive_samples(capsys, samples):
     with pytest.raises(SystemExit) as exc:

@@ -3,11 +3,14 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from voronorm.constructions import CertificateError
-from voronorm.graphs import GeometricGraph, LineRule, an_unit_distance_graph, cube_graph
+from voronorm.graphs import GeometricGraph, LineRule, _bits, an_unit_distance_graph, cube_graph
 from voronorm.independence import (
+    DEFAULT_NODE_BUDGET,
+    _greedy_independent,
+    _solve_mask,
     an_tiling_witness,
     counterexample_density_gap,
     counterexample_graph,
@@ -85,6 +88,113 @@ def test_solver_brackets_brute_force_alpha(graph, budget):
     assert not res.proven or res.alpha == true_alpha
     if budget is None:
         assert res.proven
+
+
+# ---------------------------------------------------------------------------
+# the full-scan solver: the oracle for the search tree of _solve_mask
+
+
+def _cover_full(adj, cand):
+    count = 0
+    remaining = cand
+    while remaining:
+        count += 1
+        common = remaining
+        while common:
+            b = common & -common
+            v = b.bit_length() - 1
+            remaining ^= b
+            common = common & adj[v] & remaining
+    return count
+
+
+def _take_simplicial_full_scan(adj, cand, taken):
+    # re-tests every candidate, pass after pass, until a pass takes nothing
+    changed = True
+    while changed:
+        changed = False
+        x = cand
+        while x:
+            b = x & -x
+            x ^= b
+            nv = adj[b.bit_length() - 1] & cand
+            rest = nv
+            while rest:
+                c = rest & -rest
+                rest ^= c
+                if (nv ^ c) & ~adj[c.bit_length() - 1]:
+                    break
+            else:
+                taken |= b
+                cand &= ~(nv | b)
+                x &= cand
+                changed = True
+    return cand, taken
+
+
+def _solve_mask_full_scan(adj, full, budget):
+    greedy = _greedy_independent(adj, full)
+    best_mask, best = greedy, greedy.bit_count()
+    root_bound = _cover_full(adj, full)
+    if best == root_bound:
+        return best, best_mask, True, best, 0
+    nodes = 0
+    stack = [(full, 0)]
+    while stack:
+        nodes += 1
+        if nodes > budget:
+            return greedy.bit_count(), greedy, False, root_bound, nodes
+        cand, taken = _take_simplicial_full_scan(adj, *stack.pop())
+        size = taken.bit_count()
+        if size + _cover_full(adj, cand) <= best:
+            continue
+        if not cand:
+            best_mask, best = taken, size
+            continue
+        v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+        b = 1 << v
+        stack.append((cand ^ b, taken))
+        stack.append((cand & ~(adj[v] | b), taken | b))
+    return best, best_mask, True, best, nodes
+
+
+@st.composite
+def _sparse_graphs(draw):
+    n = draw(st.integers(1, 30))
+    p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5]))
+    # one drawn seed, not one draw per pair: up to 435 draws make each example slow
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    adj = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rnd.random() < p:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    # a proper subset of the vertices, as in the constrained counterexample runs
+    full = (1 << n) - 1
+    if draw(st.booleans()):
+        full &= rnd.getrandbits(n)
+    return adj, full
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1500)
+@given(graph=_sparse_graphs(), budget=st.sampled_from([None, 1, 3, 10]))
+# a take that dirties a vertex above it must re-test that vertex in the same
+# pass: deferring it to the next pass changes this graph's witness
+@example(graph=([98, 25, 88, 118, 46, 25, 13], 0b1111111), budget=None)
+def test_solve_mask_matches_full_scan_oracle(graph, budget):
+    # the same pops in the same order: alpha, witness, proof state, bound
+    # and node count all agree with the solver that re-tests everything
+    adj, full = graph
+    budget = DEFAULT_NODE_BUDGET if budget is None else budget
+    assert _solve_mask(adj, full, budget) == _solve_mask_full_scan(adj, full, budget)
+
+
+@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 8129), (3, F(3, 4), 20, 1185)])
+def test_solver_node_counts_are_pinned(n, radius, alpha, nodes):
+    # node counts are deterministic and reports rely on the search tree
+    res = max_independent_set(an_unit_distance_graph(n, radius))
+    assert (res.alpha, res.proven, res.nodes) == (alpha, True, nodes)
 
 
 def test_solver_leaves_recursion_limit_alone():
