@@ -242,6 +242,8 @@ def _validate(args) -> None:
             _usage_error(f"--radii must all be positive, got {','.join(map(str, args.radii))}")
     if args.func in (cmd_property_d, cmd_witness) and args.radius is not None and args.radius <= 0:
         _usage_error(f"--radius must be positive, got {args.radius}")
+    if args.func is cmd_witness and args.k < 1:
+        _usage_error(f"--k must be at least 1, got {args.k}")
     if args.func is cmd_color and args.samples < 1:
         _usage_error(f"--samples must be at least 1, got {args.samples}")
     if args.func in (cmd_ratio, cmd_witness) and args.budget is not None and args.budget < 1:

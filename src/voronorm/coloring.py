@@ -8,7 +8,9 @@ function without breaking properness.  A color is computed on scaled
 integers: x is scaled to an integer tuple once, the lexicographically
 smallest point of L closest to 2x comes from the lattice's integer decoder,
 and its coset bits from an integer left inverse of the basis computed once
-per coloring.
+per coloring.  The properness check stays on integers from draw to decode:
+sampled points and unit steps are drawn as numerators over one
+denominator, and the boundary catalog is scaled once.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, permutations, product
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .constructions import (
@@ -26,7 +30,9 @@ from .constructions import (
     gauge_an,
     gauge_dn,
     gauge_sup,
-    project_to_hyperplane,
+    vertices_an,
+    vertices_cube,
+    vertices_dn,
 )
 from .geometry import (
     AnLattice,
@@ -35,10 +41,11 @@ from .geometry import (
     Lattice,
     Vec,
     ZnLattice,
+    basis_vec,
     from_scaled,
+    lcm_denominator,
     scaled_ints,
     to_scaled,
-    zero_vec,
 )
 from .graphs import GeometricGraph, _bits
 
@@ -116,10 +123,9 @@ def coset_coloring(family: str, n: int = 0, pattern: Optional[HexagonPattern] = 
     raise ValueError(f"unknown family {family!r}")
 
 
-def _decode(coloring: CosetColoring, x: Vec) -> tuple:
-    """The lexicographically smallest point of Lambda closest to 2x, as
-    integers at ``lattice.scale``."""
-    w, d = scaled_ints(x)
+def _decode(coloring: CosetColoring, w: Sequence[int], d: int) -> tuple:
+    """The lexicographically smallest point of Lambda closest to 2x, x = w/d,
+    as integers at ``lattice.scale``."""
     if coloring.family == "cube":
         # the points of 2Z^n closest to 2x are twice those of Z^n closest to x
         return tuple(2 * z for z in min(coloring.lattice.closest_scaled(w, d)))
@@ -129,7 +135,7 @@ def _decode(coloring: CosetColoring, x: Vec) -> tuple:
 def _basis_coords(coloring: CosetColoring, p: Sequence[int]) -> list:
     """Basis coordinates of the point p of Lambda (integers at ``lattice.scale``)."""
     den = coloring.den
-    return [sum(a * b for a, b in zip(row, p)) // den for row in coloring.inverse]
+    return [sum(map(mul, row, p)) // den for row in coloring.inverse]
 
 
 def _parity_index(coords: list) -> int:
@@ -142,7 +148,7 @@ def nearest_half_cell_center(coloring: CosetColoring, x: Vec) -> Vec:
     x lies in lambda + (1/2)P iff 2*lambda is among the Lambda points
     closest to 2x; the lexicographically smallest closest point makes the
     assignment total and deterministic."""
-    return from_scaled(_decode(coloring, x), 2 * coloring.lattice.scale)
+    return from_scaled(_decode(coloring, *scaled_ints(x)), 2 * coloring.lattice.scale)
 
 
 def coset_index(coloring: CosetColoring, lam: Vec) -> int:
@@ -159,9 +165,14 @@ def coset_index(coloring: CosetColoring, lam: Vec) -> int:
     return _parity_index(coords)
 
 
+def _color_scaled(coloring: CosetColoring, w: Sequence[int], d: int) -> int:
+    """``color`` of the point w/d, for integers w and d > 0."""
+    return _parity_index(_basis_coords(coloring, _decode(coloring, w, d)))
+
+
 def color(coloring: CosetColoring, x: Vec) -> int:
     """Total coloring function: coset index of the nearest half-cell center."""
-    return _parity_index(_basis_coords(coloring, _decode(coloring, x)))
+    return _color_scaled(coloring, *scaled_ints(x))
 
 
 # ---------------------------------------------------------------------------
@@ -189,61 +200,49 @@ class ColoringReport:
         return not self.violations
 
 
-def _random_fraction(rng: random.Random, span: int = 3) -> Fraction:
-    den = rng.choice((2, 3, 4, 5, 7, 8, 9, 12, 16))
-    return Fraction(rng.randint(-span * den, span * den), den)
+# Each sampled coordinate is k/den with den drawn from DRAW_DENS and
+# |k| <= 3 den; DRAW_SCALE puts every draw on one denominator.
+DRAW_DENS = (2, 3, 4, 5, 7, 8, 9, 12, 16)
+DRAW_SCALE = math.lcm(*DRAW_DENS)
 
 
-def _random_point(coloring: CosetColoring, rng: random.Random) -> Vec:
-    m = coloring.lattice.ambient_dim if coloring.family != "cube" else coloring.dim
-    v = Vec([_random_fraction(rng) for _ in range(m)])
+def _random_scaled_point(coloring: CosetColoring, rng: random.Random) -> tuple:
+    """A random point w/d of the coloring's space, as (w, d); for A_n the
+    draw is projected onto the zero-sum hyperplane."""
+    m = coloring.lattice.ambient_dim
+    w = []
+    for _ in range(m):
+        den = rng.choice(DRAW_DENS)
+        w.append(rng.randint(-3 * den, 3 * den) * (DRAW_SCALE // den))
     if coloring.family == "an":
-        return project_to_hyperplane(v)
-    return v
+        s = sum(w)
+        return [c * m - s for c in w], DRAW_SCALE * m
+    return w, DRAW_SCALE
 
 
-def _random_boundary_vector(coloring: CosetColoring, rng: random.Random) -> Vec:
+def _random_unit_step(coloring: CosetColoring, rng: random.Random) -> tuple:
+    """A random step b = u/gauge(u), as (z, e) with b = z/e."""
     while True:
-        d = _random_point(coloring, rng)
-        if any(c != 0 for c in d):
-            return d / coloring.gauge.closed_form(d)
+        u, _ = _random_scaled_point(coloring, rng)
+        if any(u):
+            return coloring.gauge.unit_step(u)
 
 
 def boundary_catalog(coloring: CosetColoring) -> list:
     """Deterministic points at gauge exactly 1: cell vertices, facet centers
     and gauge-1 midpoints between them."""
-    verts: list
+    n = coloring.dim
     if coloring.family == "an":
-        from .constructions import vertices_an
-
-        verts = vertices_an(coloring.dim)
-        m = coloring.dim + 1
-        roots = []
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    r = [0] * m
-                    r[i] = 1
-                    r[j] = -1
-                    roots.append(Vec(r) / 2)
-        centers = roots
+        verts = vertices_an(n)
+        centers = [(basis_vec(n + 1, i) - basis_vec(n + 1, j)) / 2 for i, j in permutations(range(n + 1), 2)]
     elif coloring.family == "dn":
-        from .constructions import vertices_dn
-        from itertools import combinations, product
-
-        n = coloring.dim
         verts = vertices_dn(n)
-        centers = []
-        for i, j in combinations(range(n), 2):
-            for si, sj in product((1, -1), repeat=2):
-                r = [0] * n
-                r[i], r[j] = si, sj
-                centers.append(Vec(r) / 2)
+        centers = [
+            (basis_vec(n, i) * si + basis_vec(n, j) * sj) / 2
+            for i, j in combinations(range(n), 2)
+            for si, sj in product((1, -1), repeat=2)
+        ]
     elif coloring.family == "cube":
-        from .constructions import vertices_cube
-        from .geometry import basis_vec
-
-        n = coloring.dim
         verts = vertices_cube(n)
         centers = [basis_vec(n, i) * s for i in range(n) for s in (1, -1)]
     else:
@@ -263,32 +262,30 @@ def verify_coloring(coloring: CosetColoring, samples: int, seed: int) -> Colorin
     exactly 1 must receive different colors.  Expected violation count: 0."""
     rng = random.Random(seed)
     violations = []
-    for _ in range(samples):
-        x = _random_point(coloring, rng)
-        b = _random_boundary_vector(coloring, rng)
-        if not coloring.gauge.is_unit(b):
-            raise CertificateError(f"sampled step {b} is not at gauge distance 1")
-        cx, cy = color(coloring, x), color(coloring, x + b)
+
+    def check(xw, xd, cx, yw, yd) -> None:
+        cy = _color_scaled(coloring, yw, yd)
         if cx == cy:
-            violations.append(ColoringViolation(x, x + b, cx))
+            violations.append(ColoringViolation(from_scaled(xw, xd), from_scaled(yw, yd), cx))
+
+    for _ in range(samples):
+        xw, xd = _random_scaled_point(coloring, rng)
+        bw, bd = _random_unit_step(coloring, rng)
+        if not coloring.gauge.is_unit_scaled(bw, bd):
+            raise CertificateError(f"sampled step {from_scaled(bw, bd)} is not at gauge distance 1")
+        yw = [a * bd + b * xd for a, b in zip(xw, bw)]
+        check(xw, xd, _color_scaled(coloring, xw, xd), yw, xd * bd)
+    # the catalog and the base points 0 and catalog[i]/2 on one scale
     catalog = boundary_catalog(coloring)
-    base_points = [zero_vec(catalog[0].dim)]
-    base_points += [b / 2 for b in catalog[:6]]
-    cat_pairs = 0
+    scale = 2 * lcm_denominator(catalog)
+    steps = [to_scaled(b, scale) for b in catalog]
+    base_points = [(0,) * len(steps[0])] + [tuple(c // 2 for c in b) for b in steps[:6]]
     for x in base_points:
-        for b in catalog:
-            cat_pairs += 1
-            cx, cy = color(coloring, x), color(coloring, x + b)
-            if cx == cy:
-                violations.append(ColoringViolation(x, x + b, cx))
-    return ColoringReport(
-        family=coloring.family,
-        dim=coloring.dim,
-        color_count=coloring.color_count,
-        sampled_pairs=samples,
-        catalog_pairs=cat_pairs,
-        violations=violations,
-    )
+        cx = _color_scaled(coloring, x, scale)
+        for b in steps:
+            check(x, scale, cx, [a + c for a, c in zip(x, b)], scale)
+    cat_pairs = len(base_points) * len(steps)
+    return ColoringReport(coloring.family, coloring.dim, coloring.color_count, samples, cat_pairs, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +360,7 @@ def chromatic_number(
 ):
     """Exact chromatic number of the induced subgraph, with a coloring."""
     verts = sorted(indices) if indices is not None else list(range(g.n))
-    mask = 0
-    for v in verts:
-        mask |= 1 << v
+    mask = sum(1 << v for v in verts)
     adj = {v: g.adj[v] & mask for v in verts}
     if not verts:
         return 0, {}
@@ -383,9 +378,7 @@ def verify_chromatic_number(g: GeometricGraph, indices: Iterable[int], k: int, n
     """Independent re-check: (k-1)-coloring infeasible, k-coloring feasible,
     via plain lexicographic backtracking (no DSATUR, no seed clique)."""
     verts = sorted(indices)
-    mask = 0
-    for v in verts:
-        mask |= 1 << v
+    mask = sum(1 << v for v in verts)
     adj = {v: g.adj[v] & mask for v in verts}
 
     def feasible(kk: int) -> bool:
@@ -416,14 +409,6 @@ def verify_chromatic_number(g: GeometricGraph, indices: Iterable[int], k: int, n
     return feasible(k)
 
 
-def proper_coloring_check(g: GeometricGraph, assignment: dict) -> bool:
-    for v, c in assignment.items():
-        for u in _bits(g.adj[v]):
-            if u in assignment and assignment[u] == c:
-                return False
-    return True
-
-
 @dataclass
 class WitnessResult:
     found: bool
@@ -452,9 +437,7 @@ def chromatic_witness_search(
     while r <= 2 * top:
         radii.append(r)
         r += Fraction(1, 2)
-    values = {}
-    for i in range(g.n):
-        values[i] = gauge.value_scaled(g.points[i], g.scale)
+    values = [gauge.value_scaled(p, g.scale) for p in g.points]
     for r in radii:
         ball = [i for i in range(g.n) if values[i] <= r]
         if len(ball) < k:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import combinations, permutations, product
+from operator import mul
 from typing import Callable
 
 from .geometry import (
@@ -87,47 +89,60 @@ class GaugeNorm:
         integer tuples y, or None if the kind has none."""
         return {"an": _an_form, "dn": _dn_form, "sup": _sup_form}.get(self.kind)
 
+    @cached_property
+    def _rows(self) -> tuple:
+        """One (r, p, q) per functional (a, c): r = a*k on integers, k the
+        common denominator of a, and c*k = p/q; so a.(y/s)/c = r.y*q/(p*s)."""
+        out = []
+        for a, c in self.functionals:
+            k = lcm_denominator([a])
+            ck = c * k
+            out.append((tuple(int(ai * k) for ai in a), ck.numerator, ck.denominator))
+        return tuple(out)
+
     def value(self, x: Vec) -> Fraction:
         self._check_domain(x)
         return max(a.dot(x) / c for a, c in self.functionals)
 
-    def closed_form(self, x: Vec) -> Fraction:
-        """value(x), by the closed form of ``kind`` on x scaled to integers
-        (by the functional list if the kind has no closed form)."""
-        form = self._integer_form()
-        if form is None:
-            return self.value(x)
-        y, scale = scaled_ints(x)
-        self._check_scaled_domain(y)
-        return Fraction(form(y), scale)
-
     def is_unit(self, x: Vec) -> bool:
-        """value(x) == 1, decided by ``unit_checker`` on x scaled to integers."""
-        y, scale = scaled_ints(x)
+        """value(x) == 1, decided by ``is_unit_scaled`` on x scaled to integers."""
+        return self.is_unit_scaled(*scaled_ints(x))
+
+    def is_unit_scaled(self, y, scale: int) -> bool:
+        """value(y/scale) == 1 for the integer tuple y, by ``unit_checker``."""
         self._check_scaled_domain(y)
         return self.unit_checker(scale)(y)
 
-    def value_scaled(self, y, scale: int) -> Fraction:
-        """value of the point y/scale, with y given in scaled integers."""
+    def unit_step(self, y) -> tuple:
+        """(z, e) with z/e = y/value(y): the nonzero integer tuple y scaled
+        onto the unit sphere, by the closed form of ``kind`` if it has one."""
         self._check_scaled_domain(y)
-        return max(
-            sum(ai * yi for ai, yi in zip(a, y)) / (c * scale)
-            for a, c in self.functionals
-        )
+        form = self._integer_form()
+        if form is not None:
+            return y, form(y)
+        g = self.value_scaled(y, 1)
+        return [c * g.denominator for c in y], g.numerator
+
+    def value_scaled(self, y, scale: int) -> Fraction:
+        """value of the point y/scale, with y given in scaled integers; the
+        max over the rows is taken by cross-multiplication."""
+        self._check_scaled_domain(y)
+        best = None
+        for r, p, q in self._rows:
+            num, den = sum(map(mul, r, y)) * q, p * scale
+            if best is None or num * best[1] > best[0] * den:
+                best = num, den
+        return Fraction(*best)
 
     def integer_system(self, scale: int) -> tuple:
         """Rows (A, T) of integers such that value(y/scale) <= 1 iff
         A@y <= T componentwise, with equality attained iff value == 1."""
         rows = []
         thresholds = []
-        for a, c in self.functionals:
-            k = lcm_denominator([a])
-            k = math.lcm(k, (c * scale).denominator)
-            rows.append(tuple(int(ai * k) for ai in a))
-            t = c * scale * k
-            if t.denominator != 1:
-                raise CertificateError(f"threshold {t} of functional {a} is not an integer")
-            thresholds.append(int(t))
+        for r, p, q in self._rows:
+            m = q // math.gcd(q, p * scale)
+            rows.append(tuple(ri * m for ri in r))
+            thresholds.append(p * scale * m // q)
         return rows, thresholds
 
     def unit_checker(self, scale: int) -> Callable:
@@ -144,13 +159,13 @@ class GaugeNorm:
 
     def system_checker(self, scale: int) -> Callable:
         """Predicate on scaled integers y: value(y/scale) == 1, decided on
-        ``integer_system(scale)`` as A@y <= T with at least one equality."""
-        rows, thr = self.integer_system(scale)
+        the integer rows as r.y*q <= p*scale with at least one equality."""
+        rows = [(r, q, p * scale) for r, p, q in self._rows]
 
         def check(d):
             any_eq = False
-            for a, t in zip(rows, thr):
-                v = sum(ai * di for ai, di in zip(a, d))
+            for r, q, t in rows:
+                v = sum(map(mul, r, d)) * q
                 if v > t:
                     return False
                 if v == t:
@@ -160,53 +175,33 @@ class GaugeNorm:
         return check
 
 
-def _pairs(m: int):
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                yield i, j
-
-
 def gauge_an(n: int) -> GaugeNorm:
     """Gauge of the A_n Voronoi cell: max_j x_j - min_i x_i on the hyperplane."""
     if n < 2:
         raise ValueError("n >= 2 required")
     m = n + 1
-    funcs = []
-    for i, j in _pairs(m):
-        a = [0] * m
-        a[j] = 1
-        a[i] = -1
-        funcs.append((Vec(a), Fraction(1)))
-    return GaugeNorm(tuple(funcs), require_zero_sum=True, kind="an")
+    funcs = tuple((basis_vec(m, j) - basis_vec(m, i), Fraction(1)) for i, j in permutations(range(m), 2))
+    return GaugeNorm(funcs, require_zero_sum=True, kind="an")
 
 
 def gauge_dn(n: int) -> GaugeNorm:
     """Gauge of the D_n Voronoi cell: max_{i != j} |x_i| + |x_j|."""
     if n < 4:
         raise ValueError("n >= 4 required")
-    funcs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si, sj in product((1, -1), repeat=2):
-                a = [0] * n
-                a[i] = si
-                a[j] = sj
-                funcs.append((Vec(a), Fraction(1)))
-    return GaugeNorm(tuple(funcs), kind="dn")
+    funcs = tuple(
+        (basis_vec(n, i) * si + basis_vec(n, j) * sj, Fraction(1))
+        for i, j in combinations(range(n), 2)
+        for si, sj in product((1, -1), repeat=2)
+    )
+    return GaugeNorm(funcs, kind="dn")
 
 
 def gauge_sup(n: int) -> GaugeNorm:
     """Sup norm: gauge of the cube with vertices (+-1, ..., +-1)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    funcs = []
-    for i in range(n):
-        for s in (1, -1):
-            a = [0] * n
-            a[i] = s
-            funcs.append((Vec(a), Fraction(1)))
-    return GaugeNorm(tuple(funcs), kind="sup")
+    funcs = tuple((basis_vec(n, i) * s, Fraction(1)) for i in range(n) for s in (1, -1))
+    return GaugeNorm(funcs, kind="sup")
 
 
 def gauge_planar(basis: ReducedPlanarBasis) -> GaugeNorm:
@@ -239,15 +234,9 @@ def vertices_an(n: int) -> list:
 
 def vertices_dn(n: int) -> list:
     """The 2n type-1 plus 2^n type-2 vertices of the D_n cell."""
-    out = []
-    for i in range(n):
-        for s in (1, -1):
-            a = [0] * n
-            a[i] = s
-            out.append(Vec(a))
     half = Fraction(1, 2)
-    for signs in product((half, -half), repeat=n):
-        out.append(Vec(signs))
+    out = [basis_vec(n, i) * s for i in range(n) for s in (1, -1)]
+    out += [Vec(signs) for signs in product((half, -half), repeat=n)]
     return sorted(out)
 
 

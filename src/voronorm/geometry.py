@@ -486,11 +486,6 @@ def enumerate_in_box(lattice: Lattice, radius: RatLike) -> list:
     return lattice.enumerate_box(radius)
 
 
-def in_voronoi_cell(lattice: Lattice, x: Vec) -> bool:
-    """Whether x is at least as close to 0 as to every other lattice point."""
-    return zero_vec(x.dim) in closest_lattice_points(lattice, x)
-
-
 # ---------------------------------------------------------------------------
 # Planar basis reduction
 
@@ -555,28 +550,46 @@ def an_half_dual_scale(n: int) -> int:
     return 2 * (n + 1)
 
 
+def _an_residue_values(n: int, radius: RatLike) -> list:
+    """Per residue r modulo n+1, the scaled coordinates in the box that are
+    congruent to r (the possible coordinates of one point of (1/2)A_n^#)."""
+    m = n + 1
+    bound = math.floor(Fraction(radius) * an_half_dual_scale(n))
+    return [list(range(-bound + ((r + bound) % m), bound + 1, m)) for r in range(m)]
+
+
 def enumerate_an_half_dual_scaled(n: int, radius: RatLike) -> list:
     """Scaled-integer points of (1/2)A_n^# with all coordinates in [-radius, radius].
 
     At scale 2(n+1) these are exactly the integer tuples with zero sum whose
     components are all congruent modulo n+1.
     """
-    radius = Fraction(radius)
-    s = an_half_dual_scale(n)
-    m = n + 1
-    bound = math.floor(radius * s)
     out = []
-    for r in range(m):
-        lo = -bound + ((r + bound) % m)
-        vals = list(range(lo, bound + 1, m))
+    for vals in _an_residue_values(n, radius):
         if not vals:
             continue
         for head in product(vals, repeat=n):
             last = -sum(head)
-            if -bound <= last <= bound:
+            if vals[0] <= last <= vals[-1]:
                 out.append(head + (last,))
     out.sort()
     return out
+
+
+def count_an_half_dual_scaled(n: int, radius: RatLike) -> int:
+    """len(enumerate_an_half_dual_scaled(n, radius)), counted without
+    enumerating: the zero-sum (n+1)-tuples over each residue's values."""
+    total = 0
+    for vals in _an_residue_values(n, radius):
+        ways = {0: 1}
+        for _ in range(n + 1):
+            nxt: dict = {}
+            for s, c in ways.items():
+                for v in vals:
+                    nxt[s + v] = nxt.get(s + v, 0) + c
+            ways = nxt
+        total += ways.get(0, 0)
+    return total
 
 
 def dn_half_dual_scale(n: int) -> int:
@@ -584,14 +597,22 @@ def dn_half_dual_scale(n: int) -> int:
     return 4
 
 
+def _dn_parity_values(radius: RatLike) -> tuple:
+    """The even and the odd scaled coordinates in the box (scale 4)."""
+    bound = math.floor(Fraction(radius) * 4)
+    return range(-bound + (bound % 2), bound + 1, 2), range(-bound + 1 - (bound % 2), bound + 1, 2)
+
+
 def enumerate_dn_half_dual_scaled(n: int, radius: RatLike) -> list:
     """Scaled-integer points of (1/2)D_n^# in the box: all-even or all-odd tuples."""
-    radius = Fraction(radius)
-    bound = math.floor(radius * 4)
-    evens = list(range(-bound + (bound % 2), bound + 1, 2))
-    odd_lo = -bound if bound % 2 == 1 else -bound + 1
-    odds = list(range(odd_lo, bound + 1, 2))
+    evens, odds = _dn_parity_values(radius)
     out = list(product(evens, repeat=n))
     out.extend(product(odds, repeat=n))
     out.sort()
     return out
+
+
+def count_dn_half_dual_scaled(n: int, radius: RatLike) -> int:
+    """len(enumerate_dn_half_dual_scaled(n, radius)), without enumerating."""
+    evens, odds = _dn_parity_values(radius)
+    return len(evens) ** n + len(odds) ** n

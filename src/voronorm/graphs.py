@@ -22,6 +22,8 @@ from .constructions import GaugeNorm, HexagonPattern, polytope_an, polytope_cube
 from .geometry import (
     Vec,
     an_half_dual_scale,
+    count_an_half_dual_scaled,
+    count_dn_half_dual_scaled,
     dn_half_dual_scale,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
@@ -300,6 +302,7 @@ def dn_cayley_graph(n: int, radius) -> GeometricGraph:
 def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
     """Box-restricted subgraph of the unit-distance graph on (1/2)A_n^#."""
     radius = Fraction(radius)
+    _check_unit_distance_size(count_an_half_dual_scaled(n, radius))
     data = polytope_an(n)
     pts = enumerate_an_half_dual_scaled(n, radius)
     return build_unit_distance_graph(
@@ -309,6 +312,7 @@ def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
 
 def dn_unit_distance_graph(n: int, radius) -> GeometricGraph:
     radius = Fraction(radius)
+    _check_unit_distance_size(count_dn_half_dual_scaled(n, radius))
     data = polytope_dn(n)
     pts = enumerate_dn_half_dual_scaled(n, radius)
     return build_unit_distance_graph(

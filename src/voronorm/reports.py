@@ -24,10 +24,6 @@ def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def vec_str(v) -> str:
     return ",".join(frac_str(c) for c in v)
 

@@ -272,11 +272,23 @@ def test_witness_rejects_non_positive_radius(tmp_path, capsys, radius):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_witness_rejects_non_positive_k(tmp_path, capsys, k):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--basis", "3,0,1,3", "--k", k, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--k" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_broken_gauge_fails_the_coloring_certificate(tmp_path, capsys, monkeypatch):
-    # a normalisation off by a factor 2 puts every sampled step at gauge 1/2;
-    # the guard must raise (not assert, which python -O strips) and the CLI
-    # must map it to exit 1 with a one-line message and no report
-    monkeypatch.setattr(GaugeNorm, "closed_form", lambda self, x: 2 * self.value(x))
+    # a step normalisation off by a factor 2 puts every sampled step at
+    # gauge 1/2; the guard must raise (not assert, which python -O strips)
+    # and the CLI must map it to exit 1 with a one-line message and no report
+    unit_step = GaugeNorm.unit_step
+    monkeypatch.setattr(GaugeNorm, "unit_step", lambda self, y: (lambda z, e: (z, 2 * e))(*unit_step(self, y)))
     with pytest.raises(CertificateError):
         verify_coloring(coset_coloring("an", 2), 5, seed=1)
     out = tmp_path / "out.json"
@@ -310,6 +322,7 @@ def test_dependent_mis_witness_fails_the_certificate(tmp_path, capsys, monkeypat
         ["ratio", "cube", "--dim", "16"],
         ["ratio", "an", "--dim", "2", "--radii", "40"],  # 57,841 points
         ["ratio", "counterexample", "--n", "10000"],  # 20,001 points on the line
+        ["ratio", "an", "--dim", "10", "--radii", "1"],  # 7,535,023 points, counted before enumerating
     ],
 )
 def test_oversized_unit_distance_graph_exits_2(tmp_path, capsys, argv):

@@ -6,7 +6,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voronorm import coloring as coloring_module
 from voronorm.coloring import (
+    ColoringReport,
+    ColoringViolation,
+    _color_scaled,
+    _random_scaled_point,
+    _random_unit_step,
     boundary_catalog,
     chromatic_number,
     chromatic_report,
@@ -15,11 +21,10 @@ from voronorm.coloring import (
     coset_coloring,
     coset_index,
     nearest_half_cell_center,
-    proper_coloring_check,
     verify_chromatic_number,
     verify_coloring,
 )
-from voronorm.constructions import hexagon_pattern, project_to_hyperplane
+from voronorm.constructions import CertificateError, hexagon_pattern, project_to_hyperplane
 from voronorm.geometry import (
     AnLattice,
     DnLattice,
@@ -28,11 +33,12 @@ from voronorm.geometry import (
     ZnLattice,
     closest_lattice_points,
     enumerate_in_box,
+    from_scaled,
     reduce_planar_basis,
     to_scaled,
     zero_vec,
 )
-from voronorm.graphs import GeometricGraph, LineRule, hex_unit_distance_graph
+from voronorm.graphs import GeometricGraph, LineRule, _bits, hex_unit_distance_graph
 
 
 def _pattern():
@@ -107,6 +113,98 @@ def test_verify_coloring_hexagon():
     rep = verify_coloring(coset_coloring("hexagon", pattern=_pattern()), 300, seed=7)
     assert rep.holds
     assert rep.color_count == 4
+
+
+# ---------------------------------------------------------------------------
+# the integer sampler against the Fraction sampler it replaced
+
+
+def _random_fraction(rng: random.Random, span: int = 3) -> F:
+    den = rng.choice((2, 3, 4, 5, 7, 8, 9, 12, 16))
+    return F(rng.randint(-span * den, span * den), den)
+
+
+def _random_point(coloring, rng: random.Random) -> Vec:
+    m = coloring.lattice.ambient_dim if coloring.family != "cube" else coloring.dim
+    v = Vec([_random_fraction(rng) for _ in range(m)])
+    if coloring.family == "an":
+        return project_to_hyperplane(v)
+    return v
+
+
+def _random_boundary_vector(coloring, rng: random.Random) -> Vec:
+    while True:
+        d = _random_point(coloring, rng)
+        if any(c != 0 for c in d):
+            return d / coloring.gauge.value(d)
+
+
+def _verify_coloring_oracle(coloring, samples: int, seed: int) -> ColoringReport:
+    """The sampling and catalog loop on Fractions, one public ``color`` call
+    per point."""
+    rng = random.Random(seed)
+    violations = []
+    for _ in range(samples):
+        x = _random_point(coloring, rng)
+        b = _random_boundary_vector(coloring, rng)
+        if not coloring.gauge.is_unit(b):
+            raise CertificateError(f"sampled step {b} is not at gauge distance 1")
+        cx, cy = color(coloring, x), color(coloring, x + b)
+        if cx == cy:
+            violations.append(ColoringViolation(x, x + b, cx))
+    catalog = boundary_catalog(coloring)
+    base_points = [zero_vec(catalog[0].dim)]
+    base_points += [b / 2 for b in catalog[:6]]
+    cat_pairs = 0
+    for x in base_points:
+        for b in catalog:
+            cat_pairs += 1
+            cx, cy = color(coloring, x), color(coloring, x + b)
+            if cx == cy:
+                violations.append(ColoringViolation(x, x + b, cx))
+    return ColoringReport(coloring.family, coloring.dim, coloring.color_count, samples, cat_pairs, violations)
+
+
+# the families of the benchmark's `color` jobs
+WORKLOAD_COLORINGS = {
+    "an2": coset_coloring("an", 2),
+    "an3": coset_coloring("an", 3),
+    "an4": coset_coloring("an", 4),
+    "dn4": coset_coloring("dn", 4),
+    "cube2": coset_coloring("cube", 2),
+    "cube3": coset_coloring("cube", 3),
+    "cube4": coset_coloring("cube", 4),
+    "hexagon": coset_coloring("hexagon", pattern=_pattern()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_COLORINGS))
+def test_sampler_matches_fraction_oracle(name):
+    # the same RNG calls give the same x, step and colours, point by point
+    coloring = WORKLOAD_COLORINGS[name]
+    for seed in range(1, 11):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(25):
+            xw, xd = _random_scaled_point(coloring, new)
+            bw, bd = _random_unit_step(coloring, new)
+            x, b = _random_point(coloring, old), _random_boundary_vector(coloring, old)
+            assert (from_scaled(xw, xd), from_scaled(bw, bd)) == (x, b)
+            assert _color_scaled(coloring, xw, xd) == color(coloring, x)
+            yw = [a * bd + c * xd for a, c in zip(xw, bw)]
+            assert _color_scaled(coloring, yw, xd * bd) == color(coloring, x + b)
+        assert new.getstate() == old.getstate()
+        assert verify_coloring(coloring, 25, seed) == _verify_coloring_oracle(coloring, 25, seed)
+
+
+@pytest.mark.parametrize("name", ["an3", "hexagon"])
+def test_violations_match_fraction_oracle(name, monkeypatch):
+    # with every colour collapsed to 0 each pair is a violation, so the
+    # reports compare the points and colours of every sampled and catalog pair
+    monkeypatch.setattr(coloring_module, "_parity_index", lambda coords: 0)
+    coloring = WORKLOAD_COLORINGS[name]
+    rep = verify_coloring(coloring, 30, 5)
+    assert len(rep.violations) == rep.sampled_pairs + rep.catalog_pairs
+    assert rep == _verify_coloring_oracle(coloring, 30, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +384,14 @@ def _graph_from_edges(n, edges):
     return GeometricGraph(1, [(i,) for i in range(n)], adj, LineRule("test"))
 
 
+def _proper_coloring_check(g, assignment: dict) -> bool:
+    for v, c in assignment.items():
+        for u in _bits(g.adj[v]):
+            if u in assignment and assignment[u] == c:
+                return False
+    return True
+
+
 def test_chromatic_number_known_graphs():
     k4 = _graph_from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     assert chromatic_number(k4)[0] == 4
@@ -294,7 +400,7 @@ def test_chromatic_number_known_graphs():
     bip = _graph_from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
     assert chromatic_number(bip)[0] == 2
     chi, assignment = chromatic_number(c5)
-    assert proper_coloring_check(c5, assignment)
+    assert _proper_coloring_check(c5, assignment)
     assert len(set(assignment.values())) == chi
 
 

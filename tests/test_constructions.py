@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voronorm.constructions import (
     InputOffHyperplane,
@@ -28,8 +29,9 @@ from voronorm.geometry import (
     ZnLattice,
     closest_lattice_points,
     enumerate_in_box,
-    in_voronoi_cell,
+    from_scaled,
     reduce_planar_basis,
+    scaled_ints,
     zero_vec,
 )
 
@@ -44,6 +46,20 @@ def test_gauge_an_values():
 def test_gauge_an_off_hyperplane():
     with pytest.raises(InputOffHyperplane):
         gauge_an(2).value(Vec([1, 0, 0]))
+
+
+def test_scaled_gauge_paths_check_the_hyperplane():
+    # every scaled A_n path, the sampler's step guard included, refuses a
+    # point off the zero-sum hyperplane
+    g = gauge_an(2)
+    with pytest.raises(InputOffHyperplane):
+        g.is_unit(Vec([1, 0, 0]))
+    with pytest.raises(InputOffHyperplane):
+        g.is_unit_scaled((6, 0, 0), 6)
+    with pytest.raises(InputOffHyperplane):
+        g.unit_step((1, 0, 0))
+    with pytest.raises(InputOffHyperplane):
+        g.value_scaled((1, 0, 0), 1)
 
 
 def test_gauge_dn_values():
@@ -123,10 +139,12 @@ def test_closed_form_cross_check():
         x = Vec([F(rnd.randint(-24, 24), 6) for _ in range(4)])
         xa = project_to_hyperplane(x)
         for g, v in ((ga, xa), (gd, x), (gs, Vec(x[:3]))):
-            assert g.value(v) == g.closed_form(v)
             if any(v):
-                # is_unit decides value == 1 on the scaled integers
-                u = v / g.value(v)
+                # unit_step scales by the closed form; is_unit decides value == 1
+                # on the scaled integers
+                z, e = g.unit_step(scaled_ints(v)[0])
+                u = from_scaled(z, e)
+                assert u == v / g.value(v)
                 assert g.is_unit(u) and not g.is_unit(u * 2) and not g.is_unit(u / 3)
 
 
@@ -156,13 +174,46 @@ def test_unit_checker_agrees_with_functional_list():
         assert hits > 0  # the sample actually exercised the unit sphere
 
 
+ROW_GAUGES = {
+    "hexagon-3,0,1,3": (hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))).gauge, 2),
+    "hexagon-4,0,1,4": (hexagon_pattern(reduce_planar_basis(Vec([4, 0]), Vec([1, 4]))).gauge, 2),
+    "hexagon-5,0,2,5": (hexagon_pattern(reduce_planar_basis(Vec([5, 0]), Vec([2, 5]))).gauge, 2),
+    "an3": (gauge_an(3), 4),
+    "dn4": (gauge_dn(4), 4),
+    "cube3": (gauge_sup(3), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_GAUGES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_cached_rows_match_fraction_value(name, data):
+    # value_scaled and the scaled unit predicate read the integer rows built
+    # once per gauge; the functional list evaluated on Fractions is the oracle
+    gauge, m = ROW_GAUGES[name]
+    scale = data.draw(st.integers(1, 24))
+    y = data.draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m))
+    if gauge.require_zero_sum:
+        y[-1] = -sum(y[:-1])
+    value = gauge.value(from_scaled(y, scale))
+    assert gauge.value_scaled(y, scale) == value
+    assert gauge.is_unit_scaled(y, scale) == (value == 1)
+    assert gauge.system_checker(scale)(y) == (value == 1)
+    if any(y):
+        # the same point scaled onto the unit sphere, and off it by a factor
+        z, e = gauge.unit_step(y)
+        assert from_scaled(z, e) == from_scaled(y, scale) / value
+        assert gauge.is_unit_scaled(z, e) and gauge.system_checker(e)(z)
+        assert not gauge.is_unit_scaled(z, 2 * e) and not gauge.system_checker(e)([2 * c for c in z])
+
+
 def _sample_gauge_vs_voronoi(gauge, lattice, dim, project, count, seed):
     rnd = random.Random(seed)
     for _ in range(count):
         x = Vec([F(rnd.randint(-30, 30), rnd.choice([4, 5, 6, 8])) for _ in range(dim)])
         if project:
             x = project_to_hyperplane(x)
-        assert (gauge.value(x) <= 1) == in_voronoi_cell(lattice, x)
+        assert (gauge.value(x) <= 1) == (zero_vec(x.dim) in closest_lattice_points(lattice, x))
 
 
 def test_gauge_agrees_with_voronoi_membership():

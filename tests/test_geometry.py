@@ -13,10 +13,11 @@ from voronorm.geometry import (
     Vec,
     ZnLattice,
     closest_lattice_points,
+    count_an_half_dual_scaled,
+    count_dn_half_dual_scaled,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
     enumerate_in_box,
-    in_voronoi_cell,
     reduce_planar_basis,
     zero_vec,
 )
@@ -246,6 +247,23 @@ def test_dn_half_dual_characterization():
         assert all(abs(c) <= 4 for c in y)
     assert (1, 1, 1, 1) in pts  # (1/2,...,1/2)/2 scaled by 4
     assert (2, 0, 0, 0) in pts  # (1/2,0,0,0) scaled by 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_an_half_dual_count_matches_enumeration(n):
+    for radius in (0, F(1, 4), F(1, 2), F(2, 3), F(3, 4), 1, F(5, 4)):
+        assert count_an_half_dual_scaled(n, radius) == len(enumerate_an_half_dual_scaled(n, radius)), radius
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dn_half_dual_count_matches_enumeration(n):
+    for radius in (0, F(1, 4), F(1, 2), F(3, 4), 1, F(5, 4)):
+        assert count_dn_half_dual_scaled(n, radius) == len(enumerate_dn_half_dual_scaled(n, radius)), radius
+
+
+def in_voronoi_cell(lattice, x: Vec) -> bool:
+    """Whether x is at least as close to 0 as to every other lattice point."""
+    return zero_vec(x.dim) in closest_lattice_points(lattice, x)
 
 
 def test_voronoi_membership_helper():

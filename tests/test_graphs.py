@@ -1,5 +1,6 @@
 import io
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -26,6 +27,7 @@ from voronorm.graphs import (
     cube_graph,
     dn_cayley_graph,
     dn_generators_scaled,
+    dn_unit_distance_graph,
     graph_distance_2_pairs,
     hex_pattern_graph,
     write_edge_list,
@@ -379,6 +381,14 @@ def test_edge_list_round_trip():
         pb = Vec(Fraction(c) for c in b.split(","))
         parsed.add((g.find(pa), g.find(pb)))
     assert parsed == set(g.edges())
+
+
+def test_dn_box_is_counted_before_enumerating():
+    # 5^9 + 4^9 points: refused from the count, before the box is enumerated
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="2215269 vertices exceeds the limit"):
+        dn_unit_distance_graph(9, 1)
+    assert time.monotonic() - t0 < 2
 
 
 def test_unit_distance_graph_an_box2_edges():

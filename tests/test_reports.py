@@ -9,7 +9,7 @@ from voronorm import reports
 
 def test_frac_round_trip():
     for f in (F(1, 4), F(0), F(-3, 7), F(5)):
-        assert reports.parse_frac(reports.frac_str(f)) == f
+        assert F(reports.frac_str(f)) == f
 
 
 def test_certificate_json_valid_and_exact():
