@@ -240,6 +240,8 @@ def _validate(args) -> None:
             _usage_error("--radii is required for ratio an")
         if any(r <= 0 for r in args.radii):
             _usage_error(f"--radii must all be positive, got {','.join(map(str, args.radii))}")
+    if args.func is cmd_property_d and fam != "hexagon" and args.mode == "weak":
+        _usage_error(f"--mode weak needs the hexagon's class tags; use --mode strong for {fam}")
     if args.func in (cmd_property_d, cmd_witness) and args.radius is not None and args.radius <= 0:
         _usage_error(f"--radius must be positive, got {args.radius}")
     if args.func is cmd_witness and args.k < 1:

@@ -423,7 +423,6 @@ def chromatic_witness_search(
     gauge: GaugeNorm,
     k: int,
     node_budget: int = 2_000_000,
-    shrink: bool = True,
 ) -> WitnessResult:
     """Search for an induced subgraph with chromatic number exactly k by
     growing gauge-radius balls around the origin, then greedily shrinking.
@@ -451,17 +450,16 @@ def chromatic_witness_search(
         if chi > k:
             return WitnessResult(False, k)
         witness = list(ball)
-        if shrink:
-            for v in sorted(witness, reverse=True):
-                trial = [u for u in witness if u != v]
-                if not trial:
-                    continue
-                try:
-                    chi2, _ = chromatic_number(g, trial, node_budget)
-                except TimeoutError:
-                    continue
-                if chi2 == k:
-                    witness = trial
+        for v in sorted(witness, reverse=True):
+            trial = [u for u in witness if u != v]
+            if not trial:
+                continue
+            try:
+                chi2, _ = chromatic_number(g, trial, node_budget)
+            except TimeoutError:
+                continue
+            if chi2 == k:
+                witness = trial
         verified = verify_chromatic_number(g, witness, k)
         return WitnessResult(True, k, witness, len(witness), verified)
     return WitnessResult(False, k)
@@ -477,7 +475,6 @@ class ChromaticReport:
     dim: int
     upper: int
     lower: int
-    bound_used: Fraction
 
     @property
     def conclusion(self) -> str:
@@ -511,4 +508,4 @@ def chromatic_report(family: str, n: int = 0, pattern: Optional[HexagonPattern] 
         raise ValueError(f"unknown family {family!r}")
     recip = 1 / bound
     lower = -(-recip.numerator // recip.denominator)
-    return ChromaticReport(family, dim, 2**dim, lower, bound)
+    return ChromaticReport(family, dim, 2**dim, lower)

@@ -360,6 +360,21 @@ class HexagonPattern:
             list(self.v) + list(self.s) + [self.basis.b0, self.basis.b1]
         )
 
+    @cached_property
+    def half_basis_scaled(self) -> tuple:
+        """The generators b0/2, b1/2 of (1/2)L as integer tuples at ``scale()``."""
+        return tuple(to_scaled(b, self.scale()) for b in self.a_generators())
+
+    @cached_property
+    def class_b_offsets_scaled(self) -> tuple:
+        """The class-B offsets v0, v1 as integer tuples at ``scale()``."""
+        return tuple(to_scaled(w, self.scale()) for w in self.class_b_offsets())
+
+    @cached_property
+    def s_scaled(self) -> tuple:
+        """The six interior points s[i] as integer tuples at ``scale()``."""
+        return tuple(to_scaled(p, self.scale()) for p in self.s)
+
     def _validate(self) -> None:
         L = self.lattice
         for i in range(6):
@@ -369,9 +384,9 @@ class HexagonPattern:
                 raise AssertionError(f"s[{i}] mislabeled")
             if not L.contains(self.v[(i + 2) % 6] - self.v[i]):
                 raise AssertionError(f"v[{i+2}] - v[{i}] not in L")
-            if self.gauge.value(self.v[i]) != 1:
+            if not self.gauge.is_unit(self.v[i]):
                 raise AssertionError(f"vertex {i} not on the boundary")
-            if self.gauge.value(self.s[i]) >= 1:
+            if self.gauge.value_scaled(*scaled_ints(self.s[i])) >= 1:
                 raise AssertionError(f"s[{i}] not interior")
         w0, w1 = self.class_b_offsets()
         half = PlanarLattice(self.basis.b0 / 2, self.basis.b1 / 2)

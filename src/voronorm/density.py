@@ -15,11 +15,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from operator import add, sub
 from typing import Iterable, Optional
 
-from .constructions import GaugeNorm, HexagonPattern
-from .geometry import Vec, an_half_dual_scale, from_scaled, to_scaled
+from .constructions import CertificateError, GaugeNorm, HexagonPattern
+from .geometry import an_half_dual_scale, from_scaled, planar_coset_in_box
 from .graphs import GeometricGraph, _bits, an_generators_scaled, dn_generators_scaled
 
 
@@ -31,15 +31,15 @@ class NotAvoiding(ValueError):
     """The vertex set contains a pair at gauge distance exactly 1."""
 
 
-class CrossCheckMismatch(AssertionError):
+class CrossCheckMismatch(CertificateError):
     """Brute-force count disagrees with the closed form (certifier bug)."""
 
 
-class BoundViolated(AssertionError):
+class BoundViolated(CertificateError):
     """A computed density exceeds the certified bound."""
 
 
-class UnknownComponentType(AssertionError):
+class UnknownComponentType(CertificateError):
     """Exhaustive search found a component outside the known taxonomy."""
 
 
@@ -446,32 +446,30 @@ def _classify_component(g: GeometricGraph, pattern: HexagonPattern, comp: list) 
     """Map a connected avoiding component onto the six-type taxonomy."""
     tags = sorted(g.tags[i] for i in comp)
     pts = [g.points[i] for i in comp]
-    scale = g.scale
-    s_set = {to_scaled(s, scale) for s in pattern.s}
+    s_scaled = pattern.s_scaled
+    s_set = set(s_scaled)
     if len(comp) == 1:
         return tags[0]
     if len(comp) == 2:
-        d = tuple(a - b for a, b in zip(pts[0], pts[1]))
+        d = tuple(map(sub, pts[0], pts[1]))
         dneg = tuple(-c for c in d)
         if tags == ["A", "B"]:
             if d in s_set or dneg in s_set:
                 return "AB"
         elif tags == ["B", "B"]:
-            s_scaled = [to_scaled(s, scale) for s in pattern.s]
             for i in range(6):
-                dd = tuple(a - b for a, b in zip(s_scaled[(i + 1) % 6], s_scaled[i]))
+                dd = tuple(map(sub, s_scaled[(i + 1) % 6], s_scaled[i]))
                 if d == dd or dneg == dd:
                     return "BB"
         raise UnknownComponentType(f"pair {[g.coords(i) for i in comp]}")
     if len(comp) == 3 and tags == ["A", "B", "B"]:
         a = [i for i in comp if g.tags[i] == "A"][0]
         bs = [i for i in comp if g.tags[i] == "B"]
-        d1 = tuple(x - y for x, y in zip(g.points[bs[0]], g.points[a]))
-        d2 = tuple(x - y for x, y in zip(g.points[bs[1]], g.points[a]))
+        d1 = tuple(map(sub, g.points[bs[0]], g.points[a]))
+        d2 = tuple(map(sub, g.points[bs[1]], g.points[a]))
         if d1 in s_set and d2 in s_set:
             if d1 == tuple(-c for c in d2):
                 return "BAB"
-            s_scaled = [to_scaled(s, scale) for s in pattern.s]
             for i in range(6):
                 if {d1, d2} == {s_scaled[i], s_scaled[(i + 1) % 6]}:
                     return "ABB"
@@ -531,14 +529,18 @@ def verify_hexagon_bound(pattern: HexagonPattern, radius: Optional[Fraction] = N
     g = hex_pattern_graph(pattern, radius)
     gauge = pattern.gauge
 
+    # class representatives within the 5-step margin: the origin, and per
+    # class-B coset the point least by (max |coordinate|, point)
     bound5 = g.interior_bound_scaled(5)
-    bases = []
-    zero = g.find(Vec([0, 0]))
+    zero = g.index.get((0, 0))
     if zero is None or not all(abs(c) <= bound5 for c in g.points[zero]):
         raise MarginViolation("origin not deep enough in the box")
-    bases.append(zero)
-    for off in pattern.class_b_offsets():
-        bases.append(_deep_class_rep(g, pattern, off, bound5))
+    bases = [zero]
+    for off in pattern.class_b_offsets_scaled:
+        deep = planar_coset_in_box(*pattern.half_basis_scaled, off, bound5)
+        if not deep:
+            raise MarginViolation("no deep-interior class-B vertex")
+        bases.append(g.index[min(deep, key=lambda p: (max(map(abs, p)), p))])
 
     found: dict = {}
     b_mask = g.class_mask("B")
@@ -584,25 +586,3 @@ def verify_hexagon_bound(pattern: HexagonPattern, radius: Optional[Fraction] = N
         maximizers=maximizers,
         notes=["class-B density weight 2/3 applied (B is twice as dense as A)"],
     )
-
-
-def _deep_class_rep(g: GeometricGraph, pattern: HexagonPattern, offset: Vec, bound_scaled: Fraction) -> int:
-    """Index of a vertex of the coset offset + (1/2)L with all coordinates
-    within the given scaled bound, as close to the origin as possible."""
-    from .geometry import PlanarLattice
-
-    half = PlanarLattice(pattern.basis.b0 / 2, pattern.basis.b1 / 2)
-    best = None
-    for i, p in enumerate(g.points):
-        if g.tags[i] != "B":
-            continue
-        if not all(abs(c) <= bound_scaled for c in p):
-            continue
-        if not half.contains(g.coords(i) - offset):
-            continue
-        key = (max(abs(c) for c in p), p)
-        if best is None or key < best[0]:
-            best = (key, i)
-    if best is None:
-        raise MarginViolation("no deep-interior class-B vertex")
-    return best[1]

@@ -357,6 +357,28 @@ class DnLattice:
         return _closest_integer_points(w, d, even_sum=True)
 
 
+def planar_coset_in_box(p: Sequence[int], q: Sequence[int], offset: Sequence[int], bound) -> list:
+    """Integer points offset + c0*p + c1*q with both coordinates in
+    [-bound, bound], for linearly independent integer vectors p, q.
+
+    By Cramer's rule a point x of the box has |c0| <= (B + m)(|q0| + |q1|)/|det|
+    and |c1| <= (B + m)(|p0| + |p1|)/|det|, with B = floor(bound) and m the
+    largest |offset| coordinate; the points are in loop order, not sorted."""
+    b = math.floor(bound)
+    det = abs(p[0] * q[1] - p[1] * q[0])
+    reach = b + max(map(abs, offset))
+    r0 = reach * (abs(q[0]) + abs(q[1])) // det
+    r1 = reach * (abs(p[0]) + abs(p[1])) // det
+    out = []
+    for c0 in range(-r0, r0 + 1):
+        x0, x1 = offset[0] + c0 * p[0], offset[1] + c0 * p[1]
+        for c1 in range(-r1, r1 + 1):
+            y0, y1 = x0 + c1 * q[0], x1 + c1 * q[1]
+            if -b <= y0 <= b and -b <= y1 <= b:
+                out.append((y0, y1))
+    return out
+
+
 @dataclass(frozen=True)
 class PlanarLattice:
     """Rank-2 lattice in R^2 spanned by b0, b1.
@@ -404,18 +426,8 @@ class PlanarLattice:
         return self.b0 * c0 + self.b1 * c1
 
     def enumerate_box(self, radius: Fraction) -> list:
-        radius = Fraction(radius)
-        d = abs(self.det())
-        # coefficient bounds via Cramer's rule on the box constraints
-        bound0 = math.floor(radius * (abs(self.b1[0]) + abs(self.b1[1])) / d)
-        bound1 = math.floor(radius * (abs(self.b0[0]) + abs(self.b0[1])) / d)
-        out = []
-        for c0 in range(-bound0, bound0 + 1):
-            for c1 in range(-bound1, bound1 + 1):
-                v = self.from_coefficients(c0, c1)
-                if v.max_abs() <= radius:
-                    out.append(v)
-        return sorted(out)
+        pts = planar_coset_in_box(*self.int_basis, (0, 0), Fraction(radius) * self.scale)
+        return [from_scaled(t, self.scale) for t in sorted(pts)]
 
     def closest_scaled(self, w: Sequence[int], d: int) -> list:
         """All lattice points closest to w/d, as integer tuples at ``scale``.

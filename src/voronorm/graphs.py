@@ -6,16 +6,16 @@ the family's scale) and adjacency as per-vertex bitmasks, so every distance
 test is pure integer arithmetic.  Unit-distance edges come from one bitset
 kernel on the gauge's integer system; a pair-by-pair scan is its oracle
 in the tests.  Unit-distance graphs are capped at
-MAX_UNIT_DISTANCE_VERTICES vertices, checked before anything is allocated.
+MAX_UNIT_DISTANCE_VERTICES vertices and the A_n / D_n Cayley graphs at
+MAX_CAYLEY_VERTICES, checked before anything is allocated.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .constructions import GaugeNorm, HexagonPattern, polytope_an, polytope_cube, polytope_dn
@@ -28,35 +28,13 @@ from .geometry import (
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
     from_scaled,
+    planar_coset_in_box,
     to_scaled,
 )
 
 
-@dataclass(frozen=True)
-class UnitDistanceRule:
-    gauge: GaugeNorm
-    name: str = "unit-distance"
-
-
-@dataclass(frozen=True)
-class CayleyRule:
-    generators: tuple  # scaled integer tuples
-    name: str = "cayley"
-
-
-@dataclass(frozen=True)
-class HexPatternRule:
-    pattern: HexagonPattern
-    name: str = "hex-pattern"
-
-
-@dataclass(frozen=True)
-class LineRule:
-    name: str
-
-
 class GeometricGraph:
-    """Finite vertex list + bitset adjacency + the rule that generated edges.
+    """Finite vertex list + bitset adjacency.
 
     ``points`` are scaled integers sorted lexicographically; ``scale`` is the
     common denominator; ``box_radius`` and ``step_extent`` carry the margin
@@ -69,7 +47,6 @@ class GeometricGraph:
         scale: int,
         points: Sequence[tuple],
         adj: Sequence[int],
-        rule,
         box_radius: Optional[Fraction] = None,
         step_extent: Optional[Fraction] = None,
         tags: Optional[Sequence[str]] = None,
@@ -77,7 +54,6 @@ class GeometricGraph:
         self.scale = scale
         self.points = list(points)
         self.adj = list(adj)
-        self.rule = rule
         self.box_radius = box_radius
         self.step_extent = step_extent
         self.tags = list(tags) if tags is not None else None
@@ -153,13 +129,15 @@ def _bits(mask: int) -> list:
 # complete (the cube), and 2^14 bitmasks of 2^14 bits take 32 MiB.
 MAX_UNIT_DISTANCE_VERTICES = 1 << 14
 
+# Largest vertex count of an A_n / D_n Cayley graph: its degree is bounded
+# by the generator count, so 2^16 vertices admit A_5 and D_5 at radius 3/2
+# (29,917 and 24,583) and refuse A_6 and D_6 (196,645 and 164,305).
+MAX_CAYLEY_VERTICES = 1 << 16
 
-def _check_unit_distance_size(count: int) -> None:
-    if count > MAX_UNIT_DISTANCE_VERTICES:
-        raise ValueError(
-            f"unit-distance graph of {count} vertices exceeds the limit of "
-            f"{MAX_UNIT_DISTANCE_VERTICES}"
-        )
+
+def _check_size(count: int, limit: int = MAX_UNIT_DISTANCE_VERTICES, kind: str = "unit-distance") -> None:
+    if count > limit:
+        raise ValueError(f"{kind} graph of {count} vertices exceeds the limit of {limit}")
 
 
 def _unit_edges(points: Sequence[tuple], rows, thresholds) -> list:
@@ -203,13 +181,12 @@ def build_unit_distance_graph(
     Raises ValueError above MAX_UNIT_DISTANCE_VERTICES distinct points.
     """
     pts = sorted(set(points))
-    _check_unit_distance_size(len(pts))
+    _check_size(len(pts))
     rows, thresholds = gauge.integer_system(scale)
     return GeometricGraph(
         scale,
         pts,
         _unit_edges(pts, rows, thresholds),
-        UnitDistanceRule(gauge),
         box_radius=box_radius,
         step_extent=step_extent,
     )
@@ -220,7 +197,6 @@ def build_cayley_graph(
     points: Sequence[tuple],
     generators: Sequence[tuple],
     box_radius: Fraction,
-    rule_name: str = "cayley",
 ) -> GeometricGraph:
     """Cayley graph on scaled integer points: i ~ j iff p_i - p_j is a generator.
 
@@ -244,14 +220,7 @@ def build_cayley_graph(
                 m |= 1 << j
         adj.append(m)
     ext = max(Fraction(abs(c), scale) for g in gens for c in g)
-    return GeometricGraph(
-        scale,
-        pts,
-        adj,
-        CayleyRule(tuple(gens), rule_name),
-        box_radius=Fraction(box_radius),
-        step_extent=ext,
-    )
+    return GeometricGraph(scale, pts, adj, box_radius=Fraction(box_radius), step_extent=ext)
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +255,27 @@ def dn_generators_scaled(n: int) -> list:
 
 
 def an_cayley_graph(n: int, radius) -> GeometricGraph:
+    """Box-restricted Cayley graph on (1/2)A_n^#; raises ValueError above
+    MAX_CAYLEY_VERTICES vertices."""
     radius = Fraction(radius)
-    scale = an_half_dual_scale(n)
+    _check_size(count_an_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
     pts = enumerate_an_half_dual_scaled(n, radius)
-    return build_cayley_graph(scale, pts, an_generators_scaled(n), radius, "an-cayley")
+    return build_cayley_graph(an_half_dual_scale(n), pts, an_generators_scaled(n), radius)
 
 
 def dn_cayley_graph(n: int, radius) -> GeometricGraph:
+    """Box-restricted Cayley graph on (1/2)D_n^#; raises ValueError above
+    MAX_CAYLEY_VERTICES vertices."""
     radius = Fraction(radius)
-    scale = dn_half_dual_scale(n)
+    _check_size(count_dn_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
     pts = enumerate_dn_half_dual_scaled(n, radius)
-    return build_cayley_graph(scale, pts, dn_generators_scaled(n), radius, "dn-cayley")
+    return build_cayley_graph(dn_half_dual_scale(n), pts, dn_generators_scaled(n), radius)
 
 
 def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
     """Box-restricted subgraph of the unit-distance graph on (1/2)A_n^#."""
     radius = Fraction(radius)
-    _check_unit_distance_size(count_an_half_dual_scaled(n, radius))
+    _check_size(count_an_half_dual_scaled(n, radius))
     data = polytope_an(n)
     pts = enumerate_an_half_dual_scaled(n, radius)
     return build_unit_distance_graph(
@@ -312,7 +285,7 @@ def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
 
 def dn_unit_distance_graph(n: int, radius) -> GeometricGraph:
     radius = Fraction(radius)
-    _check_unit_distance_size(count_dn_half_dual_scaled(n, radius))
+    _check_size(count_dn_half_dual_scaled(n, radius))
     data = polytope_dn(n)
     pts = enumerate_dn_half_dual_scaled(n, radius)
     return build_unit_distance_graph(
@@ -324,17 +297,16 @@ def cube_graph(n: int) -> GeometricGraph:
     """The 0/1 cube under the sup norm; complete by construction."""
     from itertools import product as _product
 
-    _check_unit_distance_size(2**n)
+    _check_size(2**n)
     data = polytope_cube(n)
     return build_unit_distance_graph(1, _product((0, 1), repeat=n), data.gauge)
 
 
 def hex_step_extent(pattern: HexagonPattern) -> Fraction:
     """Max per-coordinate displacement along one pattern-graph edge."""
-    disp = list(pattern.s)
-    for i in range(6):
-        disp.append(pattern.s[(i + 1) % 6] - pattern.s[i])
-    return max(d.max_abs() for d in disp)
+    s = pattern.s_scaled
+    disp = list(s) + [tuple(map(sub, s[(i + 1) % 6], s[i])) for i in range(6)]
+    return Fraction(max(abs(c) for d in disp for c in d), pattern.scale())
 
 
 def hex_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
@@ -343,36 +315,24 @@ def hex_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
     Vertices: ((1/2)L + {0, v0, v1}) within the box.  Edges (a, a+s_i) and
     (a+s_i, a+s_{i+1}) for every a in (1/2)L of an expanded box, so that the
     result is exactly the induced subgraph of the infinite pattern graph.
+    All points are integer tuples at ``pattern.scale()``.
     """
     radius = Fraction(radius)
     scale = pattern.scale()
-    b0h, b1h = pattern.a_generators()
-    s_scaled = [to_scaled(si, scale) for si in pattern.s]
     step_ext = hex_step_extent(pattern)
-
     pts, tags = _hex_vertices(pattern, radius)
-    index = {p: i for i, p in enumerate(pts)}
-    adj = [0] * len(pts)
-
-    def add_edge(t1, t2):
-        i, j = index.get(t1), index.get(t2)
-        if i is not None and j is not None and i != j:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-
-    for a in _coset_in_box(b0h, b1h, Vec([0, 0]), radius + step_ext):
-        ta = to_scaled(a, scale)
-        for i in range(6):
-            t1 = tuple(x + y for x, y in zip(ta, s_scaled[i]))
-            t2 = tuple(x + y for x, y in zip(ta, s_scaled[(i + 1) % 6]))
-            add_edge(ta, t1)
-            add_edge(t1, t2)
-
+    bit = {p: 1 << i for i, p in enumerate(pts)}
+    adj = dict.fromkeys(pts, 0)
+    for a in planar_coset_in_box(*pattern.half_basis_scaled, (0, 0), (radius + step_ext) * scale):
+        ring = [tuple(map(add, a, si)) for si in pattern.s_scaled]
+        for t1, t2 in zip([a] * 6 + ring, ring + ring[1:] + ring[:1]):
+            if t1 in bit and t2 in bit:
+                adj[t1] |= bit[t2]
+                adj[t2] |= bit[t1]
     return GeometricGraph(
         scale,
         pts,
-        adj,
-        HexPatternRule(pattern),
+        [adj[p] for p in pts],
         box_radius=radius,
         step_extent=step_ext,
         tags=[tags[p] for p in pts],
@@ -382,13 +342,11 @@ def hex_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
 def _hex_vertices(pattern: HexagonPattern, radius: Fraction):
     """Scaled vertex tuples of ((1/2)L + {0, v0, v1}) in the box, sorted,
     with their class tags."""
-    scale = pattern.scale()
-    b0h, b1h = pattern.a_generators()
-    offsets = (Vec([0, 0]),) + pattern.class_b_offsets()
+    bound = radius * pattern.scale()
     tags = {}
-    for off, tg in zip(offsets, ("A", "B", "B")):
-        for p in _coset_in_box(b0h, b1h, off, radius):
-            tags[to_scaled(p, scale)] = tg
+    for off, tg in zip(((0, 0),) + pattern.class_b_offsets_scaled, "ABB"):
+        for p in planar_coset_in_box(*pattern.half_basis_scaled, off, bound):
+            tags[p] = tg
     return sorted(tags), tags
 
 
@@ -400,20 +358,6 @@ def hex_unit_distance_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
     g = build_unit_distance_graph(pattern.scale(), pts, pattern.gauge, box_radius=radius, step_extent=ext)
     g.tags = [tags[p] for p in g.points]
     return g
-
-
-def _coset_in_box(b0: Vec, b1: Vec, offset: Vec, radius: Fraction) -> list:
-    """Points offset + c0*b0 + c1*b1 with both coordinates in [-radius, radius]."""
-    det = b0[0] * b1[1] - b0[1] * b1[0]
-    r0 = (radius + offset.max_abs()) * (abs(b1[0]) + abs(b1[1])) / abs(det)
-    r1 = (radius + offset.max_abs()) * (abs(b0[0]) + abs(b0[1])) / abs(det)
-    out = []
-    for c0 in range(-math.floor(r0), math.floor(r0) + 1):
-        for c1 in range(-math.floor(r1), math.floor(r1) + 1):
-            p = offset + b0 * c0 + b1 * c1
-            if p.max_abs() <= radius:
-                out.append(p)
-    return out
 
 
 # ---------------------------------------------------------------------------

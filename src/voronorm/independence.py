@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from .constructions import CertificateError
 from .geometry import an_half_dual_scale
-from .graphs import MAX_UNIT_DISTANCE_VERTICES, GeometricGraph, LineRule, _bits, an_unit_distance_graph, cube_graph
+from .graphs import GeometricGraph, _bits, _check_size, an_unit_distance_graph, cube_graph
 from .density import ChainClique
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -295,11 +295,7 @@ def counterexample_graph(n_max: int) -> GeometricGraph:
     """
     if n_max < 1:
         raise ValueError("n_max >= 1 required")
-    if 2 * n_max + 1 > MAX_UNIT_DISTANCE_VERTICES:
-        raise ValueError(
-            f"counterexample graph of {2 * n_max + 1} vertices exceeds the limit of "
-            f"{MAX_UNIT_DISTANCE_VERTICES}"
-        )
+    _check_size(2 * n_max + 1, kind="counterexample")
     points = [(i,) for i in range(-n_max, n_max + 1)]
     index = {p: i for i, p in enumerate(points)}
     adj = [0] * len(points)
@@ -308,14 +304,7 @@ def counterexample_graph(n_max: int) -> GeometricGraph:
             i, j = index[(a,)], index[(b,)]
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return GeometricGraph(
-        1,
-        points,
-        adj,
-        LineRule("half-line-rule"),
-        box_radius=Fraction(n_max),
-        step_extent=Fraction(0),
-    )
+    return GeometricGraph(1, points, adj, box_radius=Fraction(n_max), step_extent=Fraction(0))
 
 
 def reference_independent_set_size(n_max: int) -> int:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from voronorm import independence
+from voronorm import density, independence
 from voronorm.cli import main
 from voronorm.coloring import coset_coloring, verify_coloring
 from voronorm.constructions import CertificateError, GaugeNorm
@@ -335,3 +335,77 @@ def test_oversized_unit_distance_graph_exits_2(tmp_path, capsys, argv):
     assert code == 2
     assert "exceeds the limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["property-d", "an", "--dim", "6"], 196645),
+        (["property-d", "dn", "--dim", "6"], 164305),
+    ],
+)
+def test_oversized_cayley_graph_exits_2(tmp_path, capsys, argv, count):
+    # counted before the box is enumerated: D_6 used to run 25 s and end in
+    # a MemoryError under 2 GB, A_6 ran past 60 s
+    out = tmp_path / "out.json"
+    t0 = time.monotonic()
+    code = main(argv + ["--out", str(out)])
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"Cayley graph of {count} vertices exceeds the limit of 65536" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_failed_density_guard_exits_1(tmp_path, capsys, monkeypatch):
+    # a brute-force count off by one must fail the certificate with one
+    # stderr line, not escape main as a traceback
+    brute = density.an_brute_neighborhood_counts
+
+    def off_by_one(n):
+        counts = brute(n)
+        counts[()] += 1
+        return counts
+
+    monkeypatch.setattr(density, "an_brute_neighborhood_counts", off_by_one)
+    out = tmp_path / "out.json"
+    code = main(["bound", "an", "--dim", "3", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate check failed") and err.count("\n") == 1
+    assert "brute force" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["an", "dn"])
+def test_property_d_weak_mode_needs_hexagon(tmp_path, capsys, family):
+    # only the hexagon pattern graph carries the class tags weak mode reads
+    out = tmp_path / "out.json"
+    t0 = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(["property-d", family, "--dim", "4", "--mode", "weak", "--out", str(out)])
+    assert time.monotonic() - t0 < 1
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--mode" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_hexagon_run_path_never_calls_the_fraction_gauge(tmp_path, monkeypatch):
+    # GaugeNorm.value stays the definition the tests check against; the
+    # hexagon commands run on scaled integers from the box to the report
+    commands = [
+        ["bound", "hexagon", "--basis", "3,0,1,3"],
+        ["property-d", "hexagon", "--basis", "3,0,1,3", "--mode", "weak"],
+        ["witness", "--basis", "3,0,1,3", "--k", "4"],
+    ]
+    before = [run_cli(argv, tmp_path) for argv in commands]
+
+    def refuse(self, x):
+        raise RuntimeError("GaugeNorm.value called on the run path")
+
+    monkeypatch.setattr(GaugeNorm, "value", refuse)
+    after = [run_cli(argv, tmp_path) for argv in commands]
+    assert after == before
+    assert [code for code, _ in after] == [0, 0, 0]

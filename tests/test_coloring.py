@@ -38,7 +38,7 @@ from voronorm.geometry import (
     to_scaled,
     zero_vec,
 )
-from voronorm.graphs import GeometricGraph, LineRule, _bits, hex_unit_distance_graph
+from voronorm.graphs import GeometricGraph, _bits, hex_unit_distance_graph
 
 
 def _pattern():
@@ -381,7 +381,7 @@ def _graph_from_edges(n, edges):
     for a, b in edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return GeometricGraph(1, [(i,) for i in range(n)], adj, LineRule("test"))
+    return GeometricGraph(1, [(i,) for i in range(n)], adj)
 
 
 def _proper_coloring_check(g, assignment: dict) -> bool:

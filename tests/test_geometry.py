@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from voronorm.constructions import hexagon_pattern
 from voronorm.geometry import (
     AnLattice,
     DegenerateCell,
@@ -18,7 +21,9 @@ from voronorm.geometry import (
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
     enumerate_in_box,
+    planar_coset_in_box,
     reduce_planar_basis,
+    to_scaled,
     zero_vec,
 )
 
@@ -219,6 +224,51 @@ def test_box_monotone_inclusion():
 def test_box_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         enumerate_in_box(ZnLattice(2), 0)
+
+
+def _coset_in_box(b0: Vec, b1: Vec, offset: Vec, radius: F) -> list:
+    """Oracle: the points offset + c0*b0 + c1*b1 with both coordinates in
+    [-radius, radius], on exact Fractions, over the Cramer coefficient box."""
+    det = b0[0] * b1[1] - b0[1] * b1[0]
+    r0 = (radius + offset.max_abs()) * (abs(b1[0]) + abs(b1[1])) / abs(det)
+    r1 = (radius + offset.max_abs()) * (abs(b0[0]) + abs(b0[1])) / abs(det)
+    out = []
+    for c0 in range(-math.floor(r0), math.floor(r0) + 1):
+        for c1 in range(-math.floor(r1), math.floor(r1) + 1):
+            p = offset + b0 * c0 + b1 * c1
+            if p.max_abs() <= radius:
+                out.append(p)
+    return out
+
+
+_RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    st.tuples(_RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL),
+    st.sampled_from([F(1, 3), F(1), F(2), F(7, 2)]),
+)
+def test_planar_coset_in_box_matches_fraction_oracle(raw, k):
+    # the hexagon's half basis and its three coset offsets 0, v0, v1, at
+    # radii that are multiples k of the cell's vertex extent
+    try:
+        pat = hexagon_pattern(reduce_planar_basis(Vec(raw[:2]), Vec(raw[2:])))
+    except DegenerateCell:
+        assume(False)
+    scale = pat.scale()
+    b0h, b1h = pat.a_generators()
+    radius = k * max(v.max_abs() for v in pat.v)
+    for off in (zero_vec(2),) + pat.class_b_offsets():
+        want = sorted(to_scaled(p, scale) for p in _coset_in_box(b0h, b1h, off, radius))
+        got = planar_coset_in_box(*pat.half_basis_scaled, to_scaled(off, scale), radius * scale)
+        assert sorted(got) == want
+        assert len(set(got)) == len(got)
+        if k >= 1:
+            # the box holds the offset itself (zero, or a cell vertex)
+            assert want
+    lat = pat.lattice
+    assert enumerate_in_box(lat, radius) == sorted(_coset_in_box(lat.b0, lat.b1, zero_vec(2), radius))
 
 
 # ---------------------------------------------------------------------------

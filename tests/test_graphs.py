@@ -187,7 +187,8 @@ def _naive_cayley_adj(points, gens):
 def test_cayley_build_matches_naive_pair_scan(build, enumerate_scaled, n):
     g = build(n, F(3, 2))
     assert g.points == sorted(set(enumerate_scaled(n, F(3, 2))))
-    assert g.adj == _naive_cayley_adj(g.points, g.rule.generators)
+    gens = an_generators_scaled(n) if build is an_cayley_graph else dn_generators_scaled(n)
+    assert g.adj == _naive_cayley_adj(g.points, gens)
     for i in range(g.n):
         assert all(g.adj[j] >> i & 1 for j in g.neighbors(i))
 
@@ -195,7 +196,7 @@ def test_cayley_build_matches_naive_pair_scan(build, enumerate_scaled, n):
 def test_cayley_edges_translation_invariant():
     g = an_cayley_graph(2, F(3, 2))
     rnd = random.Random(2)
-    gens = list(g.rule.generators)
+    gens = an_generators_scaled(2)
     interior = g.interior_indices(2)
     for _ in range(40):
         i = rnd.choice(interior)
@@ -215,7 +216,7 @@ def test_cayley_edges_translation_invariant():
 
 def test_margin_soundness_cayley():
     g = dn_cayley_graph(4, F(3, 2))
-    gens = list(g.rule.generators)
+    gens = dn_generators_scaled(4)
     for i in g.interior_indices(1)[:40]:
         for t in gens:
             assert g.find_scaled(tuple(a + b for a, b in zip(g.points[i], t))) is not None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from voronorm.constructions import CertificateError
-from voronorm.graphs import GeometricGraph, LineRule, _bits, an_unit_distance_graph, cube_graph
+from voronorm.graphs import GeometricGraph, _bits, an_unit_distance_graph, cube_graph
 from voronorm.independence import (
     DEFAULT_NODE_BUDGET,
     _greedy_independent,
@@ -28,7 +28,7 @@ def _graph_from_edges(n, edges):
     for a, b in edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return GeometricGraph(1, [(i,) for i in range(n)], adj, LineRule("test"))
+    return GeometricGraph(1, [(i,) for i in range(n)], adj)
 
 
 def _alpha_brute(n, edges):
