@@ -11,8 +11,6 @@ from .geometry import (
     UnsupportedFamily,
     Vec,
     ZnLattice,
-    closest_lattice_points,
-    enumerate_in_box,
     reduce_planar_basis,
 )
 from .constructions import (
@@ -46,7 +44,6 @@ from .graphs import (
     graph_distance_2_pairs,
     hex_pattern_graph,
     hex_unit_distance_graph,
-    write_edge_list,
 )
 from .density import (
     BoundViolated,
@@ -73,7 +70,6 @@ from .independence import (
     is_independent_set,
     max_independent_set,
     ratio_sequence_an,
-    ratio_sequence_cube,
 )
 from .coloring import (
     ChromaticReport,

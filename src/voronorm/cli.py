@@ -25,12 +25,7 @@ from .graphs import (
     hex_step_extent,
     hex_unit_distance_graph,
 )
-from .independence import (
-    counterexample_density_gap,
-    cube_certificate,
-    ratio_sequence_an,
-    ratio_sequence_cube,
-)
+from .independence import counterexample_density_gap, cube_certificate, ratio_sequence_an
 from . import reports
 
 EXIT_OK = 0
@@ -127,18 +122,16 @@ def cmd_property_d(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    if args.family == "counterexample":
+        rep = counterexample_density_gap(args.n, node_budget=args.budget)
+        _emit(args, reports.counterexample_dict(rep))
+        return EXIT_OK if rep.proven else EXIT_BUDGET
     if args.family == "an":
         seq = ratio_sequence_an(args.dim, args.radii, args.budget)
-        _emit(args, reports.ratio_sequence_dict(seq), reports.ratio_sequence_csv(seq))
-        return EXIT_BUDGET if seq.any_timed_out else EXIT_OK
-    if args.family == "cube":
-        seq = ratio_sequence_cube(args.dim, args.budget)
-        _emit(args, reports.ratio_sequence_dict(seq), reports.ratio_sequence_csv(seq))
-        return EXIT_BUDGET if seq.any_timed_out else EXIT_OK
-    # counterexample line graph
-    rep = counterexample_density_gap(args.n, node_budget=args.budget)
-    _emit(args, reports.counterexample_dict(rep))
-    return EXIT_OK if rep.proven else EXIT_BUDGET
+    else:
+        seq = cube_certificate(args.dim, args.budget).ratio_sequence()
+    _emit(args, reports.ratio_sequence_dict(seq), reports.ratio_sequence_csv(seq))
+    return EXIT_BUDGET if seq.any_timed_out else EXIT_OK
 
 
 def cmd_color(args) -> int:
@@ -152,8 +145,10 @@ def cmd_color(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    # like property-d, the default box scales with the basis
     pattern = _pattern_from_args(args)
-    g = hex_unit_distance_graph(pattern, args.radius)
+    radius = 3 * hex_step_extent(pattern) if args.radius is None else args.radius
+    g = hex_unit_distance_graph(pattern, radius)
     budget = 2_000_000 if args.budget is None else args.budget
     res = chromatic_witness_search(g, pattern.gauge, args.k, node_budget=budget)
     payload = reports.witness_dict(res, g)
@@ -212,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("witness", help="finite chromatic witness search (hexagon)")
     common(sp, basis=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--radius", type=_parse_fraction, default=Fraction(3))
+    sp.add_argument("--radius", type=_parse_fraction, default=None, help="box radius (default: 3 edge step extents)")
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--edges-out", help="also write the witness edge list here")
     sp.set_defaults(func=cmd_witness)

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .constructions import CertificateError, GaugeNorm, HexagonPattern
 from .geometry import an_half_dual_scale, from_scaled, planar_coset_in_box
-from .graphs import GeometricGraph, _bits, an_generators_scaled, dn_generators_scaled
+from .graphs import MAX_CAYLEY_VERTICES, GeometricGraph, _bits, an_generators_scaled, dn_generators_scaled
 
 
 class MarginViolation(ValueError):
@@ -299,6 +299,9 @@ def verify_dn_bound(n: int) -> DensityCertificate:
     """
     if n < 4:
         raise ValueError("n >= 4 required")
+    # the count walks the Cayley graph on (1/2)D_n^# with 2^n + 2n generators
+    if 2**n + 2 * n > MAX_CAYLEY_VERTICES:
+        raise ValueError(f"D_{n} has {2**n + 2 * n} Cayley generators, over the limit of {MAX_CAYLEY_VERTICES}")
     brute = dn_brute_neighborhood_counts(n)
     entries = []
     for extra in _dn_subsets():

@@ -1,8 +1,9 @@
 """Exact rational lattice geometry.
 
 Vectors with Fraction components, the lattice families Z^n / A_n / D_n /
-planar, Lagrange-Gauss reduction of planar bases, closest-point search and
-box enumeration.  Everything is exact; no floating point is used anywhere.
+planar, Lagrange-Gauss reduction of planar bases, closest-point decoding on
+scaled integers, and the integer box enumerators and counts of the graph
+vertex sets.  Everything is exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -134,11 +135,6 @@ def _round_half_up(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
 
-def _int_range(radius: Fraction) -> range:
-    b = math.floor(radius)
-    return range(-b, b + 1)
-
-
 def _closest_integer_points(w: Sequence[int], d: int, sum_zero: bool = False, even_sum: bool = False) -> list:
     """All integer tuples z minimizing |z - w/d|^2, optionally constrained to
     zero sum (w must then have zero sum) or even sum.  Pure integer
@@ -243,10 +239,6 @@ class ZnLattice:
     def generators(self) -> list:
         return [basis_vec(self.n, i) for i in range(self.n)]
 
-    def enumerate_box(self, radius: Fraction) -> list:
-        rng = _int_range(Fraction(radius))
-        return sorted(Vec(c) for c in product(rng, repeat=self.n))
-
     def closest_scaled(self, w: Sequence[int], d: int) -> list:
         """All lattice points closest to w/d, as integer tuples at ``scale``."""
         self._check_dim(w)
@@ -287,16 +279,6 @@ class AnLattice:
             Vec([1 if j == i else (-1 if j == i + 1 else 0) for j in range(m)])
             for i in range(self.n)
         ]
-
-    def enumerate_box(self, radius: Fraction) -> list:
-        rng = _int_range(Fraction(radius))
-        lo, hi = rng[0], rng[-1]
-        out = []
-        for head in product(rng, repeat=self.n):
-            last = -sum(head)
-            if lo <= last <= hi:
-                out.append(Vec(head + (last,)))
-        return sorted(out)
 
     def closest_scaled(self, w: Sequence[int], d: int) -> list:
         """All lattice points closest to w/d, as integer tuples at ``scale``."""
@@ -341,42 +323,49 @@ class DnLattice:
             )
         return gens
 
-    def enumerate_box(self, radius: Fraction) -> list:
-        rng = _int_range(Fraction(radius))
-        out = []
-        for head in product(rng, repeat=self.n - 1):
-            par = sum(head) % 2
-            for last in rng:
-                if last % 2 == par:
-                    out.append(Vec(head + (last,)))
-        return sorted(out)
-
     def closest_scaled(self, w: Sequence[int], d: int) -> list:
         """All lattice points closest to w/d, as integer tuples at ``scale``."""
         self._check_dim(w)
         return _closest_integer_points(w, d, even_sum=True)
 
 
-def planar_coset_in_box(p: Sequence[int], q: Sequence[int], offset: Sequence[int], bound) -> list:
-    """Integer points offset + c0*p + c1*q with both coordinates in
-    [-bound, bound], for linearly independent integer vectors p, q.
+def _planar_rows(p: Sequence[int], q: Sequence[int], offset: Sequence[int], bound):
+    """Per c0, the point x = offset + c0*p and the interval [lo, hi] of the c1
+    that keep x + c1*q in [-B, B]^2, with B = floor(bound).
 
-    By Cramer's rule a point x of the box has |c0| <= (B + m)(|q0| + |q1|)/|det|
-    and |c1| <= (B + m)(|p0| + |p1|)/|det|, with B = floor(bound) and m the
-    largest |offset| coordinate; the points are in loop order, not sorted."""
+    By Cramer's rule a point of the box has |c0| <= (B + m)(|q0| + |q1|)/|det|
+    and |c1| <= (B + m)(|p0| + |p1|)/|det|, with m the largest |offset|
+    coordinate; each coordinate k then bounds c1 by -B <= x_k + c1*q_k <= B."""
     b = math.floor(bound)
     det = abs(p[0] * q[1] - p[1] * q[0])
     reach = b + max(map(abs, offset))
     r0 = reach * (abs(q[0]) + abs(q[1])) // det
     r1 = reach * (abs(p[0]) + abs(p[1])) // det
-    out = []
     for c0 in range(-r0, r0 + 1):
-        x0, x1 = offset[0] + c0 * p[0], offset[1] + c0 * p[1]
-        for c1 in range(-r1, r1 + 1):
-            y0, y1 = x0 + c1 * q[0], x1 + c1 * q[1]
-            if -b <= y0 <= b and -b <= y1 <= b:
-                out.append((y0, y1))
-    return out
+        x = (offset[0] + c0 * p[0], offset[1] + c0 * p[1])
+        lo, hi = -r1, r1
+        for xk, qk in zip(x, q):
+            if qk < 0:
+                xk, qk = -xk, -qk
+            if qk:
+                lo, hi = max(lo, -((b + xk) // qk)), min(hi, (b - xk) // qk)
+            elif abs(xk) > b:
+                hi = lo - 1
+        yield x, lo, hi
+
+
+def planar_coset_in_box(p: Sequence[int], q: Sequence[int], offset: Sequence[int], bound) -> list:
+    """Integer points offset + c0*p + c1*q with both coordinates in
+    [-bound, bound], for linearly independent integer vectors p, q; in loop
+    order (c0, then c1, ascending), not sorted."""
+    rows = _planar_rows(p, q, offset, bound)
+    return [(x0 + c1 * q[0], x1 + c1 * q[1]) for (x0, x1), lo, hi in rows for c1 in range(lo, hi + 1)]
+
+
+def count_planar_coset_in_box(p: Sequence[int], q: Sequence[int], offset: Sequence[int], bound) -> int:
+    """len(planar_coset_in_box(p, q, offset, bound)), counted without
+    enumerating."""
+    return sum(max(0, hi - lo + 1) for _, lo, hi in _planar_rows(p, q, offset, bound))
 
 
 @dataclass(frozen=True)
@@ -421,13 +410,6 @@ class PlanarLattice:
 
     def generators(self) -> list:
         return [self.b0, self.b1]
-
-    def from_coefficients(self, c0, c1) -> Vec:
-        return self.b0 * c0 + self.b1 * c1
-
-    def enumerate_box(self, radius: Fraction) -> list:
-        pts = planar_coset_in_box(*self.int_basis, (0, 0), Fraction(radius) * self.scale)
-        return [from_scaled(t, self.scale) for t in sorted(pts)]
 
     def closest_scaled(self, w: Sequence[int], d: int) -> list:
         """All lattice points closest to w/d, as integer tuples at ``scale``.
@@ -474,28 +456,6 @@ class PlanarLattice:
 
 
 Lattice = Union[ZnLattice, AnLattice, DnLattice, PlanarLattice]
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations
-
-
-def closest_lattice_points(lattice: Lattice, x: Vec) -> list:
-    """All lattice points at minimal Euclidean distance from x, sorted.
-
-    Ties are returned in full; callers needing a single representative must
-    apply their own deterministic tie-break.
-    """
-    w, d = scaled_ints(Vec(x))
-    return sorted(from_scaled(p, lattice.scale) for p in lattice.closest_scaled(w, d))
-
-
-def enumerate_in_box(lattice: Lattice, radius: RatLike) -> list:
-    """All lattice points with every coordinate in [-radius, radius], sorted."""
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return lattice.enumerate_box(radius)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ the family's scale) and adjacency as per-vertex bitmasks, so every distance
 test is pure integer arithmetic.  Unit-distance edges come from one bitset
 kernel on the gauge's integer system; a pair-by-pair scan is its oracle
 in the tests.  Unit-distance graphs are capped at
-MAX_UNIT_DISTANCE_VERTICES vertices and the A_n / D_n Cayley graphs at
-MAX_CAYLEY_VERTICES, checked before anything is allocated.
+MAX_UNIT_DISTANCE_VERTICES vertices and the A_n / D_n Cayley graphs and the
+hexagon pattern graph at MAX_CAYLEY_VERTICES, checked before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from .geometry import (
     an_half_dual_scale,
     count_an_half_dual_scaled,
     count_dn_half_dual_scaled,
+    count_planar_coset_in_box,
     dn_half_dual_scale,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
     from_scaled,
     planar_coset_in_box,
-    to_scaled,
 )
 
 
@@ -81,15 +82,6 @@ class GeometricGraph:
                 if j > i:
                     yield i, j
 
-    def find_scaled(self, t: tuple) -> Optional[int]:
-        return self.index.get(t)
-
-    def find(self, v: Vec) -> Optional[int]:
-        try:
-            return self.index.get(to_scaled(v, self.scale))
-        except ValueError:
-            return None
-
     def interior_bound_scaled(self, k: int) -> Fraction:
         if self.box_radius is None or self.step_extent is None:
             raise ValueError("graph carries no box metadata")
@@ -131,7 +123,8 @@ MAX_UNIT_DISTANCE_VERTICES = 1 << 14
 
 # Largest vertex count of an A_n / D_n Cayley graph: its degree is bounded
 # by the generator count, so 2^16 vertices admit A_5 and D_5 at radius 3/2
-# (29,917 and 24,583) and refuse A_6 and D_6 (196,645 and 164,305).
+# (29,917 and 24,583) and refuse A_6 and D_6 (196,645 and 164,305).  The
+# hexagon pattern graph has degree at most 6 and shares the cap.
 MAX_CAYLEY_VERTICES = 1 << 16
 
 
@@ -315,11 +308,13 @@ def hex_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
     Vertices: ((1/2)L + {0, v0, v1}) within the box.  Edges (a, a+s_i) and
     (a+s_i, a+s_{i+1}) for every a in (1/2)L of an expanded box, so that the
     result is exactly the induced subgraph of the infinite pattern graph.
-    All points are integer tuples at ``pattern.scale()``.
+    All points are integer tuples at ``pattern.scale()``.  Raises ValueError
+    above MAX_CAYLEY_VERTICES vertices.
     """
     radius = Fraction(radius)
     scale = pattern.scale()
     step_ext = hex_step_extent(pattern)
+    _check_size(_hex_vertex_count(pattern, radius), MAX_CAYLEY_VERTICES, "pattern")
     pts, tags = _hex_vertices(pattern, radius)
     bit = {p: 1 << i for i, p in enumerate(pts)}
     adj = dict.fromkeys(pts, 0)
@@ -339,6 +334,14 @@ def hex_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
     )
 
 
+def _hex_vertex_count(pattern: HexagonPattern, radius: Fraction) -> int:
+    """len(_hex_vertices(pattern, radius)[0]), without enumerating: the three
+    cosets are disjoint (the pattern checks it), so their counts add up."""
+    bound = radius * pattern.scale()
+    offsets = ((0, 0),) + pattern.class_b_offsets_scaled
+    return sum(count_planar_coset_in_box(*pattern.half_basis_scaled, o, bound) for o in offsets)
+
+
 def _hex_vertices(pattern: HexagonPattern, radius: Fraction):
     """Scaled vertex tuples of ((1/2)L + {0, v0, v1}) in the box, sorted,
     with their class tags."""
@@ -351,8 +354,10 @@ def _hex_vertices(pattern: HexagonPattern, radius: Fraction):
 
 
 def hex_unit_distance_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
-    """Box subgraph of the unit-distance graph on the pattern's vertex set."""
+    """Box subgraph of the unit-distance graph on the pattern's vertex set;
+    raises ValueError above MAX_UNIT_DISTANCE_VERTICES vertices."""
     radius = Fraction(radius)
+    _check_size(_hex_vertex_count(pattern, radius))
     pts, tags = _hex_vertices(pattern, radius)
     ext = max(v.max_abs() for v in pattern.v)
     g = build_unit_distance_graph(pattern.scale(), pts, pattern.gauge, box_radius=radius, step_extent=ext)
@@ -440,18 +445,3 @@ def check_property_d(g: GeometricGraph, gauge: GaugeNorm, mode: str = "strong") 
                 )
     violations.sort(key=lambda v: (v.u, v.w))
     return PropertyDReport(mode, checked, len(interior), violations)
-
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def write_edge_list(g: GeometricGraph, fh) -> None:
-    """Plain-text edge list: one edge per line, two vertices separated by a
-    space, coordinates as exact fractions p/q joined by commas."""
-
-    def fmt(i):
-        return ",".join(f"{c.numerator}/{c.denominator}" for c in g.coords(i))
-
-    for i, j in g.edges():
-        fh.write(f"{fmt(i)} {fmt(j)}\n")

@@ -229,15 +229,6 @@ def ratio_sequence_an(n: int, radii, node_budget: Optional[int] = None) -> Ratio
     return seq
 
 
-def ratio_sequence_cube(n: int, node_budget: Optional[int] = None) -> RatioSequence:
-    """The 0/1 cube under the sup norm: a complete graph, so alpha = 1."""
-    g = cube_graph(n)
-    res = max_independent_set(g, node_budget)
-    seq = RatioSequence("cube", n, Fraction(1, 2**n))
-    seq.entries.append(RatioEntry(Fraction(1), g.n, res.alpha, res.proven, res.upper_bound))
-    return seq
-
-
 @dataclass
 class CubeCertificate:
     dim: int
@@ -246,25 +237,25 @@ class CubeCertificate:
     alpha: int
     ratio: Fraction
     expected_bound: Fraction
+    proven: bool
+    upper_bound: int
 
     @property
     def matches_expected(self) -> bool:
         return self.complete and self.ratio == self.expected_bound
 
+    def ratio_sequence(self) -> RatioSequence:
+        """The one-row ratio table of the cube: radius 1, the whole graph."""
+        entry = RatioEntry(Fraction(1), self.vertex_count, self.alpha, self.proven, self.upper_bound)
+        return RatioSequence("cube", self.dim, self.expected_bound, [entry])
+
 
 def cube_certificate(n: int, node_budget: Optional[int] = None) -> CubeCertificate:
-    """The cube bound 1/2^n via the complete graph on {0,1}^n."""
+    """The cube bound 1/2^n via the complete graph on {0,1}^n (so alpha = 1)."""
     g = cube_graph(n)
     complete = all(g.degree(i) == g.n - 1 for i in range(g.n))
     res = max_independent_set(g, node_budget)
-    return CubeCertificate(
-        dim=n,
-        vertex_count=g.n,
-        complete=complete,
-        alpha=res.alpha,
-        ratio=res.ratio,
-        expected_bound=Fraction(1, 2**n),
-    )
+    return CubeCertificate(n, g.n, complete, res.alpha, res.ratio, Fraction(1, 2**n), res.proven, res.upper_bound)
 
 
 def an_tiling_witness(g: GeometricGraph, n: int) -> list:
@@ -353,7 +344,7 @@ def counterexample_density_gap(
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     runs = []
     for k in sorted(ks) if ks is not None else range(1, n_max + 1):
-        vk = g.find_scaled((-k,))
+        vk = g.index[(-k,)]
         cand = ((1 << g.n) - 1) & ~(g.adj[vk] | (1 << vk))
         alpha_rest, mask, proven, _, _ = _solve_mask(g.adj, cand, budget)
         if not proven:

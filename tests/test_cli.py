@@ -409,3 +409,44 @@ def test_hexagon_run_path_never_calls_the_fraction_gauge(tmp_path, monkeypatch):
     after = [run_cli(argv, tmp_path) for argv in commands]
     assert after == before
     assert [code for code, _ in after] == [0, 0, 0]
+
+
+def test_witness_default_radius_scales_with_the_basis(tmp_path):
+    # the default box is 3 hexagon step extents; an absolute radius of 3
+    # held no witness for this basis and the command exited 3
+    code, data = run_cli(["witness", "--basis", "7,0,3,8", "--k", "4"], tmp_path)
+    assert code == 0
+    doc = json.loads(data)
+    assert doc["found"] is True and doc["verified_independently"] is True
+    assert doc["vertex_count"] == 9
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "dn", "--dim", "22"], "D_22 has 4194348 Cayley generators, over the limit of 65536"),
+        (
+            ["property-d", "hexagon", "--basis", "3,0,1,3", "--radius", "200"],
+            "pattern graph of 213867 vertices exceeds the limit of 65536",
+        ),
+        (
+            ["witness", "--basis", "3,0,1,3", "--k", "4", "--radius", "200"],
+            "unit-distance graph of 213867 vertices exceeds the limit of 16384",
+        ),
+        (
+            ["witness", "--basis", "3,0,1,3", "--k", "4", "--radius", "5000"],
+            "unit-distance graph of 133346667 vertices exceeds the limit of 16384",
+        ),
+    ],
+)
+def test_oversized_request_is_refused_before_allocating(tmp_path, capsys, argv, message):
+    # each of these used to end in a MemoryError under a 2 GB address-space
+    # limit; now the size is computed first and the command exits 2
+    out = tmp_path / "out.json"
+    t0 = time.monotonic()
+    code = main(argv + ["--out", str(out)])
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()

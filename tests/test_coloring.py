@@ -31,14 +31,13 @@ from voronorm.geometry import (
     PlanarLattice,
     Vec,
     ZnLattice,
-    closest_lattice_points,
-    enumerate_in_box,
     from_scaled,
     reduce_planar_basis,
     to_scaled,
     zero_vec,
 )
 from voronorm.graphs import GeometricGraph, _bits, hex_unit_distance_graph
+from oracles import box_points, closest_points
 
 
 def _pattern():
@@ -67,13 +66,13 @@ def test_color_lattice_periodic():
 
 def test_color_takes_exactly_2n_values():
     c = coset_coloring("an", 2)
-    seen = {color(c, z / 2) for z in enumerate_in_box(AnLattice(2), 2)}
+    seen = {color(c, z / 2) for z in box_points(AnLattice(2), 2)}
     assert seen == set(range(4))
     c = coset_coloring("cube", 3)
-    seen = {color(c, Vec(z)) for z in enumerate_in_box(ZnLattice(3), 2)}
+    seen = {color(c, Vec(z)) for z in box_points(ZnLattice(3), 2)}
     assert seen == set(range(8))
     c = coset_coloring("dn", 4)
-    seen = {color(c, z / 2) for z in enumerate_in_box(DnLattice(4), 2)}
+    seen = {color(c, z / 2) for z in box_points(DnLattice(4), 2)}
     assert seen == set(range(16))
 
 
@@ -251,9 +250,9 @@ def _oracle_center(coloring, x: Vec) -> Vec:
     """The least point of the full tie set of Lambda closest to 2x, halved."""
     if coloring.family == "cube":
         # Lambda = 2Z^n: scale down, decode in Z^n, scale back
-        cands = [p * 2 for p in closest_lattice_points(coloring.lattice, x)]
+        cands = [p * 2 for p in closest_points(coloring.lattice, x)]
     else:
-        cands = closest_lattice_points(coloring.lattice, x * 2)
+        cands = closest_points(coloring.lattice, x * 2)
     return min(cands) / 2
 
 
@@ -349,7 +348,7 @@ BRUTE_LATTICES = {
 def _box_points(name: str) -> tuple:
     """Every lattice point with coordinates in [-4, 4], as integers at a
     common scale; each closest point to a target in [-1, 1]^m lies in it."""
-    pts = enumerate_in_box(BRUTE_LATTICES[name], 4)
+    pts = box_points(BRUTE_LATTICES[name], 4)
     scale = math.lcm(*(a.denominator for p in pts for a in p))
     return pts, [to_scaled(p, scale) for p in pts], scale
 
@@ -369,7 +368,7 @@ def test_closest_lattice_points_match_box_search(name, data):
     w = [int(a * d) * scale for a in x]
     costs = [sum((c * d - t) ** 2 for c, t in zip(p, w)) for p in ints]
     least = min(costs)
-    assert closest_lattice_points(lattice, x) == sorted(p for p, c in zip(pts, costs) if c == least)
+    assert closest_points(lattice, x) == sorted(p for p, c in zip(pts, costs) if c == least)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from voronorm.geometry import (
 )
 from voronorm.graphs import an_cayley_graph, an_generators_scaled, dn_generators_scaled, hex_pattern_graph
 from voronorm.independence import max_independent_set
+from oracles import vertex
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +47,14 @@ def _an2_graph():
 
 def test_closed_neighborhood_singleton():
     g = _an2_graph()
-    i0 = g.find(zero_vec(3))
+    i0 = vertex(g, zero_vec(3))
     assert len(closed_neighborhood(g, [i0])) == 7
 
 
 def test_closed_neighborhood_pair():
     g = _an2_graph()
     c = ChainClique(2, (1,))
-    idx = [g.find(p) for p in c.points()]
+    idx = [vertex(g, p) for p in c.points()]
     assert None not in idx
     assert len(closed_neighborhood(g, idx)) == 10
 
@@ -61,7 +62,7 @@ def test_closed_neighborhood_pair():
 def test_closed_neighborhood_triple():
     g = _an2_graph()
     c = ChainClique(2, (1, 2))
-    idx = [g.find(p) for p in c.points()]
+    idx = [vertex(g, p) for p in c.points()]
     assert len(closed_neighborhood(g, idx)) == 12
 
 
@@ -350,7 +351,7 @@ def test_component_search_matches_brute_force_enumeration():
                 brute[kind] += 1
     assert set(brute) == set(HEX_EXPECTED_DELTAS)
     # the canonical search finds the same type set around its base vertices
-    base = g.find(Vec([0, 0]))
+    base = vertex(g, Vec([0, 0]))
     found = set()
     for sub in _connected_avoiding_subsets(g, pat.gauge, base, 3):
         found.add(_classify_component(g, pat, list(sub)))
@@ -364,7 +365,7 @@ def test_component_search_matches_brute_force_enumeration():
 
 def test_decompose_singleton():
     g = _an2_graph()
-    dec = decompose_avoiding_set(g, gauge_an(2), [g.find(zero_vec(3))])
+    dec = decompose_avoiding_set(g, gauge_an(2), [vertex(g, zero_vec(3))])
     assert len(dec.components) == 1
     assert dec.all_cliques
     assert dec.neighborhoods_disjoint
@@ -375,7 +376,7 @@ def test_decompose_rejects_distance_one_pair():
 
     g = _an2_graph()
     gauge = gauge_an(2)
-    i0 = g.find(zero_vec(3))
+    i0 = vertex(g, zero_vec(3))
     # a vertex at graph distance 2 from 0 sits at gauge distance exactly 1
     two = [
         w
@@ -393,7 +394,7 @@ def test_decompose_mis_witness_into_disjoint_cliques():
     gu = an_unit_distance_graph(2, F(3, 2))
     res = max_independent_set(gu)
     gc = an_cayley_graph(2, F(3, 2))
-    members = [gc.find(gu.coords(i)) for i in res.witness]
+    members = [vertex(gc, gu.coords(i)) for i in res.witness]
     members = [m for m in members if m is not None and gc.is_interior(m, 2)]
     dec = decompose_avoiding_set(gc, gauge_an(2), members)
     assert dec.all_cliques
@@ -403,9 +404,9 @@ def test_decompose_mis_witness_into_disjoint_cliques():
 def test_decompose_hexagon_class_b_neighborhoods():
     pat = hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3])))
     g = hex_pattern_graph(pat, 6)
-    i0 = g.find(zero_vec(2))
-    is0 = g.find(pat.s[0])
-    is3 = g.find(pat.s[3])
+    i0 = vertex(g, zero_vec(2))
+    is0 = vertex(g, pat.s[0])
+    is3 = vertex(g, pat.s[3])
     dec = decompose_avoiding_set(g, pat.gauge, [i0, is0, is3], neighborhood_kind="class-B")
     assert len(dec.components) == 1  # the BAB component
     assert dec.neighborhoods_disjoint

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -15,17 +14,17 @@ from voronorm.geometry import (
     PlanarLattice,
     Vec,
     ZnLattice,
-    closest_lattice_points,
     count_an_half_dual_scaled,
     count_dn_half_dual_scaled,
+    count_planar_coset_in_box,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
-    enumerate_in_box,
     planar_coset_in_box,
     reduce_planar_basis,
     to_scaled,
     zero_vec,
 )
+from oracles import box_points, closest_points, coset_in_box
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_reduce_matches_exhaustive_shortest_basis():
     # oracle: shortest vector, then the shortest vector independent of it
     b = reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))
     lat = b.lattice()
-    pts = [p for p in enumerate_in_box(lat, 12) if p != zero_vec(2)]
+    pts = [p for p in box_points(lat, 12) if p != zero_vec(2)]
     shortest = min(p.norm2() for p in pts)
     assert b.b0.norm2() == shortest
     second = min(
@@ -112,7 +111,7 @@ def test_face_vectors_are_voronoi_relevant():
     and equality holds only against 0 and the vector itself."""
     b = reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))
     lat = b.lattice()
-    ball = [p for p in enumerate_in_box(lat, 13)]
+    ball = [p for p in box_points(lat, 13)]
     for v in b.face_vectors():
         m = v / 2
         d0 = m.norm2()
@@ -128,12 +127,12 @@ def test_face_vectors_are_voronoi_relevant():
 
 
 def test_closest_zn_examples():
-    assert closest_lattice_points(ZnLattice(2), Vec([F(1, 4), F(1, 4)])) == [zero_vec(2)]
-    assert closest_lattice_points(ZnLattice(1), Vec([F(1, 2)])) == [Vec([0]), Vec([1])]
+    assert closest_points(ZnLattice(2), Vec([F(1, 4), F(1, 4)])) == [zero_vec(2)]
+    assert closest_points(ZnLattice(1), Vec([F(1, 2)])) == [Vec([0]), Vec([1])]
 
 
 def test_closest_dn_tie_set():
-    got = closest_lattice_points(DnLattice(4), Vec([1, 0, 0, 0]))
+    got = closest_points(DnLattice(4), Vec([1, 0, 0, 0]))
     want = sorted(
         Vec(t)
         for t in [
@@ -160,7 +159,7 @@ def test_closest_points_all_same_distance():
             if lat.family == "an":
                 s = x.sum() / m
                 x = Vec([a - s for a in x])
-            pts = closest_lattice_points(lat, x)
+            pts = closest_points(lat, x)
             assert pts == sorted(pts)
             d = (x - pts[0]).norm2()
             assert all((x - p).norm2() == d for p in pts)
@@ -169,31 +168,31 @@ def test_closest_points_all_same_distance():
 
 def test_closest_an_off_hyperplane_raises():
     with pytest.raises(DimensionMismatch):
-        closest_lattice_points(AnLattice(2), Vec([1, 0, 0]))
+        closest_points(AnLattice(2), Vec([1, 0, 0]))
 
 
 def test_closest_planar_brute_force():
     lat = PlanarLattice(Vec([3, 0]), Vec([1, 3]))
     rnd = random.Random(5)
-    allpts = [lat.from_coefficients(a, b) for a in range(-8, 9) for b in range(-8, 9)]
+    allpts = [lat.b0 * a + lat.b1 * b for a in range(-8, 9) for b in range(-8, 9)]
     for _ in range(30):
         x = Vec([F(rnd.randint(-60, 60), 7), F(rnd.randint(-60, 60), 9)])
-        got = closest_lattice_points(lat, x)
+        got = closest_points(lat, x)
         dmin = min((x - p).norm2() for p in allpts)
         want = sorted(p for p in allpts if (x - p).norm2() == dmin)
         assert got == want
 
 
 # ---------------------------------------------------------------------------
-# box enumeration
+# lattice membership: ``contains`` over the integer box scan of the oracle
 
 
 def test_box_zn():
-    assert len(enumerate_in_box(ZnLattice(2), 1)) == 9
+    assert len(box_points(ZnLattice(2), 1)) == 9
 
 
 def test_box_an2():
-    pts = enumerate_in_box(AnLattice(2), 1)
+    pts = box_points(AnLattice(2), 1)
     assert len(pts) == 7
     assert zero_vec(3) in pts
     from itertools import permutations
@@ -205,40 +204,13 @@ def test_box_an2():
 def test_box_dn4_matches_exhaustive_scan():
     # oracle: exhaustive scan of {-1,0,1}^4 with even coordinate sum
     want = sorted(Vec(t) for t in product((-1, 0, 1), repeat=4) if sum(t) % 2 == 0)
-    got = enumerate_in_box(DnLattice(4), 1)
+    got = box_points(DnLattice(4), 1)
     assert got == want
     assert len(got) == 41  # frozen from the oracle above
     assert zero_vec(4) in got
     # ... and contains the 24 permutations of (+-1, +-1, 0, 0)
     two_nonzero = [p for p in got if sum(1 for c in p if c != 0) == 2]
     assert len(two_nonzero) == 24
-
-
-def test_box_monotone_inclusion():
-    for lat in (ZnLattice(2), AnLattice(2), DnLattice(4)):
-        small = set(enumerate_in_box(lat, 1))
-        large = set(enumerate_in_box(lat, 2))
-        assert small <= large
-
-
-def test_box_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        enumerate_in_box(ZnLattice(2), 0)
-
-
-def _coset_in_box(b0: Vec, b1: Vec, offset: Vec, radius: F) -> list:
-    """Oracle: the points offset + c0*b0 + c1*b1 with both coordinates in
-    [-radius, radius], on exact Fractions, over the Cramer coefficient box."""
-    det = b0[0] * b1[1] - b0[1] * b1[0]
-    r0 = (radius + offset.max_abs()) * (abs(b1[0]) + abs(b1[1])) / abs(det)
-    r1 = (radius + offset.max_abs()) * (abs(b0[0]) + abs(b0[1])) / abs(det)
-    out = []
-    for c0 in range(-math.floor(r0), math.floor(r0) + 1):
-        for c1 in range(-math.floor(r1), math.floor(r1) + 1):
-            p = offset + b0 * c0 + b1 * c1
-            if p.max_abs() <= radius:
-                out.append(p)
-    return out
 
 
 _RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -260,15 +232,32 @@ def test_planar_coset_in_box_matches_fraction_oracle(raw, k):
     b0h, b1h = pat.a_generators()
     radius = k * max(v.max_abs() for v in pat.v)
     for off in (zero_vec(2),) + pat.class_b_offsets():
-        want = sorted(to_scaled(p, scale) for p in _coset_in_box(b0h, b1h, off, radius))
+        want = sorted(to_scaled(p, scale) for p in coset_in_box(b0h, b1h, off, radius))
         got = planar_coset_in_box(*pat.half_basis_scaled, to_scaled(off, scale), radius * scale)
         assert sorted(got) == want
         assert len(set(got)) == len(got)
         if k >= 1:
             # the box holds the offset itself (zero, or a cell vertex)
             assert want
+    # the lattice L itself, at the scale of its integer basis
     lat = pat.lattice
-    assert enumerate_in_box(lat, radius) == sorted(_coset_in_box(lat.b0, lat.b1, zero_vec(2), radius))
+    want = sorted(to_scaled(p, lat.scale) for p in coset_in_box(lat.b0, lat.b1, zero_vec(2), radius))
+    assert sorted(planar_coset_in_box(*lat.int_basis, (0, 0), radius * lat.scale)) == want
+
+
+_SMALL = st.integers(-9, 9)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.tuples(_SMALL, _SMALL, _SMALL, _SMALL),
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+    st.fractions(min_value=-3, max_value=40, max_denominator=7),
+)
+def test_planar_coset_count_matches_enumeration(pq, offset, bound):
+    p, q = pq[:2], pq[2:]
+    assume(p[0] * q[1] - p[1] * q[0] != 0)
+    assert count_planar_coset_in_box(p, q, offset, bound) == len(planar_coset_in_box(p, q, offset, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +302,7 @@ def test_dn_half_dual_count_matches_enumeration(n):
 
 def in_voronoi_cell(lattice, x: Vec) -> bool:
     """Whether x is at least as close to 0 as to every other lattice point."""
-    return zero_vec(x.dim) in closest_lattice_points(lattice, x)
+    return zero_vec(x.dim) in closest_points(lattice, x)
 
 
 def test_voronoi_membership_helper():

@@ -1,4 +1,3 @@
-import io
 import random
 import time
 from fractions import Fraction as F
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voronorm.coloring import WitnessResult
 from voronorm.constructions import gauge_an, gauge_dn, gauge_sup, hexagon_pattern
 from voronorm.geometry import (
     Vec,
@@ -30,8 +30,9 @@ from voronorm.graphs import (
     dn_unit_distance_graph,
     graph_distance_2_pairs,
     hex_pattern_graph,
-    write_edge_list,
 )
+from voronorm.reports import witness_edge_list
+from oracles import vertex
 
 
 def test_cube_graph_complete():
@@ -201,7 +202,7 @@ def test_cayley_edges_translation_invariant():
     for _ in range(40):
         i = rnd.choice(interior)
         t = rnd.choice(gens)
-        j = g.find_scaled(tuple(a + b for a, b in zip(g.points[i], t)))
+        j = g.index.get(tuple(a + b for a, b in zip(g.points[i], t)))
         assert j is not None
         ni = {tuple(x - y for x, y in zip(g.points[k], g.points[i])) for k in g.neighbors(i)}
         nj = {
@@ -219,12 +220,12 @@ def test_margin_soundness_cayley():
     gens = dn_generators_scaled(4)
     for i in g.interior_indices(1)[:40]:
         for t in gens:
-            assert g.find_scaled(tuple(a + b for a, b in zip(g.points[i], t))) is not None
+            assert g.index.get(tuple(a + b for a, b in zip(g.points[i], t))) is not None
     for i in g.interior_indices(2)[:10]:
         for t in gens:
             for u in gens:
                 q = tuple(a + b + c for a, b, c in zip(g.points[i], t, u))
-                assert g.find_scaled(q) is not None
+                assert g.index.get(q) is not None
 
 
 def test_interior_requires_metadata():
@@ -255,7 +256,7 @@ def test_hex_pattern_b_vertex_neighbors_identity():
     b = reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))
     pat = hexagon_pattern(b)
     g = hex_pattern_graph(pat, 6)
-    i_s0 = g.find(pat.s[0])
+    i_s0 = vertex(g, pat.s[0])
     got = {g.points[j] for j in g.neighbors(i_s0)}
     expected = {
         to_scaled(p, g.scale)
@@ -278,7 +279,7 @@ def test_hex_pattern_edges_translation_invariant():
     t = to_scaled(pat.basis.b0 / 2, g.scale)
     moved = 0
     for i in g.interior_indices(2):
-        j = g.find_scaled(tuple(a + b for a, b in zip(g.points[i], t)))
+        j = g.index.get(tuple(a + b for a, b in zip(g.points[i], t)))
         if j is None or not g.is_interior(j, 1):
             continue
         moved += 1
@@ -303,7 +304,7 @@ def test_distance_2_pairs_path():
     assert len(pairs) == 1
     u, w, common = pairs[0]
     assert (g.points[u], g.points[w]) == ((0,), (2,))
-    assert common == [g.find(Vec([1]))]
+    assert common == [vertex(g, Vec([1]))]
 
 
 def test_distance_2_pairs_triangle():
@@ -353,11 +354,14 @@ def test_property_d_rejects_unknown_mode():
 # export
 
 
+def _edge_list(g) -> str:
+    # the witness edge-list writer, with every vertex of g in the witness
+    return witness_edge_list(WitnessResult(True, 0, list(range(g.n))), g)
+
+
 def test_edge_list_format():
     g = _graph_from_points([(0, 0), (1, 0), (0, 1)], gauge_sup(2))
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    lines = buf.getvalue().strip().split("\n")
+    lines = _edge_list(g).strip().split("\n")
     assert len(lines) == 3
     for line in lines:
         a, b = line.split(" ")
@@ -373,14 +377,12 @@ def test_edge_list_round_trip():
     from fractions import Fraction
 
     g = an_unit_distance_graph(2, 1)
-    buf = io.StringIO()
-    write_edge_list(g, buf)
     parsed = set()
-    for line in buf.getvalue().strip().split("\n"):
+    for line in _edge_list(g).strip().split("\n"):
         a, b = line.split(" ")
         pa = Vec(Fraction(c) for c in a.split(","))
         pb = Vec(Fraction(c) for c in b.split(","))
-        parsed.add((g.find(pa), g.find(pb)))
+        parsed.add((vertex(g, pa), vertex(g, pb)))
     assert parsed == set(g.edges())
 
 
@@ -395,7 +397,7 @@ def test_dn_box_is_counted_before_enumerating():
 def test_unit_distance_graph_an_box2_edges():
     g = an_unit_distance_graph(2, 1)
     # neighbors of the origin are exactly the gauge-1 points of the vertex set
-    i0 = g.find(zero_vec(3))
+    i0 = vertex(g, zero_vec(3))
     gauge = gauge_an(2)
     for j in range(g.n):
         d = gauge.value(g.coords(j) - g.coords(i0))

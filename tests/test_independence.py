@@ -18,7 +18,6 @@ from voronorm.independence import (
     is_independent_set,
     max_independent_set,
     ratio_sequence_an,
-    ratio_sequence_cube,
     reference_independent_set_size,
 )
 
@@ -265,8 +264,9 @@ def test_ratio_sequences():
     assert all(e.proven for e in seq.entries)
     assert all(e.ratio >= F(1, 4) for e in seq.entries)
     assert seq.entries[-1].ratio <= seq.entries[0].ratio
-    cube = ratio_sequence_cube(3)
+    cube = cube_certificate(3).ratio_sequence()
     assert cube.entries[0].ratio == F(1, 8)
+    assert cube.entries[0].proven and cube.entries[0].upper_bound == 1
 
 
 def test_an_tiling_witness_is_independent():

@@ -26,3 +26,23 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_bench_tracer_installs(tmp_path):
+    # the benchmark's tracer wraps the package's public names (and
+    # GaugeNorm.value) by lookup; a traced command must still run
+    root = PACKAGE.parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "bench"), str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from voronorm import cli\n"
+        "from tracer import Tracer\n"
+        "t = Tracer()\n"
+        "t.install()\n"
+        f"code = cli.main(['bound', 'cube', '--dim', '2', '--out', {str(tmp_path / 'out.json')!r}])\n"
+        "m = t.metrics()\n"
+        "print(code, m['cli.main_s'] > 0, m['independence.mis_calls'], m['trace.spans'] > 0)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "True", "1", "True"]
