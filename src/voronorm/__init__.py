@@ -8,7 +8,6 @@ from .geometry import (
     DnLattice,
     PlanarLattice,
     ReducedPlanarBasis,
-    UnsupportedFamily,
     Vec,
     ZnLattice,
     reduce_planar_basis,
@@ -19,7 +18,6 @@ from .constructions import (
     HexagonPattern,
     InputOffHyperplane,
     PolytopeData,
-    dual_generators,
     gauge_an,
     gauge_dn,
     gauge_planar,
@@ -28,8 +26,6 @@ from .constructions import (
     polytope_an,
     polytope_cube,
     polytope_dn,
-    vertices_an,
-    vertices_dn,
 )
 from .graphs import (
     GeometricGraph,

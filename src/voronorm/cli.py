@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as e:
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ smallest point of L closest to 2x comes from the lattice's integer decoder,
 and its coset bits from an integer left inverse of the basis computed once
 per coloring.  The properness check stays on integers from draw to decode:
 sampled points and unit steps are drawn as numerators over one
-denominator, and the boundary catalog is scaled once.
+denominator, and the boundary catalog is built on the cell's integer
+vertices.
 """
 
 from __future__ import annotations
@@ -19,34 +20,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from .constructions import (
-    CertificateError,
-    GaugeNorm,
-    HexagonPattern,
-    gauge_an,
-    gauge_dn,
-    gauge_sup,
-    vertices_an,
-    vertices_cube,
-    vertices_dn,
-)
-from .geometry import (
-    AnLattice,
-    DimensionMismatch,
-    DnLattice,
-    Lattice,
-    Vec,
-    ZnLattice,
-    basis_vec,
-    from_scaled,
-    lcm_denominator,
-    scaled_ints,
-    to_scaled,
-)
+from .constructions import CertificateError, GaugeNorm, HexagonPattern, PolytopeData
+from .constructions import polytope_an, polytope_cube, polytope_dn
+from .geometry import DimensionMismatch, Vec, from_scaled, lcm_denominator, scaled_ints, to_scaled
 from .graphs import GeometricGraph, _bits
 
 
@@ -76,51 +55,61 @@ def _integer_left_inverse(cols: list) -> tuple:
 class CosetColoring:
     """The 2^n-coloring by cosets of (1/2)Lambda / Lambda.
 
-    ``lattice`` is the tiling lattice Lambda whose Voronoi cell is the unit
-    ball of ``gauge``; ``basis`` spans Lambda and provides the coset
-    coordinates.  For the cube, Lambda = 2Z^n and ``lattice`` is Z^n.
-    ``inverse`` and ``den`` map a point of Lambda, as integers at the
-    decoder's scale ``lattice.scale``, to den times its basis coordinates."""
+    ``cell`` is the Voronoi cell of the tiling lattice Lambda, the unit ball
+    of ``gauge``; ``basis`` spans Lambda and provides the coset coordinates.
+    For the cube, Lambda = 2Z^n and ``lattice`` is Z^n.  ``inverse`` and
+    ``den`` map a point of Lambda, as integers at the decoder's scale
+    ``lattice.scale``, to den times its basis coordinates."""
 
-    family: str
-    dim: int
-    lattice: Lattice
-    basis: tuple
-    gauge: GaugeNorm
-    pattern: Optional[HexagonPattern] = None
+    cell: PolytopeData
+    basis: tuple = field(init=False)
     inverse: tuple = field(init=False, repr=False, compare=False)
     den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        k = 2 if self.family == "cube" else 1
+        object.__setattr__(self, "basis", tuple(g * k for g in self.lattice.generators()))
         cols = [to_scaled(b, self.lattice.scale) for b in self.basis]
         inverse, den = _integer_left_inverse(cols)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "den", den)
 
-    @property
-    def color_count(self) -> int:
-        return 2**self.dim
+    # views of the cell and the basis
+    family = property(lambda self: self.cell.family)
+    lattice = property(lambda self: self.cell.lattice)
+    gauge = property(lambda self: self.cell.gauge)
+    dim = property(lambda self: len(self.basis))
+    color_count = property(lambda self: 2**self.dim)
+
+
+# Largest |V|*|F| (cell vertices times facets) a coloring may have: the
+# boundary catalog pairs every vertex with every facet center, and the
+# check colors each catalog point seven times.  2^16 admits A_8, D_8 and
+# the 11-cube (36,720, 30,464 and 45,056) and refuses A_9, D_9 and the
+# 12-cube (91,980, 76,320 and 98,304).
+MAX_CATALOG_PAIRS = 1 << 16
+
+_CELLS = {
+    "an": (polytope_an, lambda n: (2 ** (n + 1) - 2) * n * (n + 1)),
+    "dn": (polytope_dn, lambda n: (2**n + 2 * n) * 2 * n * (n - 1)),
+    "cube": (polytope_cube, lambda n: 2**n * 2 * n),
+}
 
 
 def coset_coloring(family: str, n: int = 0, pattern: Optional[HexagonPattern] = None) -> CosetColoring:
+    """The coset coloring of the family's cell; raises ValueError above
+    MAX_CATALOG_PAIRS vertex-facet pairs, before any vertex is built."""
     family = family.lower()
-    if family == "an":
-        lat = AnLattice(n)
-        return CosetColoring("an", n, lat, tuple(lat.generators()), gauge_an(n))
-    if family == "dn":
-        lat = DnLattice(n)
-        return CosetColoring("dn", n, lat, tuple(lat.generators()), gauge_dn(n))
-    if family == "cube":
-        # the cube is the cell of 2Z^n
-        lat = ZnLattice(n)
-        basis = tuple(g * 2 for g in lat.generators())
-        return CosetColoring("cube", n, lat, basis, gauge_sup(n))
     if family == "hexagon":
         if pattern is None:
             raise ValueError("hexagon coloring needs a pattern")
-        lat = pattern.lattice
-        return CosetColoring("hexagon", 2, lat, tuple(lat.generators()), pattern.gauge, pattern)
-    raise ValueError(f"unknown family {family!r}")
+        return CosetColoring(pattern.cell)
+    if family not in _CELLS:
+        raise ValueError(f"unknown family {family!r}")
+    build, pairs = _CELLS[family]
+    if pairs(n) > MAX_CATALOG_PAIRS:
+        raise ValueError(f"coloring catalog of {pairs(n)} vertex-facet pairs exceeds the limit of {MAX_CATALOG_PAIRS}")
+    return CosetColoring(build(n))
 
 
 def _decode(coloring: CosetColoring, w: Sequence[int], d: int) -> tuple:
@@ -228,33 +217,25 @@ def _random_unit_step(coloring: CosetColoring, rng: random.Random) -> tuple:
             return coloring.gauge.unit_step(u)
 
 
-def boundary_catalog(coloring: CosetColoring) -> list:
-    """Deterministic points at gauge exactly 1: cell vertices, facet centers
-    and gauge-1 midpoints between them."""
-    n = coloring.dim
-    if coloring.family == "an":
-        verts = vertices_an(n)
-        centers = [(basis_vec(n + 1, i) - basis_vec(n + 1, j)) / 2 for i, j in permutations(range(n + 1), 2)]
-    elif coloring.family == "dn":
-        verts = vertices_dn(n)
-        centers = [
-            (basis_vec(n, i) * si + basis_vec(n, j) * sj) / 2
-            for i, j in combinations(range(n), 2)
-            for si, sj in product((1, -1), repeat=2)
-        ]
-    elif coloring.family == "cube":
-        verts = vertices_cube(n)
-        centers = [basis_vec(n, i) * s for i in range(n) for s in (1, -1)]
-    else:
-        verts = list(coloring.pattern.v)
-        centers = [f / 2 for f in coloring.pattern.face]
-    out = list(verts) + list(centers)
-    for c in centers:
+def boundary_catalog(coloring: CosetColoring) -> tuple:
+    """(steps, scale): deterministic points at gauge exactly 1, as sorted
+    integer tuples at ``scale``, every coordinate even.  The points are the
+    cell vertices, the facet centers a*c/|a|^2 of the gauge's functionals
+    (a, c), and the gauge-1 midpoints between a center and a vertex."""
+    cell = coloring.cell
+    centers = [a * c / a.norm2() for a, c in cell.gauge.functionals]
+    t = math.lcm(cell.scale, lcm_denominator(centers))
+    verts = [tuple(c * (t // cell.scale) for c in v) for v in cell.vertices]
+    cents = [to_scaled(c, t) for c in centers]
+    # at scale 2t a midpoint is the integer sum; at 4t every point is even
+    on_boundary = cell.gauge.unit_checker(2 * t)
+    steps = {tuple(4 * c for c in p) for p in verts + cents}
+    for c in cents:
         for v in verts:
-            mid = (c + v) / 2
-            if coloring.gauge.is_unit(mid):
-                out.append(mid)
-    return sorted(set(out))
+            mid = tuple(map(add, c, v))
+            if on_boundary(mid):
+                steps.add(tuple(2 * x for x in mid))
+    return sorted(steps), 4 * t
 
 
 def verify_coloring(coloring: CosetColoring, samples: int, seed: int) -> ColoringReport:
@@ -275,10 +256,8 @@ def verify_coloring(coloring: CosetColoring, samples: int, seed: int) -> Colorin
             raise CertificateError(f"sampled step {from_scaled(bw, bd)} is not at gauge distance 1")
         yw = [a * bd + b * xd for a, b in zip(xw, bw)]
         check(xw, xd, _color_scaled(coloring, xw, xd), yw, xd * bd)
-    # the catalog and the base points 0 and catalog[i]/2 on one scale
-    catalog = boundary_catalog(coloring)
-    scale = 2 * lcm_denominator(catalog)
-    steps = [to_scaled(b, scale) for b in catalog]
+    # the base points 0 and steps[i]/2 are exact: every step is even
+    steps, scale = boundary_catalog(coloring)
     base_points = [(0,) * len(steps[0])] + [tuple(c // 2 for c in b) for b in steps[:6]]
     for x in base_points:
         cx = _color_scaled(coloring, x, scale)

@@ -1,8 +1,9 @@
 """Voronoi polytope data for each lattice family.
 
-Gauge (polytope-norm) evaluators as explicit functional lists, vertex sets,
-dual-lattice generators, and the hexagon vertex/edge pattern used by the
-planar pipeline.
+Gauge (polytope-norm) evaluators as explicit functional lists, one integer
+vertex builder per family (the cell vertices on scaled integers, which are
+also the Cayley generators (1/2)V_P at twice the scale), and the hexagon
+vertex/edge pattern used by the planar pipeline.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .geometry import (
     Lattice,
     PlanarLattice,
     ReducedPlanarBasis,
-    UnsupportedFamily,
     Vec,
     ZnLattice,
     basis_vec,
+    from_scaled,
     lcm_denominator,
     scaled_ints,
     to_scaled,
@@ -212,115 +213,73 @@ def gauge_planar(basis: ReducedPlanarBasis) -> GaugeNorm:
 
 
 # ---------------------------------------------------------------------------
-# Vertex sets
-
-
-def project_to_hyperplane(u: Vec) -> Vec:
-    """Orthogonal projection onto the zero-sum hyperplane of R^m."""
-    shift = u.sum() / u.dim
-    return Vec(a - shift for a in u)
-
-
-def vertices_an(n: int) -> list:
-    """The 2^(n+1) - 2 vertices of the A_n cell: projections of the
-    nonconstant 0/1 vectors."""
-    m = n + 1
-    out = []
-    for u in product((0, 1), repeat=m):
-        if any(u) and not all(u):
-            out.append(project_to_hyperplane(Vec(u)))
-    return sorted(out)
-
-
-def vertices_dn(n: int) -> list:
-    """The 2n type-1 plus 2^n type-2 vertices of the D_n cell."""
-    half = Fraction(1, 2)
-    out = [basis_vec(n, i) * s for i in range(n) for s in (1, -1)]
-    out += [Vec(signs) for signs in product((half, -half), repeat=n)]
-    return sorted(out)
-
-
-def vertices_cube(n: int) -> list:
-    return sorted(Vec(s) for s in product((1, -1), repeat=n))
-
-
-def dual_generators(lattice: Lattice) -> list:
-    """Generators of the dual lattice (A_n and D_n families only)."""
-    if isinstance(lattice, AnLattice):
-        m = lattice.ambient_dim
-        return [project_to_hyperplane(basis_vec(m, i)) for i in range(m)]
-    if isinstance(lattice, DnLattice):
-        n = lattice.n
-        gens = list(lattice.generators())
-        gens.append(Vec([Fraction(1, 2)] * n))
-        gens.append(basis_vec(n, n - 1))
-        return gens
-    raise UnsupportedFamily(f"dual generators not defined for {lattice.family}")
-
-
-# ---------------------------------------------------------------------------
 # Polytope data
+
+
+def an_vertices_scaled(n: int) -> list:
+    """The 2^(n+1) - 2 vertices of the A_n cell at scale n+1, sorted: the
+    projections (n+1)u - |u| of the nonconstant 0/1 vectors u.  At scale
+    2(n+1) the same tuples are the halved vertices (1/2)V_P."""
+    m = n + 1
+    return sorted(tuple(m * c - sum(u) for c in u) for u in product((0, 1), repeat=m) if 0 < sum(u) < m)
+
+
+def dn_vertices_scaled(n: int) -> list:
+    """The 2n type-1 vertices +-e_i and the 2^n type-2 vertices (+-1/2, ...)
+    of the D_n cell at scale 2, sorted; at scale 4 they are (1/2)V_P."""
+    out = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (2, -2)]
+    out += product((1, -1), repeat=n)
+    return sorted(out)
+
+
+def cube_vertices_scaled(n: int) -> list:
+    """The 2^n vertices (+-1, ..., +-1) of the cube at scale 1, sorted."""
+    return list(product((-1, 1), repeat=n))
 
 
 @dataclass(frozen=True)
 class PolytopeData:
-    """A lattice Voronoi cell: tiling lattice, gauge and vertices."""
+    """A lattice Voronoi cell: tiling lattice, gauge and vertices, the
+    vertices as integer tuples at ``scale``."""
 
     family: str
     lattice: Lattice
     gauge: GaugeNorm
+    scale: int
     vertices: tuple
 
     def vertex_extent(self) -> Fraction:
         """Max per-coordinate extent of the cell (attained at a vertex)."""
-        return max(v.max_abs() for v in self.vertices)
+        return Fraction(max(abs(c) for v in self.vertices for c in v), self.scale)
 
     def check_vertices_on_boundary(self) -> None:
-        """Check exactly that every vertex has gauge 1, on the vertices
-        scaled by their common denominator (see ``GaugeNorm.system_checker``)."""
-        scale = lcm_denominator(self.vertices)
-        on_boundary = self.gauge.system_checker(scale)
+        """Check exactly that every vertex has gauge 1 (see
+        ``GaugeNorm.system_checker``)."""
+        on_boundary = self.gauge.system_checker(self.scale)
         for v in self.vertices:
-            self.gauge._check_domain(v)
-            if not on_boundary(to_scaled(v, scale)):
-                raise AssertionError(f"vertex {v} is not on the boundary")
+            self.gauge._check_scaled_domain(v)
+            if not on_boundary(v):
+                raise CertificateError(f"vertex {from_scaled(v, self.scale)} is not on the boundary")
+
+
+def _polytope(family: str, lattice: Lattice, gauge: GaugeNorm, scale: int, vertices: list) -> PolytopeData:
+    data = PolytopeData(family, lattice, gauge, scale, tuple(vertices))
+    data.check_vertices_on_boundary()
+    return data
 
 
 def polytope_an(n: int) -> PolytopeData:
-    lat = AnLattice(n)
-    data = PolytopeData(
-        family="an",
-        lattice=lat,
-        gauge=gauge_an(n),
-        vertices=tuple(vertices_an(n)),
-    )
-    data.check_vertices_on_boundary()
-    return data
+    return _polytope("an", AnLattice(n), gauge_an(n), n + 1, an_vertices_scaled(n))
 
 
 def polytope_dn(n: int) -> PolytopeData:
-    lat = DnLattice(n)
-    data = PolytopeData(
-        family="dn",
-        lattice=lat,
-        gauge=gauge_dn(n),
-        vertices=tuple(vertices_dn(n)),
-    )
-    data.check_vertices_on_boundary()
-    return data
+    return _polytope("dn", DnLattice(n), gauge_dn(n), 2, dn_vertices_scaled(n))
 
 
 def polytope_cube(n: int) -> PolytopeData:
     # the cube is the Voronoi cell of 2Z^n; the coloring lattice (1/2)*2Z^n
     # is Z^n itself
-    data = PolytopeData(
-        family="cube",
-        lattice=ZnLattice(n),
-        gauge=gauge_sup(n),
-        vertices=tuple(vertices_cube(n)),
-    )
-    data.check_vertices_on_boundary()
-    return data
+    return _polytope("cube", ZnLattice(n), gauge_sup(n), 1, cube_vertices_scaled(n))
 
 
 # ---------------------------------------------------------------------------
@@ -375,23 +334,29 @@ class HexagonPattern:
         """The six interior points s[i] as integer tuples at ``scale()``."""
         return tuple(to_scaled(p, self.scale()) for p in self.s)
 
+    @cached_property
+    def cell(self) -> PolytopeData:
+        """The hexagonal cell, with the vertices v[i] at ``scale()``."""
+        scale = self.scale()
+        vertices = tuple(to_scaled(w, scale) for w in self.v)
+        return PolytopeData("hexagon", self.lattice, self.gauge, scale, vertices)
+
     def _validate(self) -> None:
         L = self.lattice
         for i in range(6):
             if self.face[i] != self.v[i] + self.v[(i + 1) % 6]:
-                raise AssertionError(f"face[{i}] != v[{i}] + v[{i+1}]")
+                raise CertificateError(f"face[{i}] != v[{i}] + v[{i+1}]")
             if self.s[i] != (self.v[(i - 1) % 6] + self.v[(i + 1) % 6]) / 2:
-                raise AssertionError(f"s[{i}] mislabeled")
+                raise CertificateError(f"s[{i}] mislabeled")
             if not L.contains(self.v[(i + 2) % 6] - self.v[i]):
-                raise AssertionError(f"v[{i+2}] - v[{i}] not in L")
-            if not self.gauge.is_unit(self.v[i]):
-                raise AssertionError(f"vertex {i} not on the boundary")
+                raise CertificateError(f"v[{i+2}] - v[{i}] not in L")
             if self.gauge.value_scaled(*scaled_ints(self.s[i])) >= 1:
-                raise AssertionError(f"s[{i}] not interior")
+                raise CertificateError(f"s[{i}] not interior")
+        self.cell.check_vertices_on_boundary()
         w0, w1 = self.class_b_offsets()
         half = PlanarLattice(self.basis.b0 / 2, self.basis.b1 / 2)
         if half.contains(w0) or half.contains(w1) or half.contains(w0 - w1):
-            raise AssertionError("class-B cosets not disjoint from (1/2)L")
+            raise CertificateError("class-B cosets not disjoint from (1/2)L")
 
 
 def _solve2(a: Vec, ca: Fraction, b: Vec, cb: Fraction) -> Vec:

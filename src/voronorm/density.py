@@ -18,9 +18,9 @@ from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Optional
 
-from .constructions import CertificateError, GaugeNorm, HexagonPattern
+from .constructions import CertificateError, GaugeNorm, HexagonPattern, an_vertices_scaled, dn_vertices_scaled
 from .geometry import an_half_dual_scale, from_scaled, planar_coset_in_box
-from .graphs import MAX_CAYLEY_VERTICES, GeometricGraph, _bits, an_generators_scaled, dn_generators_scaled
+from .graphs import MAX_CAYLEY_VERTICES, GeometricGraph, _bits
 
 
 class MarginViolation(ValueError):
@@ -170,7 +170,8 @@ def an_brute_neighborhood_counts(n: int) -> dict:
     form."""
     targets = [tuple([0] * (n + 1))]
     targets += [ChainClique(n, (w,)).points_scaled()[1] for w in range(1, n + 1)]
-    counts = _translate_mask_counts(targets, an_generators_scaled(n))
+    # G = (1/2)V_P: the cell vertices at scale n+1, read at scale 2(n+1)
+    counts = _translate_mask_counts(targets, an_vertices_scaled(n))
     out = {}
     for clique in enumerate_chain_cliques(n):
         mask = 1 | sum(1 << w for w in clique.weights)
@@ -267,7 +268,8 @@ def dn_expected_bound(n: int) -> Fraction:
 def dn_brute_neighborhood_counts(n: int) -> dict:
     """Brute-force |N[C]| for every subset of C_max containing 0, counted on
     the union of the translates c + (G u {0}) in (1/2)D_n^#."""
-    counts = _translate_mask_counts(dn_cmax_points_scaled(n), dn_generators_scaled(n))
+    # G = (1/2)V_P: the cell vertices at scale 2, read at scale 4
+    counts = _translate_mask_counts(dn_cmax_points_scaled(n), dn_vertices_scaled(n))
     out = {}
     for extra in _dn_subsets():
         mask = 1 | sum(1 << (i + 1) for i in extra)

@@ -26,10 +26,6 @@ class DimensionMismatch(ValueError):
     """Vector dimension does not match the lattice's ambient dimension."""
 
 
-class UnsupportedFamily(ValueError):
-    """Operation not defined for this lattice family."""
-
-
 class Vec(tuple):
     """Immutable vector with Fraction components.
 

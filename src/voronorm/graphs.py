@@ -19,7 +19,15 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
-from .constructions import GaugeNorm, HexagonPattern, polytope_an, polytope_cube, polytope_dn
+from .constructions import (
+    GaugeNorm,
+    HexagonPattern,
+    an_vertices_scaled,
+    dn_vertices_scaled,
+    polytope_an,
+    polytope_cube,
+    polytope_dn,
+)
 from .geometry import (
     Vec,
     an_half_dual_scale,
@@ -220,40 +228,14 @@ def build_cayley_graph(
 # Family-level constructions
 
 
-def an_generators_scaled(n: int) -> list:
-    """Scaled coordinates of (1/2)V_P for the A_n cell (scale 2(n+1))."""
-    from itertools import product as _product
-
-    out = []
-    m = n + 1
-    for u in _product((0, 1), repeat=m):
-        w = sum(u)
-        if 0 < w < m:
-            out.append(tuple(m * ui - w for ui in u))
-    return sorted(out)
-
-
-def dn_generators_scaled(n: int) -> list:
-    """Scaled coordinates of (1/2)V_P for the D_n cell (scale 4)."""
-    from itertools import product as _product
-
-    out = []
-    for i in range(n):
-        for s in (2, -2):
-            g = [0] * n
-            g[i] = s
-            out.append(tuple(g))
-    out.extend(_product((1, -1), repeat=n))
-    return sorted(out)
-
-
 def an_cayley_graph(n: int, radius) -> GeometricGraph:
     """Box-restricted Cayley graph on (1/2)A_n^#; raises ValueError above
     MAX_CAYLEY_VERTICES vertices."""
     radius = Fraction(radius)
     _check_size(count_an_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
     pts = enumerate_an_half_dual_scaled(n, radius)
-    return build_cayley_graph(an_half_dual_scale(n), pts, an_generators_scaled(n), radius)
+    # the cell vertices at scale n+1 are (1/2)V_P at the graph's scale 2(n+1)
+    return build_cayley_graph(an_half_dual_scale(n), pts, an_vertices_scaled(n), radius)
 
 
 def dn_cayley_graph(n: int, radius) -> GeometricGraph:
@@ -262,7 +244,8 @@ def dn_cayley_graph(n: int, radius) -> GeometricGraph:
     radius = Fraction(radius)
     _check_size(count_dn_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
     pts = enumerate_dn_half_dual_scaled(n, radius)
-    return build_cayley_graph(dn_half_dual_scale(n), pts, dn_generators_scaled(n), radius)
+    # the cell vertices at scale 2 are (1/2)V_P at the graph's scale 4
+    return build_cayley_graph(dn_half_dual_scale(n), pts, dn_vertices_scaled(n), radius)
 
 
 def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
@@ -359,7 +342,7 @@ def hex_unit_distance_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
     radius = Fraction(radius)
     _check_size(_hex_vertex_count(pattern, radius))
     pts, tags = _hex_vertices(pattern, radius)
-    ext = max(v.max_abs() for v in pattern.v)
+    ext = pattern.cell.vertex_extent()
     g = build_unit_distance_graph(pattern.scale(), pts, pattern.gauge, box_radius=radius, step_extent=ext)
     g.tags = [tags[p] for p in g.points]
     return g

@@ -1,11 +1,14 @@
 """Reference helpers shared by the tests: brute-force lattice boxes, the
-exact Fraction coset enumerator, and Vec views of the integer kernels."""
+exact Fraction coset enumerator, the Fraction cell vertices and boundary
+catalog, and Vec views of the integer kernels."""
 
 import math
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, permutations, product
 
-from voronorm.geometry import Vec, from_scaled, scaled_ints, to_scaled, zero_vec
+from voronorm.coloring import boundary_catalog
+from voronorm.constructions import gauge_an, gauge_dn, gauge_sup
+from voronorm.geometry import Vec, basis_vec, from_scaled, scaled_ints, to_scaled, zero_vec
 
 
 def coset_in_box(b0: Vec, b1: Vec, offset: Vec, radius: F) -> list:
@@ -40,3 +43,51 @@ def closest_points(lattice, x: Vec) -> list:
 def vertex(g, v: Vec) -> int:
     """Index of the point v among the vertices of g."""
     return g.index[to_scaled(v, g.scale)]
+
+
+def project_to_hyperplane(u: Vec) -> Vec:
+    """Orthogonal projection onto the zero-sum hyperplane of R^m."""
+    shift = u.sum() / u.dim
+    return Vec(a - shift for a in u)
+
+
+def vertices_an(n: int) -> list:
+    """The A_n cell vertices: projections of the nonconstant 0/1 vectors."""
+    cube = map(Vec, product((0, 1), repeat=n + 1))
+    return sorted(project_to_hyperplane(u) for u in cube if any(u) and not all(u))
+
+
+def vertices_dn(n: int) -> list:
+    """The D_n cell vertices: +-e_i and (+-1/2, ..., +-1/2)."""
+    half = F(1, 2)
+    out = [basis_vec(n, i) * s for i in range(n) for s in (1, -1)]
+    return sorted(out + [Vec(signs) for signs in product((half, -half), repeat=n)])
+
+
+def vertices_cube(n: int) -> list:
+    return sorted(Vec(s) for s in product((1, -1), repeat=n))
+
+
+def fraction_catalog(family: str, n: int = 0, pattern=None) -> list:
+    """The boundary catalog on Fractions: cell vertices, facet centers and
+    the gauge-1 midpoints between them, with each family's centers by hand."""
+    if family == "an":
+        verts, gauge = vertices_an(n), gauge_an(n)
+        centers = [(basis_vec(n + 1, i) - basis_vec(n + 1, j)) / 2 for i, j in permutations(range(n + 1), 2)]
+    elif family == "dn":
+        verts, gauge = vertices_dn(n), gauge_dn(n)
+        pairs = product(combinations(range(n), 2), product((1, -1), repeat=2))
+        centers = [(basis_vec(n, i) * si + basis_vec(n, j) * sj) / 2 for (i, j), (si, sj) in pairs]
+    elif family == "cube":
+        verts, gauge = vertices_cube(n), gauge_sup(n)
+        centers = [basis_vec(n, i) * s for i in range(n) for s in (1, -1)]
+    else:
+        verts, gauge, centers = list(pattern.v), pattern.gauge, [f / 2 for f in pattern.face]
+    mids = [(c + v) / 2 for c in centers for v in verts]
+    return sorted(set(verts + centers + [m for m in mids if gauge.is_unit(m)]))
+
+
+def catalog_points(coloring) -> list:
+    """The coloring's integer boundary catalog, read as Vecs."""
+    steps, scale = boundary_catalog(coloring)
+    return [from_scaled(b, scale) for b in steps]

@@ -450,3 +450,38 @@ def test_oversized_request_is_refused_before_allocating(tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dim, family, count",
+    [("9", "an", 91_980), ("12", "cube", 98_304), ("20", "an", 880_803_000)],
+)
+def test_oversized_coloring_catalog_exits_2(tmp_path, capsys, dim, family, count):
+    # |V|*|F| of the cell, counted in closed form before any vertex is
+    # built; the A_20 cell alone has 2^21 - 2 vertices
+    out = tmp_path / "out.json"
+    t0 = time.monotonic()
+    code = main(["color", family, "--dim", dim, "--samples", "1", "--seed", "1", "--out", str(out)])
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: coloring catalog of {count} vertex-facet pairs exceeds the limit of 65536\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["bound", "an", "--dim", "2"], "--out"), (["witness", "--basis", "3,0,1,3", "--k", "4"], "--edges-out")],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv, flag, target):
+    # an OSError from writing a report names the path in one line, with no
+    # traceback and no report on stdout
+    path = tmp_path / "missing" / "x.txt" if target == "missing-dir" else tmp_path
+    t0 = time.monotonic()
+    code = main(argv + [flag, str(path)])
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -24,9 +24,10 @@ from voronorm.coloring import (
     verify_chromatic_number,
     verify_coloring,
 )
-from voronorm.constructions import CertificateError, hexagon_pattern, project_to_hyperplane
+from voronorm.constructions import CertificateError, hexagon_pattern
 from voronorm.geometry import (
     AnLattice,
+    DegenerateCell,
     DnLattice,
     PlanarLattice,
     Vec,
@@ -37,7 +38,7 @@ from voronorm.geometry import (
     zero_vec,
 )
 from voronorm.graphs import GeometricGraph, _bits, hex_unit_distance_graph
-from oracles import box_points, closest_points
+from oracles import box_points, catalog_points, closest_points, fraction_catalog, project_to_hyperplane
 
 
 def _pattern():
@@ -93,10 +94,56 @@ def test_boundary_catalog_on_boundary():
         coset_coloring("cube", 3),
         coset_coloring("hexagon", pattern=_pattern()),
     ):
-        cat = boundary_catalog(coloring)
+        cat = catalog_points(coloring)
         assert len(cat) >= 10
         for b in cat:
             assert coloring.gauge.value(b) == 1
+
+
+@pytest.mark.parametrize(
+    "fam,n", [("an", 2), ("an", 3), ("an", 4), ("an", 5), ("dn", 4), ("dn", 5)] + [("cube", n) for n in range(1, 5)]
+)
+def test_integer_catalog_matches_fraction_oracle(fam, n):
+    steps, scale = boundary_catalog(coset_coloring(fam, n))
+    # every step is even, so the base points steps[i]/2 stay on the scale
+    assert all(c % 2 == 0 for b in steps for c in b)
+    assert [from_scaled(b, scale) for b in steps] == fraction_catalog(fam, n)
+
+
+def _hexagon_bases():
+    q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return st.tuples(q, q, q, q).filter(lambda b: b[0] * b[3] != b[1] * b[2])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(raw=_hexagon_bases())
+def test_integer_catalog_matches_fraction_oracle_hexagon(raw):
+    try:
+        pattern = hexagon_pattern(reduce_planar_basis(Vec(raw[:2]), Vec(raw[2:])))
+    except DegenerateCell:
+        return
+    steps, scale = boundary_catalog(coset_coloring("hexagon", pattern=pattern))
+    assert all(c % 2 == 0 for b in steps for c in b)
+    assert [from_scaled(b, scale) for b in steps] == fraction_catalog("hexagon", pattern=pattern)
+
+
+@pytest.mark.parametrize(
+    "fam,n,pairs", [("an", 9, 91_980), ("dn", 9, 76_320), ("cube", 12, 98_304), ("an", 20, 880_803_000)]
+)
+def test_coset_coloring_refuses_large_catalogs(fam, n, pairs, monkeypatch):
+    # refused on the closed-form count, before any vertex is built
+    monkeypatch.setattr(coloring_module, "_CELLS", {k: (None, c) for k, (_, c) in coloring_module._CELLS.items()})
+    with pytest.raises(ValueError, match=f"{pairs} vertex-facet pairs exceeds the limit of 65536"):
+        coset_coloring(fam, n)
+
+
+def test_catalog_limit_admits_the_largest_accepted_cells():
+    counts = {fam: count for fam, (_, count) in coloring_module._CELLS.items()}
+    assert (counts["an"](8), counts["dn"](8), counts["cube"](11)) == (36_720, 30_464, 45_056)
+    assert max(counts["an"](8), counts["dn"](8), counts["cube"](11)) <= coloring_module.MAX_CATALOG_PAIRS
+    for fam, n in (("an", 3), ("dn", 4), ("cube", 3)):
+        cell = coset_coloring(fam, n).cell
+        assert counts[fam](n) == len(cell.vertices) * len(cell.gauge.functionals)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +198,7 @@ def _verify_coloring_oracle(coloring, samples: int, seed: int) -> ColoringReport
         cx, cy = color(coloring, x), color(coloring, x + b)
         if cx == cy:
             violations.append(ColoringViolation(x, x + b, cx))
-    catalog = boundary_catalog(coloring)
+    catalog = catalog_points(coloring)
     base_points = [zero_vec(catalog[0].dim)]
     base_points += [b / 2 for b in catalog[:6]]
     cat_pairs = 0
@@ -291,7 +338,7 @@ def _points(coloring):
         lambda d: st.integers(-3 * d, 3 * d).map(lambda k: F(k, d))
     )
     halves = st.integers(-6, 6).map(lambda k: F(k, 2))
-    catalog = boundary_catalog(coloring)
+    catalog = catalog_points(coloring)
     ties = st.tuples(
         st.lists(st.integers(-3, 3), min_size=len(coloring.basis), max_size=len(coloring.basis)),
         st.sampled_from(catalog),

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voronorm.constructions import (
+    CertificateError,
     InputOffHyperplane,
-    dual_generators,
+    an_vertices_scaled,
+    cube_vertices_scaled,
+    dn_vertices_scaled,
     gauge_an,
     gauge_dn,
     gauge_planar,
@@ -16,15 +19,11 @@ from voronorm.constructions import (
     polytope_an,
     polytope_cube,
     polytope_dn,
-    project_to_hyperplane,
-    vertices_an,
-    vertices_dn,
 )
 from voronorm.geometry import (
     AnLattice,
     DnLattice,
     PlanarLattice,
-    UnsupportedFamily,
     Vec,
     ZnLattice,
     from_scaled,
@@ -32,7 +31,7 @@ from voronorm.geometry import (
     scaled_ints,
     zero_vec,
 )
-from oracles import box_points, closest_points
+from oracles import box_points, closest_points, project_to_hyperplane, vertices_an, vertices_cube, vertices_dn
 
 
 def test_gauge_an_values():
@@ -95,10 +94,16 @@ def test_hexagon_vertex_equidistant():
         assert len(ties) >= 3
 
 
+def _cell_vertices(polytope, n: int) -> list:
+    """The cell's integer vertices, read as Vecs."""
+    data = polytope(n)
+    return [from_scaled(v, data.scale) for v in data.vertices]
+
+
 def test_vertex_counts():
-    assert len(vertices_an(2)) == 6
-    assert len(vertices_an(3)) == 14
-    verts = vertices_dn(4)
+    assert len(_cell_vertices(polytope_an, 2)) == 6
+    assert len(_cell_vertices(polytope_an, 3)) == 14
+    verts = _cell_vertices(polytope_dn, 4)
     assert len(verts) == 24
     type1 = [v for v in verts if v.max_abs() == 1]
     assert len(type1) == 8 and len(verts) - len(type1) == 16
@@ -107,28 +112,39 @@ def test_vertex_counts():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_an_vertices_on_boundary(n):
     g = gauge_an(n)
-    for v in vertices_an(n):
+    for v in _cell_vertices(polytope_an, n):
         assert g.value(v) == 1
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_dn_vertices_on_boundary(n):
     g = gauge_dn(n)
-    for v in vertices_dn(n):
+    for v in _cell_vertices(polytope_dn, n):
         assert g.value(v) == 1
 
 
 def test_vertices_closed_under_symmetry():
     rnd = random.Random(0)
-    va = set(vertices_an(3))
+    va = set(_cell_vertices(polytope_an, 3))
     for _ in range(10):
         perm = list(range(4))
         rnd.shuffle(perm)
         assert {Vec(v[i] for i in perm) for v in va} == va
     assert {-v for v in va} == va
-    vd = set(vertices_dn(4))
+    vd = set(_cell_vertices(polytope_dn, 4))
     assert {Vec((v[1], v[0], v[2], v[3])) for v in vd} == vd
     assert {Vec((-v[0], -v[1], v[2], v[3])) for v in vd} == vd
+
+
+def test_integer_vertex_builders_match_fraction_oracles():
+    # one builder per family: the cell vertices at the cell's scale, which
+    # are also the Cayley generators (1/2)V_P at twice that scale
+    for n in range(2, 9):
+        assert [from_scaled(v, n + 1) for v in an_vertices_scaled(n)] == vertices_an(n)
+    for n in range(4, 10):
+        assert [from_scaled(v, 2) for v in dn_vertices_scaled(n)] == vertices_dn(n)
+    for n in range(1, 8):
+        assert [from_scaled(v, 1) for v in cube_vertices_scaled(n)] == vertices_cube(n)
 
 
 def test_closed_form_cross_check():
@@ -235,17 +251,20 @@ def test_polytope_data_builders():
         data.check_vertices_on_boundary()
         assert data.vertex_extent() <= 1
         # the integer check agrees with the Fraction gauge on every vertex
-        assert all(data.gauge.value(v) == 1 for v in data.vertices)
+        assert all(data.gauge.value(from_scaled(v, data.scale)) == 1 for v in data.vertices)
 
 
 @pytest.mark.parametrize("builder,n", [(polytope_an, 3), (polytope_dn, 4), (polytope_cube, 3)])
 @pytest.mark.parametrize("factor", [F(1, 2), F(3, 2)])
 def test_check_vertices_on_boundary_rejects_moved_vertex(builder, n, factor):
+    # the first vertex times factor, all vertices at the scale times its denominator
     data = builder(n)
-    moved = data.vertices[0] * factor
-    assert data.gauge.value(moved) == factor
-    bad = dataclasses.replace(data, vertices=(moved,) + data.vertices[1:])
-    with pytest.raises(AssertionError, match="not on the boundary"):
+    p, q = factor.numerator, factor.denominator
+    moved = tuple(c * p for c in data.vertices[0])
+    rest = tuple(tuple(c * q for c in v) for v in data.vertices[1:])
+    bad = dataclasses.replace(data, scale=data.scale * q, vertices=(moved,) + rest)
+    assert data.gauge.value(from_scaled(moved, bad.scale)) == factor
+    with pytest.raises(CertificateError, match="not on the boundary"):
         bad.check_vertices_on_boundary()
 
 
@@ -286,6 +305,24 @@ def test_hexagon_exactly_seven_interior_points(raw):
     assert inside == {zero_vec(2), *pat.s}
 
 
+@pytest.mark.parametrize("field", ["v", "s"])
+def test_hexagon_pattern_rejects_mislabeled_points(field):
+    # rotating the vertex or interior labels breaks face[i] = v[i] + v[i+1]
+    # or s[i] = (v[i-1] + v[i+1]) / 2, a certificate guard
+    pat = hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3])))
+    points = getattr(pat, field)
+    bad = dataclasses.replace(pat, **{field: points[1:] + points[:1]})
+    with pytest.raises(CertificateError):
+        bad._validate()
+
+
+def test_hexagon_pattern_cell():
+    pat = hexagon_pattern(reduce_planar_basis(Vec([F(3, 2), 0]), Vec([F(1, 2), F(3, 2)])))
+    assert pat.cell.scale == pat.scale()
+    assert [from_scaled(v, pat.cell.scale) for v in pat.cell.vertices] == list(pat.v)
+    assert pat.cell.vertex_extent() == max(v.max_abs() for v in pat.v)
+
+
 def test_hexagon_b_cosets_decomposition():
     b = reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))
     pat = hexagon_pattern(b)
@@ -297,63 +334,3 @@ def test_hexagon_b_cosets_decomposition():
     # all six s_i fall into the two class-B cosets
     for s in pat.s:
         assert half.contains(s - v0) or half.contains(s - v1)
-
-
-# ---------------------------------------------------------------------------
-# dual generators
-
-
-def test_dual_generators_an_span_and_pairing():
-    lat = AnLattice(2)
-    gens = dual_generators(lat)
-    pts = box_points(lat, 2)
-    assert len(pts) >= 19
-    for g in gens:
-        for y in pts:
-            assert g.dot(y).denominator == 1
-    # the vertices of the cell lie in the integer span of the dual generators
-    from itertools import product
-
-    span = set()
-    for c in product(range(-3, 4), repeat=3):
-        v = zero_vec(3)
-        for ci, gi in zip(c, gens):
-            v = v + gi * ci
-        span.add(v)
-    for v in vertices_an(2):
-        assert v in span
-
-
-def test_dual_generators_dn_cosets():
-    lat = DnLattice(4)
-    gens = dual_generators(lat)
-    for g in gens:
-        for y in box_points(lat, 2):
-            assert g.dot(y).denominator == 1
-    # the four cosets of D4^# / D4 are hit by integer combinations
-    from itertools import product
-
-    reps = {(0, 0, 0, 0): False, (1, 1, 1, 1): False, (1, 1, 1, -1): False, (0, 0, 0, 2): False}
-
-    def coset_key(v):
-        # scale by 2: coset determined by parity pattern class
-        w = tuple(int(c * 2) for c in v)
-        if all(c % 2 == 0 for c in w):
-            return (0, 0, 0, 0) if sum(c // 2 for c in w) % 2 == 0 else (0, 0, 0, 2)
-        # half-integer vectors: split by the sign pattern invariant sum/2 mod 2
-        return (1, 1, 1, 1) if sum(c for c in w) % 4 == 0 else (1, 1, 1, -1)
-
-    for c in product(range(-2, 3), repeat=len(gens)):
-        v = zero_vec(4)
-        for ci, gi in zip(c, gens):
-            v = v + gi * ci
-        if all((x * 2).denominator == 1 for x in v):
-            key = coset_key(v)
-            if key in reps:
-                reps[key] = True
-    assert all(reps.values())
-
-
-def test_dual_generators_unsupported():
-    with pytest.raises(UnsupportedFamily):
-        dual_generators(ZnLattice(2))

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from voronorm.constructions import gauge_an, hexagon_pattern
+from voronorm.constructions import an_vertices_scaled, dn_vertices_scaled, gauge_an, hexagon_pattern
 from voronorm.density import (
     ChainClique,
     CrossCheckMismatch,
@@ -32,7 +32,7 @@ from voronorm.geometry import (
     reduce_planar_basis,
     zero_vec,
 )
-from voronorm.graphs import an_cayley_graph, an_generators_scaled, dn_generators_scaled, hex_pattern_graph
+from voronorm.graphs import an_cayley_graph, hex_pattern_graph
 from voronorm.independence import max_independent_set
 from oracles import vertex
 
@@ -90,7 +90,7 @@ def test_enumerate_chain_cliques_counts():
 
 
 def test_chain_cliques_are_cliques_in_cayley_graph():
-    gens = set(an_generators_scaled(3))
+    gens = set(an_vertices_scaled(3))
     for clique in enumerate_chain_cliques(3):
         pts = clique.points_scaled()
         for a, b in combinations(pts, 2):
@@ -124,7 +124,7 @@ def _union_count(points, gens):
 @pytest.mark.parametrize("n", [2, 3])
 def test_brute_force_matches_union_materialization(n):
     # second independent oracle: materialize C + (S u {0}) and count
-    gens = set(an_generators_scaled(n))
+    gens = set(an_vertices_scaled(n))
     brute = an_brute_neighborhood_counts(n)
     for clique in enumerate_chain_cliques(n):
         assert brute[clique.weights] == _union_count(clique.points_scaled(), gens)
@@ -146,7 +146,7 @@ def test_density_invariant_under_coordinate_permutation():
     # same neighborhood size (union-materialization oracle)
     rnd = random.Random(9)
     n = 3
-    gens = set(an_generators_scaled(n))
+    gens = set(an_vertices_scaled(n))
     for clique in enumerate_chain_cliques(n):
         base = _union_count(clique.points_scaled(), gens)
         for _ in range(5):
@@ -218,7 +218,7 @@ def _reach(targets, gens):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_an_brute_counts_match_box_scan(n):
-    gens = an_generators_scaled(n)
+    gens = an_vertices_scaled(n)
     targets = [tuple([0] * (n + 1))]
     targets += [ChainClique(n, (w,)).points_scaled()[1] for w in range(1, n + 1)]
     box = enumerate_an_half_dual_scaled(n, F(_reach(targets, gens), an_half_dual_scale(n)))
@@ -228,7 +228,7 @@ def test_an_brute_counts_match_box_scan(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_dn_brute_counts_match_box_scan(n):
-    gens = dn_generators_scaled(n)
+    gens = dn_vertices_scaled(n)
     targets = dn_cmax_points_scaled(n)
     box = enumerate_dn_half_dual_scaled(n, F(_reach(targets, gens), dn_half_dual_scale(n)))
     brute = dn_brute_neighborhood_counts(n)
@@ -250,7 +250,7 @@ def test_dn_brute_counts_n4():
 
 def test_dn_brute_matches_union_materialization():
     for n in (4, 5):
-        gens = set(dn_generators_scaled(n))
+        gens = set(dn_vertices_scaled(n))
         brute = dn_brute_neighborhood_counts(n)
         targets = dn_cmax_points_scaled(n)
         for extra in brute:
@@ -273,7 +273,7 @@ def test_verify_dn_bound_headline_and_mismatch():
 
 
 def test_dn_cmax_is_clique():
-    gens = set(dn_generators_scaled(4))
+    gens = set(dn_vertices_scaled(4))
     pts = dn_cmax_points_scaled(4)
     for a, b in combinations(pts, 2):
         assert tuple(x - y for x, y in zip(a, b)) in gens

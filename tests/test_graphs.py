@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voronorm.coloring import WitnessResult
-from voronorm.constructions import gauge_an, gauge_dn, gauge_sup, hexagon_pattern
+from voronorm.constructions import (
+    an_vertices_scaled,
+    dn_vertices_scaled,
+    gauge_an,
+    gauge_dn,
+    gauge_sup,
+    hexagon_pattern,
+)
 from voronorm.geometry import (
     Vec,
     enumerate_an_half_dual_scaled,
@@ -20,13 +27,11 @@ from voronorm.geometry import (
 from voronorm.graphs import (
     _unit_edges,
     an_cayley_graph,
-    an_generators_scaled,
     an_unit_distance_graph,
     build_unit_distance_graph,
     check_property_d,
     cube_graph,
     dn_cayley_graph,
-    dn_generators_scaled,
     dn_unit_distance_graph,
     graph_distance_2_pairs,
     hex_pattern_graph,
@@ -139,7 +144,7 @@ def test_dn_cayley_interior_degree():
 
 
 def test_generator_sets_symmetric():
-    for gens in (an_generators_scaled(3), dn_generators_scaled(4)):
+    for gens in (an_vertices_scaled(3), dn_vertices_scaled(4)):
         s = set(gens)
         assert all(tuple(-c for c in g) in s for g in s)
 
@@ -188,7 +193,7 @@ def _naive_cayley_adj(points, gens):
 def test_cayley_build_matches_naive_pair_scan(build, enumerate_scaled, n):
     g = build(n, F(3, 2))
     assert g.points == sorted(set(enumerate_scaled(n, F(3, 2))))
-    gens = an_generators_scaled(n) if build is an_cayley_graph else dn_generators_scaled(n)
+    gens = an_vertices_scaled(n) if build is an_cayley_graph else dn_vertices_scaled(n)
     assert g.adj == _naive_cayley_adj(g.points, gens)
     for i in range(g.n):
         assert all(g.adj[j] >> i & 1 for j in g.neighbors(i))
@@ -197,7 +202,7 @@ def test_cayley_build_matches_naive_pair_scan(build, enumerate_scaled, n):
 def test_cayley_edges_translation_invariant():
     g = an_cayley_graph(2, F(3, 2))
     rnd = random.Random(2)
-    gens = an_generators_scaled(2)
+    gens = an_vertices_scaled(2)
     interior = g.interior_indices(2)
     for _ in range(40):
         i = rnd.choice(interior)
@@ -217,7 +222,7 @@ def test_cayley_edges_translation_invariant():
 
 def test_margin_soundness_cayley():
     g = dn_cayley_graph(4, F(3, 2))
-    gens = dn_generators_scaled(4)
+    gens = dn_vertices_scaled(4)
     for i in g.interior_indices(1)[:40]:
         for t in gens:
             assert g.index.get(tuple(a + b for a, b in zip(g.points[i], t))) is not None

@@ -1,5 +1,6 @@
 """Package-wide properties: the command loads no numpy, and no module
-guards anything with an ``assert`` (``python -O`` strips them)."""
+guards anything with an ``assert`` (``python -O`` strips them) or an
+``AssertionError``."""
 
 import ast
 import os
@@ -20,11 +21,24 @@ def test_cli_import_does_not_load_numpy():
     assert out.stdout.strip() == "[]"
 
 
+def _assertions(tree):
+    """The assert statements and the raises of AssertionError in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield node
+
+
 def test_no_assert_statements_in_the_package():
+    # a guard must raise a real exception (CertificateError for a
+    # certificate), neither an assert nor a hand-raised AssertionError
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += [f"{path.name}:{node.lineno}" for node in _assertions(tree)]
     assert found == []
 
 
