@@ -56,10 +56,11 @@ class CosetColoring:
     """The 2^n-coloring by cosets of (1/2)Lambda / Lambda.
 
     ``cell`` is the Voronoi cell of the tiling lattice Lambda, the unit ball
-    of ``gauge``; ``basis`` spans Lambda and provides the coset coordinates.
+    of ``gauge``; ``basis`` spans Lambda, as integer columns at the
+    decoder's scale ``lattice.scale``, and provides the coset coordinates.
     For the cube, Lambda = 2Z^n and ``lattice`` is Z^n.  ``inverse`` and
-    ``den`` map a point of Lambda, as integers at the decoder's scale
-    ``lattice.scale``, to den times its basis coordinates."""
+    ``den`` map a point of Lambda, as integers at that scale, to den times
+    its basis coordinates."""
 
     cell: PolytopeData
     basis: tuple = field(init=False)
@@ -68,9 +69,8 @@ class CosetColoring:
 
     def __post_init__(self):
         k = 2 if self.family == "cube" else 1
-        object.__setattr__(self, "basis", tuple(g * k for g in self.lattice.generators()))
-        cols = [to_scaled(b, self.lattice.scale) for b in self.basis]
-        inverse, den = _integer_left_inverse(cols)
+        object.__setattr__(self, "basis", tuple(tuple(k * c for c in b) for b in self.lattice.int_basis))
+        inverse, den = _integer_left_inverse(self.basis)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "den", den)
 
@@ -142,8 +142,7 @@ def nearest_half_cell_center(coloring: CosetColoring, x: Vec) -> Vec:
 
 def coset_index(coloring: CosetColoring, lam: Vec) -> int:
     """Index of the coset of (1/2)Lambda / Lambda containing lam."""
-    scale = coloring.lattice.scale
-    cols = [to_scaled(b, scale) for b in coloring.basis]
+    scale, cols = coloring.lattice.scale, coloring.basis
     if len(lam) != len(cols[0]):
         raise DimensionMismatch(f"expected dim {len(cols[0])}, got {len(lam)}")
     w, d = scaled_ints(lam)
@@ -404,7 +403,11 @@ def chromatic_witness_search(
     node_budget: int = 2_000_000,
 ) -> WitnessResult:
     """Search for an induced subgraph with chromatic number exactly k by
-    growing gauge-radius balls around the origin, then greedily shrinking.
+    growing gauge-radius balls around the origin to the first with chromatic
+    number >= k, then greedily dropping every vertex whose removal keeps it
+    >= k.  A removal lowers the chromatic number by at most 1, so when every
+    check finishes within budget each kept vertex is critical and the result
+    has chromatic number exactly k; ``verified`` re-checks that.
 
     Returns found=False when no ball within the graph's box reaches k."""
     if k == 1:
@@ -426,8 +429,6 @@ def chromatic_witness_search(
             return WitnessResult(False, k)
         if chi < k:
             continue
-        if chi > k:
-            return WitnessResult(False, k)
         witness = list(ball)
         for v in sorted(witness, reverse=True):
             trial = [u for u in witness if u != v]
@@ -437,7 +438,7 @@ def chromatic_witness_search(
                 chi2, _ = chromatic_number(g, trial, node_budget)
             except TimeoutError:
                 continue
-            if chi2 == k:
+            if chi2 >= k:
                 witness = trial
         verified = verify_chromatic_number(g, witness, k)
         return WitnessResult(True, k, witness, len(witness), verified)

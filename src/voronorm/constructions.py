@@ -8,7 +8,6 @@ vertex/edge pattern used by the planar pipeline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -77,10 +76,6 @@ class GaugeNorm:
     require_zero_sum: bool = False
     kind: str = "generic"
 
-    def _check_domain(self, x: Vec) -> None:
-        if self.require_zero_sum and x.sum() != 0:
-            raise InputOffHyperplane(f"sum {x.sum()} != 0")
-
     def _check_scaled_domain(self, y) -> None:
         if self.require_zero_sum and sum(y) != 0:
             raise InputOffHyperplane(f"sum {sum(y)} != 0")
@@ -92,22 +87,20 @@ class GaugeNorm:
 
     @cached_property
     def _rows(self) -> tuple:
-        """One (r, p, q) per functional (a, c): r = a*k on integers, k the
-        common denominator of a, and c*k = p/q; so a.(y/s)/c = r.y*q/(p*s)."""
-        out = []
+        """(A, T): integer rows A_i and levels T_i > 0 with value(y/s) =
+        max_i A_i.y / (T_i*s) for integer tuples y.  Functional (a, c) gives
+        A_i = L*a/c and T_i = L, L the common denominator of a/c."""
+        rows, levels = [], []
         for a, c in self.functionals:
-            k = lcm_denominator([a])
-            ck = c * k
-            out.append((tuple(int(ai * k) for ai in a), ck.numerator, ck.denominator))
-        return tuple(out)
+            u = a / c
+            level = lcm_denominator([u])
+            rows.append(tuple(int(x * level) for x in u))
+            levels.append(level)
+        return tuple(rows), tuple(levels)
 
     def value(self, x: Vec) -> Fraction:
-        self._check_domain(x)
+        self._check_scaled_domain(x)
         return max(a.dot(x) / c for a, c in self.functionals)
-
-    def is_unit(self, x: Vec) -> bool:
-        """value(x) == 1, decided by ``is_unit_scaled`` on x scaled to integers."""
-        return self.is_unit_scaled(*scaled_ints(x))
 
     def is_unit_scaled(self, y, scale: int) -> bool:
         """value(y/scale) == 1 for the integer tuple y, by ``unit_checker``."""
@@ -129,8 +122,8 @@ class GaugeNorm:
         max over the rows is taken by cross-multiplication."""
         self._check_scaled_domain(y)
         best = None
-        for r, p, q in self._rows:
-            num, den = sum(map(mul, r, y)) * q, p * scale
+        for a, t in zip(*self._rows):
+            num, den = sum(map(mul, a, y)), t * scale
             if best is None or num * best[1] > best[0] * den:
                 best = num, den
         return Fraction(*best)
@@ -138,40 +131,31 @@ class GaugeNorm:
     def integer_system(self, scale: int) -> tuple:
         """Rows (A, T) of integers such that value(y/scale) <= 1 iff
         A@y <= T componentwise, with equality attained iff value == 1."""
-        rows = []
-        thresholds = []
-        for r, p, q in self._rows:
-            m = q // math.gcd(q, p * scale)
-            rows.append(tuple(ri * m for ri in r))
-            thresholds.append(p * scale * m // q)
-        return rows, thresholds
+        rows, levels = self._rows
+        return rows, [t * scale for t in levels]
 
     def unit_checker(self, scale: int) -> Callable:
         """Predicate: is the scaled-integer displacement at gauge exactly 1.
 
         max_j x_j - min_i x_i equals the pairwise-difference max, and
         max_{i<j}(|x_i|+|x_j|) equals the sum of the two largest absolute
-        values, so the closed forms agree with the functional lists.
+        values, so the closed forms agree with the functional lists.  Other
+        gauges are decided on ``integer_system``: no row above its level,
+        at least one on it.
         """
         form = self._integer_form()
-        if form is None:
-            return self.system_checker(scale)
-        return lambda d: form(d) == scale
-
-    def system_checker(self, scale: int) -> Callable:
-        """Predicate on scaled integers y: value(y/scale) == 1, decided on
-        the integer rows as r.y*q <= p*scale with at least one equality."""
-        rows = [(r, q, p * scale) for r, p, q in self._rows]
+        if form is not None:
+            return lambda d: form(d) == scale
+        rows, levels = self.integer_system(scale)
 
         def check(d):
-            any_eq = False
-            for r, q, t in rows:
-                v = sum(map(mul, r, d)) * q
+            on = False
+            for a, t in zip(rows, levels):
+                v = sum(map(mul, a, d))
                 if v > t:
                     return False
-                if v == t:
-                    any_eq = True
-            return any_eq
+                on = on or v == t
+            return on
 
         return check
 
@@ -253,12 +237,9 @@ class PolytopeData:
         return Fraction(max(abs(c) for v in self.vertices for c in v), self.scale)
 
     def check_vertices_on_boundary(self) -> None:
-        """Check exactly that every vertex has gauge 1 (see
-        ``GaugeNorm.system_checker``)."""
-        on_boundary = self.gauge.system_checker(self.scale)
+        """Check exactly that every vertex has gauge 1."""
         for v in self.vertices:
-            self.gauge._check_scaled_domain(v)
-            if not on_boundary(v):
+            if self.gauge.value_scaled(v, self.scale) != 1:
                 raise CertificateError(f"vertex {from_scaled(v, self.scale)} is not on the boundary")
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .constructions import CertificateError, GaugeNorm, HexagonPattern, an_vertices_scaled, dn_vertices_scaled
 from .geometry import an_half_dual_scale, from_scaled, planar_coset_in_box
-from .graphs import MAX_CAYLEY_VERTICES, GeometricGraph, _bits
+from .graphs import MAX_CAYLEY_VERTICES, GeometricGraph, _bits, hex_pattern_graph, hex_step_extent
 
 
 class MarginViolation(ValueError):
@@ -183,17 +183,15 @@ def an_expected_bound(n: int) -> Fraction:
     return Fraction(1, 2**n)
 
 
-def verify_an_bound(n: int, cross_check: Optional[bool] = None) -> DensityCertificate:
+def verify_an_bound(n: int) -> DensityCertificate:
     """Certificate for the A_n local density bound 1/2^n.
 
-    Every chain clique's |N[C]| comes from the closed form; for moderate n
-    the brute-force translate count must reproduce each count exactly,
+    Every chain clique's |N[C]| comes from the closed form; for n <= 6 the
+    brute-force translate count must reproduce each count exactly,
     otherwise CrossCheckMismatch is raised.  BoundViolated fires if any
     density exceeds the expected bound.
     """
-    if cross_check is None:
-        cross_check = n <= 6
-    brute = an_brute_neighborhood_counts(n) if cross_check else None
+    brute = an_brute_neighborhood_counts(n) if n <= 6 else None
     expected = an_expected_bound(n)
     entries = []
     for clique in enumerate_chain_cliques(n):
@@ -210,7 +208,7 @@ def verify_an_bound(n: int, cross_check: Optional[bool] = None) -> DensityCertif
     maximizers = [e.label for e in entries if e.density == max_density]
     # the wording is part of the report bytes, so it stays although the
     # brute force now counts translates instead of scanning a box
-    notes = ["cross-checked against box-scan brute force"] if cross_check else []
+    notes = ["cross-checked against box-scan brute force"] if brute is not None else []
     return DensityCertificate(
         family="an",
         dim=n,
@@ -517,7 +515,7 @@ def _connected_avoiding_subsets(g: GeometricGraph, gauge: GaugeNorm, base: int, 
     return sorted(set(results))
 
 
-def verify_hexagon_bound(pattern: HexagonPattern, radius: Optional[Fraction] = None) -> DensityCertificate:
+def verify_hexagon_bound(pattern: HexagonPattern) -> DensityCertificate:
     """Certificate for the hexagon bound (2/3) * (3/8) = 1/4.
 
     Builds the pattern graph, exhaustively enumerates connected avoiding
@@ -526,12 +524,8 @@ def verify_hexagon_bound(pattern: HexagonPattern, radius: Optional[Fraction] = N
     UnknownComponentType on escape, including any avoiding size-4 subset),
     and records each type's class-B local density.
     """
-    from .graphs import hex_pattern_graph, hex_step_extent
-
     # interior(5) representatives are needed: radius 7 * step extent is enough
-    step = hex_step_extent(pattern)
-    radius = Fraction(radius) if radius is not None else 7 * step
-    g = hex_pattern_graph(pattern, radius)
+    g = hex_pattern_graph(pattern, 7 * hex_step_extent(pattern))
     gauge = pattern.gauge
 
     # class representatives within the 5-step margin: the origin, and per

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence, Union
 
@@ -80,9 +81,6 @@ class Vec(tuple):
 
     def sum(self) -> Fraction:
         return sum(self, Fraction(0))
-
-    def max_abs(self) -> Fraction:
-        return max(abs(a) for a in self)
 
     def __repr__(self):
         return "Vec(" + ", ".join(str(a) for a in self) + ")"
@@ -211,18 +209,22 @@ def _closest_integer_points(w: Sequence[int], d: int, sum_zero: bool = False, ev
 
 
 @dataclass(frozen=True)
-class ZnLattice:
+class _IntegerLattice:
+    """Base of Z^n, A_n and D_n: integer points (``scale`` 1) spanned by the
+    cached ``int_basis``.  A subclass gives the basis, its membership rule
+    ``_admits`` on the coordinate sum and the decoder ``closest_scaled``."""
+
     n: int
-    family = "zn"
-    scale = 1  # points are integer tuples
+    min_n = 1
+    scale = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n >= 1 required")
+        if self.n < self.min_n:
+            raise ValueError(f"n >= {self.min_n} required")
 
     @property
     def ambient_dim(self) -> int:
-        return self.n
+        return len(self.int_basis[0])
 
     def _check_dim(self, v: Sequence) -> None:
         if len(v) != self.ambient_dim:
@@ -230,10 +232,25 @@ class ZnLattice:
 
     def contains(self, v: Vec) -> bool:
         self._check_dim(v)
-        return all(a.denominator == 1 for a in v)
+        return all(a.denominator == 1 for a in v) and self._admits(sum(v))
 
-    def generators(self) -> list:
-        return [basis_vec(self.n, i) for i in range(self.n)]
+
+def _differences(m: int, count: int) -> list:
+    """The integer tuples e_i - e_{i+1} of length m, for i < count."""
+    return [tuple(1 if j == i else (-1 if j == i + 1 else 0) for j in range(m)) for i in range(count)]
+
+
+class ZnLattice(_IntegerLattice):
+    """Z^n: all integer vectors."""
+
+    family = "zn"
+
+    def _admits(self, s) -> bool:
+        return True
+
+    @cached_property
+    def int_basis(self) -> tuple:
+        return tuple(tuple(int(j == i) for j in range(self.n)) for i in range(self.n))
 
     def closest_scaled(self, w: Sequence[int], d: int) -> list:
         """All lattice points closest to w/d, as integer tuples at ``scale``."""
@@ -245,36 +262,18 @@ class ZnLattice:
         return list(product(*per_coord))
 
 
-@dataclass(frozen=True)
-class AnLattice:
+class AnLattice(_IntegerLattice):
     """A_n: integer vectors of R^{n+1} with zero coordinate sum."""
 
-    n: int
     family = "an"
-    scale = 1
+    min_n = 2
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n >= 2 required")
+    def _admits(self, s) -> bool:
+        return s == 0
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.n + 1
-
-    def _check_dim(self, v: Sequence) -> None:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch(f"expected dim {self.ambient_dim}, got {len(v)}")
-
-    def contains(self, v: Vec) -> bool:
-        self._check_dim(v)
-        return all(a.denominator == 1 for a in v) and v.sum() == 0
-
-    def generators(self) -> list:
-        m = self.ambient_dim
-        return [
-            Vec([1 if j == i else (-1 if j == i + 1 else 0) for j in range(m)])
-            for i in range(self.n)
-        ]
+    @cached_property
+    def int_basis(self) -> tuple:
+        return tuple(_differences(self.n + 1, self.n))
 
     def closest_scaled(self, w: Sequence[int], d: int) -> list:
         """All lattice points closest to w/d, as integer tuples at ``scale``."""
@@ -284,40 +283,18 @@ class AnLattice:
         return _closest_integer_points(w, d, sum_zero=True)
 
 
-@dataclass(frozen=True)
-class DnLattice:
+class DnLattice(_IntegerLattice):
     """D_n: integer vectors with even coordinate sum."""
 
-    n: int
     family = "dn"
-    scale = 1
+    min_n = 3
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("n >= 3 required")
+    def _admits(self, s) -> bool:
+        return s % 2 == 0
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.n
-
-    def _check_dim(self, v: Sequence) -> None:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch(f"expected dim {self.ambient_dim}, got {len(v)}")
-
-    def contains(self, v: Vec) -> bool:
-        self._check_dim(v)
-        if not all(a.denominator == 1 for a in v):
-            return False
-        return v.sum() % 2 == 0
-
-    def generators(self) -> list:
-        n = self.n
-        gens = [Vec([1, 1] + [0] * (n - 2))]
-        for i in range(n - 1):
-            gens.append(
-                Vec([1 if j == i else (-1 if j == i + 1 else 0) for j in range(n)])
-            )
-        return gens
+    @cached_property
+    def int_basis(self) -> tuple:
+        return tuple([(1, 1) + (0,) * (self.n - 2)] + _differences(self.n, self.n - 1))
 
     def closest_scaled(self, w: Sequence[int], d: int) -> list:
         """All lattice points closest to w/d, as integer tuples at ``scale``."""
@@ -403,9 +380,6 @@ class PlanarLattice:
             raise DimensionMismatch("expected dim 2")
         c0, c1 = self.coefficients(v)
         return c0.denominator == 1 and c1.denominator == 1
-
-    def generators(self) -> list:
-        return [self.b0, self.b1]
 
     def closest_scaled(self, w: Sequence[int], d: int) -> list:
         """All lattice points closest to w/d, as integer tuples at ``scale``.

@@ -15,13 +15,14 @@ def coset_in_box(b0: Vec, b1: Vec, offset: Vec, radius: F) -> list:
     """The points offset + c0*b0 + c1*b1 with both coordinates in
     [-radius, radius], on exact Fractions, over the Cramer coefficient box."""
     det = b0[0] * b1[1] - b0[1] * b1[0]
-    r0 = (radius + offset.max_abs()) * (abs(b1[0]) + abs(b1[1])) / abs(det)
-    r1 = (radius + offset.max_abs()) * (abs(b0[0]) + abs(b0[1])) / abs(det)
+    reach = radius + max(map(abs, offset))
+    r0 = reach * (abs(b1[0]) + abs(b1[1])) / abs(det)
+    r1 = reach * (abs(b0[0]) + abs(b0[1])) / abs(det)
     out = []
     for c0 in range(-math.floor(r0), math.floor(r0) + 1):
         for c1 in range(-math.floor(r1), math.floor(r1) + 1):
             p = offset + b0 * c0 + b1 * c1
-            if p.max_abs() <= radius:
+            if max(map(abs, p)) <= radius:
                 out.append(p)
     return out
 
@@ -84,7 +85,7 @@ def fraction_catalog(family: str, n: int = 0, pattern=None) -> list:
     else:
         verts, gauge, centers = list(pattern.v), pattern.gauge, [f / 2 for f in pattern.face]
     mids = [(c + v) / 2 for c in centers for v in verts]
-    return sorted(set(verts + centers + [m for m in mids if gauge.is_unit(m)]))
+    return sorted(set(verts + centers + [m for m in mids if gauge.value(m) == 1]))
 
 
 def catalog_points(coloring) -> list:

@@ -421,6 +421,17 @@ def test_witness_default_radius_scales_with_the_basis(tmp_path):
     assert doc["vertex_count"] == 9
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_witness_below_the_first_ball_is_found(tmp_path, k):
+    # the first ball (gauge radius 1) has chromatic number 4; shrinking it
+    # while the chromatic number stays >= k ends at an edge or a triangle
+    code, data = run_cli(["witness", "--basis", "3,0,1,3", "--k", str(k)], tmp_path)
+    assert code == 0
+    doc = json.loads(data)
+    assert doc["found"] is True and doc["verified_independently"] is True
+    assert doc["vertex_count"] == k
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -34,6 +34,7 @@ from voronorm.geometry import (
     ZnLattice,
     from_scaled,
     reduce_planar_basis,
+    scaled_ints,
     to_scaled,
     zero_vec,
 )
@@ -43,6 +44,11 @@ from oracles import box_points, catalog_points, closest_points, fraction_catalog
 
 def _pattern():
     return hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3])))
+
+
+def _basis_vecs(coloring) -> list:
+    """The coloring's integer basis of Lambda, read as Vecs."""
+    return [from_scaled(b, coloring.lattice.scale) for b in coloring.basis]
 
 
 def test_color_zero_coset():
@@ -60,7 +66,7 @@ def test_color_lattice_periodic():
         (coset_coloring("hexagon", pattern=_pattern()), Vec([F(1, 3), F(2, 5)])),
     ]
     for coloring, x in cases:
-        for g in coloring.basis:
+        for g in _basis_vecs(coloring):
             assert color(coloring, x) == color(coloring, x + g)
             assert color(coloring, x) == color(coloring, x - g * 3)
 
@@ -193,7 +199,7 @@ def _verify_coloring_oracle(coloring, samples: int, seed: int) -> ColoringReport
     for _ in range(samples):
         x = _random_point(coloring, rng)
         b = _random_boundary_vector(coloring, rng)
-        if not coloring.gauge.is_unit(b):
+        if not coloring.gauge.is_unit_scaled(*scaled_ints(b)):
             raise CertificateError(f"sampled step {b} is not at gauge distance 1")
         cx, cy = color(coloring, x), color(coloring, x + b)
         if cx == cy:
@@ -304,7 +310,7 @@ def _oracle_center(coloring, x: Vec) -> Vec:
 
 
 def _oracle_index(coloring, lam: Vec) -> int:
-    coords = _coords_in_basis(coloring.basis, lam * 2)
+    coords = _coords_in_basis(_basis_vecs(coloring), lam * 2)
     assert all(c.denominator == 1 for c in coords)
     return sum((c.numerator % 2) << i for i, c in enumerate(coords))
 
@@ -333,18 +339,19 @@ def _points(coloring):
     """Generic rationals, half-integer points, and points of (1/2)Lambda plus
     a half or whole boundary vector of the catalog (the half steps land on
     half-cell boundaries, where the closest-point tie sets are largest)."""
-    m = len(coloring.basis[0])
+    basis = _basis_vecs(coloring)
+    m = len(basis[0])
     small = st.sampled_from([1, 2, 3, 4, 6, 8]).flatmap(
         lambda d: st.integers(-3 * d, 3 * d).map(lambda k: F(k, d))
     )
     halves = st.integers(-6, 6).map(lambda k: F(k, 2))
     catalog = catalog_points(coloring)
     ties = st.tuples(
-        st.lists(st.integers(-3, 3), min_size=len(coloring.basis), max_size=len(coloring.basis)),
+        st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)),
         st.sampled_from(catalog),
         st.sampled_from([F(1, 2), F(1), F(0)]),
     ).map(
-        lambda t: sum((g * F(a, 2) for a, g in zip(t[0], coloring.basis)), zero_vec(m)) + t[1] * t[2]
+        lambda t: sum((g * F(a, 2) for a, g in zip(t[0], basis)), zero_vec(m)) + t[1] * t[2]
     )
     return st.one_of(
         st.lists(small, min_size=m, max_size=m).map(lambda c: _in_domain(coloring, c)),

@@ -51,7 +51,7 @@ def test_scaled_gauge_paths_check_the_hyperplane():
     # point off the zero-sum hyperplane
     g = gauge_an(2)
     with pytest.raises(InputOffHyperplane):
-        g.is_unit(Vec([1, 0, 0]))
+        g.is_unit_scaled((1, 0, 0), 1)
     with pytest.raises(InputOffHyperplane):
         g.is_unit_scaled((6, 0, 0), 6)
     with pytest.raises(InputOffHyperplane):
@@ -105,7 +105,7 @@ def test_vertex_counts():
     assert len(_cell_vertices(polytope_an, 3)) == 14
     verts = _cell_vertices(polytope_dn, 4)
     assert len(verts) == 24
-    type1 = [v for v in verts if v.max_abs() == 1]
+    type1 = [v for v in verts if max(map(abs, v)) == 1]
     assert len(type1) == 8 and len(verts) - len(type1) == 16
 
 
@@ -155,12 +155,13 @@ def test_closed_form_cross_check():
         xa = project_to_hyperplane(x)
         for g, v in ((ga, xa), (gd, x), (gs, Vec(x[:3]))):
             if any(v):
-                # unit_step scales by the closed form; is_unit decides value == 1
-                # on the scaled integers
+                # unit_step scales by the closed form; is_unit_scaled decides
+                # value == 1 on the scaled integers
                 z, e = g.unit_step(scaled_ints(v)[0])
                 u = from_scaled(z, e)
                 assert u == v / g.value(v)
-                assert g.is_unit(u) and not g.is_unit(u * 2) and not g.is_unit(u / 3)
+                for w, unit in ((u, True), (u * 2, False), (u / 3, False)):
+                    assert g.is_unit_scaled(*scaled_ints(w)) == unit
 
 
 def test_unit_checker_agrees_with_functional_list():
@@ -203,23 +204,28 @@ ROW_GAUGES = {
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(data=st.data())
 def test_cached_rows_match_fraction_value(name, data):
-    # value_scaled and the scaled unit predicate read the integer rows built
-    # once per gauge; the functional list evaluated on Fractions is the oracle
+    # value_scaled, the unit predicate and the integer system read the one
+    # row system built per gauge; the functional list on Fractions is the oracle
     gauge, m = ROW_GAUGES[name]
+
+    def on_system(y, scale):
+        rows, levels = gauge.integer_system(scale)
+        dots = [sum(a * c for a, c in zip(row, y)) for row in rows]
+        return all(v <= t for v, t in zip(dots, levels)) and any(v == t for v, t in zip(dots, levels))
+
     scale = data.draw(st.integers(1, 24))
     y = data.draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m))
     if gauge.require_zero_sum:
         y[-1] = -sum(y[:-1])
     value = gauge.value(from_scaled(y, scale))
     assert gauge.value_scaled(y, scale) == value
-    assert gauge.is_unit_scaled(y, scale) == (value == 1)
-    assert gauge.system_checker(scale)(y) == (value == 1)
+    assert gauge.unit_checker(scale)(y) == on_system(y, scale) == (value == 1)
     if any(y):
         # the same point scaled onto the unit sphere, and off it by a factor
         z, e = gauge.unit_step(y)
         assert from_scaled(z, e) == from_scaled(y, scale) / value
-        assert gauge.is_unit_scaled(z, e) and gauge.system_checker(e)(z)
-        assert not gauge.is_unit_scaled(z, 2 * e) and not gauge.system_checker(e)([2 * c for c in z])
+        assert gauge.is_unit_scaled(z, e) and on_system(z, e)
+        assert not gauge.is_unit_scaled(z, 2 * e) and not on_system([2 * c for c in z], e)
 
 
 def _sample_gauge_vs_voronoi(gauge, lattice, dim, project, count, seed):
@@ -295,7 +301,7 @@ def test_hexagon_exactly_seven_interior_points(raw):
     b = reduce_planar_basis(Vec(raw[0]), Vec(raw[1]))
     pat = hexagon_pattern(b)
     half = PlanarLattice(b.b0 / 2, b.b1 / 2)
-    ext = max(v.max_abs() for v in pat.v)
+    ext = max(max(map(abs, v)) for v in pat.v)
     inside = set()
     for off in [zero_vec(2), pat.v[0], pat.v[1]]:
         for p in box_points(half, 2 * ext):
@@ -320,7 +326,7 @@ def test_hexagon_pattern_cell():
     pat = hexagon_pattern(reduce_planar_basis(Vec([F(3, 2), 0]), Vec([F(1, 2), F(3, 2)])))
     assert pat.cell.scale == pat.scale()
     assert [from_scaled(v, pat.cell.scale) for v in pat.cell.vertices] == list(pat.v)
-    assert pat.cell.vertex_extent() == max(v.max_abs() for v in pat.v)
+    assert pat.cell.vertex_extent() == max(max(map(abs, v)) for v in pat.v)
 
 
 def test_hexagon_b_cosets_decomposition():

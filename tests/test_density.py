@@ -174,10 +174,11 @@ def test_verify_an_bound_small(n):
 
 def test_verify_an_bound_cross_check_beyond_default_range():
     # the translate count is cheap enough to cross-check the closed form past
-    # the default n <= 6 cap, up to the n <= 12 limit of the chain cliques
+    # the certificate's n <= 6 cap, up to the n <= 12 limit of the chain cliques
     for n in range(7, 13):
-        cert = verify_an_bound(n, cross_check=True)
-        assert cert.matches_expected, n
+        brute = an_brute_neighborhood_counts(n)
+        for clique in enumerate_chain_cliques(n):
+            assert brute[clique.weights] == an_neighborhood_size_formula(n, clique.weights), (n, clique.weights)
 
 
 def test_verify_an_cross_check_detects_corruption(monkeypatch):
@@ -188,7 +189,7 @@ def test_verify_an_cross_check_detects_corruption(monkeypatch):
     bad[(1,)] += 1
     monkeypatch.setattr(density, "an_brute_neighborhood_counts", lambda n: bad)
     with pytest.raises(CrossCheckMismatch):
-        density.verify_an_bound(2, cross_check=True)
+        density.verify_an_bound(2)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,43 @@ def test_face_vectors_are_voronoi_relevant():
 
 
 # ---------------------------------------------------------------------------
+# integer lattice bases
+
+
+def _gram_det(basis) -> F:
+    """Determinant of the Gram matrix of basis, by elimination; the matrix is
+    positive definite for independent vectors, so no pivot vanishes."""
+    g = [[F(sum(a * b for a, b in zip(u, v))) for v in basis] for u in basis]
+    det = F(1)
+    for c in range(len(g)):
+        det *= g[c][c]
+        for i in range(c + 1, len(g)):
+            g[i] = [a - g[i][c] / g[c][c] * b for a, b in zip(g[i], g[c])]
+    return det
+
+
+@pytest.mark.parametrize(
+    "lattice, disc",
+    [(ZnLattice(3), 1), (AnLattice(2), 3), (AnLattice(5), 6), (DnLattice(4), 4), (DnLattice(7), 4)],
+    ids=["z3", "a2", "a5", "d4", "d7"],
+)
+def test_int_basis_spans_the_lattice(lattice, disc):
+    # n lattice vectors whose Gram determinant is the lattice's discriminant
+    # (1, n+1 and 4: Conway-Sloane, SPLAG ch. 4) form a basis of it
+    basis = lattice.int_basis
+    assert len(basis) == lattice.n and {len(b) for b in basis} == {lattice.ambient_dim}
+    assert all(lattice.contains(Vec(b)) for b in basis)
+    assert _gram_det(basis) == disc
+
+
+def test_lattice_dimension_floor():
+    for cls, least in ((ZnLattice, 1), (AnLattice, 2), (DnLattice, 3)):
+        assert cls(least).n == least
+        with pytest.raises(ValueError, match=f"n >= {least} required"):
+            cls(least - 1)
+
+
+# ---------------------------------------------------------------------------
 # closest lattice points
 
 
@@ -230,7 +267,7 @@ def test_planar_coset_in_box_matches_fraction_oracle(raw, k):
         assume(False)
     scale = pat.scale()
     b0h, b1h = pat.a_generators()
-    radius = k * max(v.max_abs() for v in pat.v)
+    radius = k * max(max(map(abs, v)) for v in pat.v)
     for off in (zero_vec(2),) + pat.class_b_offsets():
         want = sorted(to_scaled(p, scale) for p in coset_in_box(b0h, b1h, off, radius))
         got = planar_coset_in_box(*pat.half_basis_scaled, to_scaled(off, scale), radius * scale)

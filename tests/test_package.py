@@ -60,3 +60,19 @@ def test_bench_tracer_installs(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.split() == ["0", "True", "1", "True"]
+
+
+def test_bench_coloring_checks_pass():
+    # the benchmark's extra coloring checks (gauge-1 pairs, periodicity, all
+    # 2^n colors, nearest centers) hold on every `color` job it runs
+    sys.path.insert(0, str(PACKAGE.parent.parent / "bench"))
+    try:
+        import checks
+        import workloads
+    finally:
+        sys.path.pop(0)
+    seed = 1
+    jobs = [job for job in workloads.coloring_jobs(seed) if job.kind == "color"]
+    assert jobs
+    for job in jobs:
+        assert checks.coloring_extra_problems(job, seed) == [], job.name
