@@ -48,7 +48,10 @@ class GeometricGraph:
     ``points`` are scaled integers sorted lexicographically; ``scale`` is the
     common denominator; ``box_radius`` and ``step_extent`` carry the margin
     metadata (a vertex has its full k-step neighborhood present whenever all
-    its coordinates are within box_radius - k*step_extent).
+    its coordinates are within box_radius - k*step_extent).  ``symmetries``
+    are vertex-index lists (vertex i maps to vertex symmetries[k][i]) that
+    generate a group of automorphisms; the MIS search checks each one and
+    branches on its orbits.
     """
 
     def __init__(
@@ -59,6 +62,7 @@ class GeometricGraph:
         box_radius: Optional[Fraction] = None,
         step_extent: Optional[Fraction] = None,
         tags: Optional[Sequence[str]] = None,
+        symmetries: Sequence[Sequence[int]] = (),
     ):
         self.scale = scale
         self.points = list(points)
@@ -66,6 +70,7 @@ class GeometricGraph:
         self.box_radius = box_radius
         self.step_extent = step_extent
         self.tags = list(tags) if tags is not None else None
+        self.symmetries = [list(s) for s in symmetries]
         self.index = {p: i for i, p in enumerate(self.points)}
 
     @property
@@ -254,9 +259,15 @@ def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
     _check_size(count_an_half_dual_scaled(n, radius))
     data = polytope_an(n)
     pts = enumerate_an_half_dual_scaled(n, radius)
-    return build_unit_distance_graph(
+    g = build_unit_distance_graph(
         an_half_dual_scale(n), pts, data.gauge, box_radius=radius, step_extent=data.vertex_extent()
     )
+    # generators of the point group S_{n+1} x {+-1}: the swap of coordinates
+    # 0 and 1, the (n+1)-cycle and negation; each maps the box, the lattice
+    # and the gauge onto themselves
+    maps = (lambda p: (p[1], p[0]) + p[2:], lambda p: p[1:] + p[:1], lambda p: tuple(-c for c in p))
+    g.symmetries = [[g.index[f(p)] for p in g.points] for f in maps]
+    return g
 
 
 def dn_unit_distance_graph(n: int, radius) -> GeometricGraph:

@@ -171,7 +171,10 @@ def test_criterion_5_property_d():
 def test_criterion_6_mis_convergence():
     with criterion("6 (A_2 independence ratios at 4 radii)"):
         radii = [F(1), F(5, 4), F(3, 2), F(7, 4)]
+        t0 = time.monotonic()
         seq = ratio_sequence_an(2, radii)
+        elapsed = time.monotonic() - t0
+        assert elapsed < 1, elapsed
         assert len(seq.entries) == 4
         assert all(e.proven for e in seq.entries)
         assert all(e.ratio >= F(1, 4) for e in seq.entries)
@@ -183,6 +186,16 @@ def test_criterion_6_mis_convergence():
             assert w and is_independent_set(g, w)
             alpha = next(e.alpha for e in seq.entries if e.radius == r)
             assert alpha >= len(w)
+
+
+def test_criterion_6_a3_radius_one_is_proven():
+    with criterion("6b (A_3 radius 1 proven within the default budget)"):
+        t0 = time.monotonic()
+        seq = ratio_sequence_an(3, [F(1)])
+        elapsed = time.monotonic() - t0
+        (entry,) = seq.entries
+        assert (entry.vertex_count, entry.alpha, entry.proven, entry.upper_bound) == (209, 34, True, 34)
+        assert elapsed < 30, elapsed
 
 
 def test_criterion_7_cube():

@@ -303,7 +303,7 @@ def test_dependent_mis_witness_fails_the_certificate(tmp_path, capsys, monkeypat
     # a solver whose witness holds two adjacent vertices of the complete
     # graph K_4; the re-check must raise (not assert, which python -O
     # strips) and the CLI must exit 1 with a one-line message and no report
-    monkeypatch.setattr(independence, "_solve_mask", lambda adj, full, budget: (2, 0b11, True, 2, 0))
+    monkeypatch.setattr(independence, "_solve_mask", lambda adj, full, budget, group=(): (2, 0b11, True, 2, 0))
     with pytest.raises(CertificateError):
         independence.max_independent_set(cube_graph(2))
     out = tmp_path / "out.json"
@@ -312,6 +312,56 @@ def test_dependent_mis_witness_fails_the_certificate(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: certificate check failed") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _swap_two(perm):
+    perm[0], perm[1] = perm[1], perm[0]
+
+
+def _repeat_one(perm):
+    perm[0] = perm[1]
+
+
+@pytest.mark.parametrize("corrupt", [_swap_two, _repeat_one], ids=["non-automorphism", "non-bijection"])
+def test_bad_graph_symmetry_fails_the_certificate(tmp_path, capsys, monkeypatch, corrupt):
+    # a point-group generator that is not an automorphism or not a
+    # bijection would let orbital branching drop optimal sets: exit 1 with
+    # a one-line message and no report
+    build = independence.an_unit_distance_graph
+
+    def broken(n, radius):
+        g = build(n, radius)
+        corrupt(g.symmetries[0])
+        return g
+
+    monkeypatch.setattr(independence, "an_unit_distance_graph", broken)
+    out = tmp_path / "out.json"
+    code = main(["ratio", "an", "--dim", "2", "--radii", "3/2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate check failed") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_large_point_group_is_cut_at_the_cap(tmp_path, capsys, monkeypatch):
+    # A_7 at radius 1/2: 1,361 vertices and a point group of order 80,640,
+    # whose closure stops at MAX_GROUP_ENTRIES stored entries
+    close, sizes = independence._close_group, []
+
+    def counted(gens, n):
+        out = close(gens, n)
+        sizes.append((len(out) + 1) * n)
+        return out
+
+    monkeypatch.setattr(independence, "_close_group", counted)
+    out = tmp_path / "out.json"
+    code = main(["ratio", "an", "--dim", "7", "--radii", "1/2", "--budget", "1000", "--out", str(out)])
+    assert code in (0, 3)
+    assert capsys.readouterr().err == ""
+    doc = json.loads(out.read_bytes())
+    assert doc["entries"][0]["vertices"] == 1361
+    assert code == (0 if doc["entries"][0]["proven"] else 3)
+    assert sizes and max(sizes) <= independence.MAX_GROUP_ENTRIES < 80_640 * 1361
 
 
 @pytest.mark.parametrize(

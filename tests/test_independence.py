@@ -1,14 +1,20 @@
+import math
 import random
 import sys
 from fractions import Fraction as F
+from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from voronorm import independence
 from voronorm.constructions import CertificateError
 from voronorm.graphs import GeometricGraph, _bits, an_unit_distance_graph, cube_graph
 from voronorm.independence import (
     DEFAULT_NODE_BUDGET,
+    MAX_GROUP_ENTRIES,
+    _close_group,
     _greedy_independent,
     _solve_mask,
     an_tiling_witness,
@@ -142,7 +148,7 @@ def _solve_mask_full_scan(adj, full, budget):
     while stack:
         nodes += 1
         if nodes > budget:
-            return greedy.bit_count(), greedy, False, root_bound, nodes
+            return best, best_mask, False, root_bound, nodes
         cand, taken = _take_simplicial_full_scan(adj, *stack.pop())
         size = taken.bit_count()
         if size + _cover_full(adj, cand) <= best:
@@ -191,9 +197,107 @@ def test_solve_mask_matches_full_scan_oracle(graph, budget):
 
 @pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 8129), (3, F(3, 4), 20, 1185)])
 def test_solver_node_counts_are_pinned(n, radius, alpha, nodes):
-    # node counts are deterministic and reports rely on the search tree
+    # node counts are deterministic; without a group the search tree is
+    # the plain one
+    g = an_unit_distance_graph(n, radius)
+    found, _, proven, _, count = _solve_mask(g.adj, (1 << g.n) - 1, DEFAULT_NODE_BUDGET)
+    assert (found, proven, count) == (alpha, True, nodes)
+
+
+@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 1887), (3, F(3, 4), 20, 115)])
+def test_orbital_node_counts_are_pinned(n, radius, alpha, nodes):
+    # max_independent_set branches on orbits of the box's point group
     res = max_independent_set(an_unit_distance_graph(n, radius))
     assert (res.alpha, res.proven, res.nodes) == (alpha, True, nodes)
+
+
+# ---------------------------------------------------------------------------
+# orbital branching
+
+
+@pytest.mark.parametrize("n, radius", [(2, F(3, 2)), (3, F(3, 4)), (4, F(1, 2))])
+def test_an_symmetries_generate_the_point_group(n, radius):
+    # three generators, each an automorphism, closing to S_{n+1} x {+-1}
+    g = an_unit_distance_graph(n, radius)
+    assert len(g.symmetries) == 3
+    for perm in g.symmetries:
+        independence._check_automorphism(g.adj, perm)
+    assert len(_close_group(g.symmetries, g.n)) + 1 == 2 * math.factorial(n + 1)
+
+
+@pytest.mark.parametrize(
+    "perm", [[1, 0, 2], [0, 0, 2], [0, 1], [0, 1, 3]], ids=["non-automorphism", "repeat", "short", "out-of-range"]
+)
+def test_bad_symmetry_fails_the_certificate(perm):
+    # the path 0 - 1 - 2: swapping its ends is an automorphism, these are not
+    g = GeometricGraph(1, [(0,), (1,), (2,)], [0b010, 0b101, 0b010], symmetries=[[2, 1, 0], perm])
+    with pytest.raises(CertificateError):
+        max_independent_set(g)
+
+
+@st.composite
+def _circulants(draw):
+    # i ~ i +- s (mod n) for s in the connection set, with the rotation and
+    # the reflection that generate the dihedral group
+    n = draw(st.integers(3, 26))
+    steps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    adj = [0] * n
+    for i in range(n):
+        for s in steps:
+            adj[i] |= 1 << ((i + s) % n) | 1 << ((i - s) % n)
+    return adj, [[(i + 1) % n for i in range(n)], [-i % n for i in range(n)]]
+
+
+def _check_orbital_alpha(adj, symmetries, plain_alpha, cap):
+    # a cap below the group's size cuts the closure, which must stay sound
+    g = GeometricGraph(1, [(i,) for i in range(len(adj))], adj, symmetries=symmetries)
+    with mock.patch.object(independence, "MAX_GROUP_ENTRIES", cap):
+        res = max_independent_set(g)
+    assert res.proven and res.alpha == plain_alpha
+    assert is_independent_set(g, res.witness) and len(res.witness) == res.alpha
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(graph=_circulants(), elements=st.sampled_from([1, 2, 5, 1000]))
+def test_orbital_alpha_matches_plain_on_circulants(graph, elements):
+    adj, symmetries = graph
+    plain = _solve_mask(adj, (1 << len(adj)) - 1, DEFAULT_NODE_BUDGET)
+    _check_orbital_alpha(adj, symmetries, plain[0], elements * len(adj))
+
+
+_BOXES = [(2, F(1)), (2, F(5, 4)), (2, F(3, 2)), (3, F(1, 2)), (3, F(2, 3)), (3, F(3, 4))]
+
+
+@lru_cache(maxsize=None)
+def _box(n, radius):
+    g = an_unit_distance_graph(n, radius)
+    return g, _solve_mask(g.adj, (1 << g.n) - 1, DEFAULT_NODE_BUDGET)[0]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(box=st.sampled_from(_BOXES), elements=st.sampled_from([2, 4, 7, 1000]))
+def test_orbital_alpha_matches_plain_on_an_boxes(box, elements):
+    g, plain_alpha = _box(*box)
+    _check_orbital_alpha(g.adj, g.symmetries, plain_alpha, elements * g.n)
+
+
+def test_group_closure_stops_at_the_cap():
+    # S_8 x {+-1} has 80,640 elements on the 1,361 vertices of A_7 at
+    # radius 1/2; the closure keeps at most MAX_GROUP_ENTRIES entries
+    g = an_unit_distance_graph(7, F(1, 2))
+    elements = len(_close_group(g.symmetries, g.n)) + 1
+    assert elements == MAX_GROUP_ENTRIES // g.n < 80_640
+
+
+def test_timed_out_search_reports_its_best_set():
+    # budget 2 stops the search after it found 5 against the greedy 4
+    edges = [(0, 7), (0, 9), (1, 2), (1, 4), (1, 5), (2, 3), (2, 4), (2, 9), (3, 6), (4, 5), (4, 6), (6, 7)]
+    g = _graph_from_edges(10, edges)
+    assert _greedy_independent(g.adj, (1 << 10) - 1).bit_count() == 4
+    res = max_independent_set(g, node_budget=2)
+    assert (res.alpha, res.proven, res.upper_bound) == (5, False, 6)
+    assert is_independent_set(g, res.witness) and len(res.witness) == 5
+    assert max_independent_set(g).alpha == _alpha_brute(10, edges) == 5
 
 
 def test_solver_leaves_recursion_limit_alone():
@@ -214,7 +318,7 @@ def test_solver_leaves_recursion_limit_alone():
 def test_wrong_size_mis_witness_fails_the_certificate(monkeypatch):
     # an independent witness of one vertex for a claimed alpha of 2
     monkeypatch.setattr(
-        "voronorm.independence._solve_mask", lambda adj, full, budget: (2, 0b1, True, 2, 0)
+        "voronorm.independence._solve_mask", lambda adj, full, budget, group=(): (2, 0b1, True, 2, 0)
     )
     with pytest.raises(CertificateError):
         max_independent_set(_graph_from_edges(3, []))
