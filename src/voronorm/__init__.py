@@ -30,14 +30,12 @@ from .constructions import (
 from .graphs import (
     GeometricGraph,
     PropertyDReport,
-    an_cayley_graph,
+    an_property_d,
     an_unit_distance_graph,
-    build_cayley_graph,
     build_unit_distance_graph,
     check_property_d,
     cube_graph,
-    dn_cayley_graph,
-    graph_distance_2_pairs,
+    dn_property_d,
     hex_pattern_graph,
     hex_unit_distance_graph,
 )

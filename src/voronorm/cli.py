@@ -14,13 +14,13 @@ import sys
 from fractions import Fraction
 
 from .coloring import chromatic_witness_search, coset_coloring, verify_coloring
-from .constructions import CertificateError, gauge_an, gauge_dn, hexagon_pattern
+from .constructions import CertificateError, hexagon_pattern
 from .density import verify_an_bound, verify_dn_bound, verify_hexagon_bound
 from .geometry import DegenerateCell, Vec, reduce_planar_basis
 from .graphs import (
-    an_cayley_graph,
+    an_property_d,
     check_property_d,
-    dn_cayley_graph,
+    dn_property_d,
     hex_pattern_graph,
     hex_step_extent,
     hex_unit_distance_graph,
@@ -93,27 +93,18 @@ def cmd_bound(args) -> int:
 
 
 def cmd_property_d(args) -> int:
-    # default radii: 3/2 suffices for the Cayley graphs (generator extent
-    # < 1/2); the hexagon pattern lives at the scale of its basis, so its
-    # default derives from the edge step extent
+    # default radii: 3/2 suffices for A_n and D_n (generator extent < 1/2);
+    # the hexagon pattern lives at the scale of its basis, so its default
+    # derives from the edge step extent
     radius = args.radius
-    if args.family == "an":
+    if args.family in ("an", "dn"):
         radius = Fraction(3, 2) if radius is None else radius
-        g = an_cayley_graph(args.dim, radius)
-        gauge = gauge_an(args.dim)
-        dim = args.dim
-    elif args.family == "dn":
-        radius = Fraction(3, 2) if radius is None else radius
-        g = dn_cayley_graph(args.dim, radius)
-        gauge = gauge_dn(args.dim)
-        dim = args.dim
+        check = an_property_d if args.family == "an" else dn_property_d
+        rep, dim = check(args.dim, radius), args.dim
     else:
         pattern = _pattern_from_args(args)
         radius = 7 * hex_step_extent(pattern) if radius is None else radius
-        g = hex_pattern_graph(pattern, radius)
-        gauge = pattern.gauge
-        dim = 2
-    rep = check_property_d(g, gauge, args.mode)
+        rep, dim = check_property_d(hex_pattern_graph(pattern, radius), pattern.gauge, args.mode), 2
     if rep.interior_vertices == 0:
         # no pair was checked, so "holds" would be vacuous
         raise ValueError(f"radius {radius} leaves no interior vertex to check")

@@ -1,14 +1,17 @@
-"""Finite geometric graphs: box-restricted unit-distance graphs, Cayley
-graphs on half dual lattices, and the hexagon pattern graph.
+"""Finite geometric graphs: box-restricted unit-distance graphs and the
+hexagon pattern graph, and Property D (graph distance 2 forces gauge
+distance 1) on them and on the Cayley graphs of the half dual lattices.
 
 Vertices are stored as scaled integer tuples (one denominator per graph,
 the family's scale) and adjacency as per-vertex bitmasks, so every distance
 test is pure integer arithmetic.  Unit-distance edges come from one bitset
 kernel on the gauge's integer system; a pair-by-pair scan is its oracle
-in the tests.  Unit-distance graphs are capped at
-MAX_UNIT_DISTANCE_VERTICES vertices and the A_n / D_n Cayley graphs and the
-hexagon pattern graph at MAX_CAYLEY_VERTICES, checked before anything is
-allocated.
+in the tests.  The A_n / D_n Cayley graphs are never built: their
+Property D check tests each distinct distance-2 difference once and counts
+pairs on the interior points (the built graph is its oracle in the tests).
+Unit-distance graphs are capped at MAX_UNIT_DISTANCE_VERTICES vertices and
+the Cayley boxes and the hexagon pattern graph at MAX_CAYLEY_VERTICES,
+checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .constructions import (
+    CertificateError,
     GaugeNorm,
     HexagonPattern,
     an_vertices_scaled,
     dn_vertices_scaled,
+    gauge_an,
+    gauge_dn,
     polytope_an,
     polytope_cube,
     polytope_dn,
@@ -134,10 +140,10 @@ def _bits(mask: int) -> list:
 # complete (the cube), and 2^14 bitmasks of 2^14 bits take 32 MiB.
 MAX_UNIT_DISTANCE_VERTICES = 1 << 14
 
-# Largest vertex count of an A_n / D_n Cayley graph: its degree is bounded
-# by the generator count, so 2^16 vertices admit A_5 and D_5 at radius 3/2
-# (29,917 and 24,583) and refuse A_6 and D_6 (196,645 and 164,305).  The
-# hexagon pattern graph has degree at most 6 and shares the cap.
+# Largest box of an A_n / D_n Cayley graph: 2^16 points admit A_5 and D_5
+# at radius 3/2 (29,917 and 24,583) and refuse A_6 and D_6 (196,645 and
+# 164,305).  The hexagon pattern graph has degree at most 6 and shares the
+# cap.
 MAX_CAYLEY_VERTICES = 1 << 16
 
 
@@ -198,59 +204,8 @@ def build_unit_distance_graph(
     )
 
 
-def build_cayley_graph(
-    scale: int,
-    points: Sequence[tuple],
-    generators: Sequence[tuple],
-    box_radius: Fraction,
-) -> GeometricGraph:
-    """Cayley graph on scaled integer points: i ~ j iff p_i - p_j is a generator.
-
-    The generator set must be closed under negation.
-    """
-    gens = sorted(set(generators))
-    for g in gens:
-        if tuple(-c for c in g) not in gens:
-            raise ValueError("generator set not symmetric")
-    pts = sorted(set(points))
-    index = {p: i for i, p in enumerate(pts)}
-    # the generators are symmetric, so scanning each vertex's own
-    # generators finds every edge from both ends
-    steps = [g for g in gens if any(g)]
-    adj = []
-    for p in pts:
-        m = 0
-        for g in steps:
-            j = index.get(tuple(map(add, p, g)))
-            if j is not None:
-                m |= 1 << j
-        adj.append(m)
-    ext = max(Fraction(abs(c), scale) for g in gens for c in g)
-    return GeometricGraph(scale, pts, adj, box_radius=Fraction(box_radius), step_extent=ext)
-
-
 # ---------------------------------------------------------------------------
 # Family-level constructions
-
-
-def an_cayley_graph(n: int, radius) -> GeometricGraph:
-    """Box-restricted Cayley graph on (1/2)A_n^#; raises ValueError above
-    MAX_CAYLEY_VERTICES vertices."""
-    radius = Fraction(radius)
-    _check_size(count_an_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
-    pts = enumerate_an_half_dual_scaled(n, radius)
-    # the cell vertices at scale n+1 are (1/2)V_P at the graph's scale 2(n+1)
-    return build_cayley_graph(an_half_dual_scale(n), pts, an_vertices_scaled(n), radius)
-
-
-def dn_cayley_graph(n: int, radius) -> GeometricGraph:
-    """Box-restricted Cayley graph on (1/2)D_n^#; raises ValueError above
-    MAX_CAYLEY_VERTICES vertices."""
-    radius = Fraction(radius)
-    _check_size(count_dn_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
-    pts = enumerate_dn_half_dual_scaled(n, radius)
-    # the cell vertices at scale 2 are (1/2)V_P at the graph's scale 4
-    return build_cayley_graph(dn_half_dual_scale(n), pts, dn_vertices_scaled(n), radius)
 
 
 def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
@@ -373,18 +328,6 @@ def two_step_candidates(g: GeometricGraph, u: int) -> int:
     return reach
 
 
-def graph_distance_2_pairs(g: GeometricGraph, interior_k: int = 2):
-    """All unordered pairs at graph distance 2 with at least one interior
-    endpoint, with their common neighbor sets; deterministic order."""
-    interior = set(g.interior_indices(interior_k))
-    for u in sorted(interior):
-        for w in _bits(two_step_candidates(g, u)):
-            if w in interior and w < u:
-                continue
-            common = _bits(g.adj[u] & g.adj[w])
-            yield u, w, common
-
-
 @dataclass
 class PropertyDViolation:
     u: Vec
@@ -439,3 +382,73 @@ def check_property_d(g: GeometricGraph, gauge: GaugeNorm, mode: str = "strong") 
                 )
     violations.sort(key=lambda v: (v.u, v.w))
     return PropertyDReport(mode, checked, len(interior), violations)
+
+
+def an_property_d(n: int, radius) -> PropertyDReport:
+    """Strong Property D of the box Cayley graph on (1/2)A_n^# generated by
+    (1/2)V_P; raises ValueError above MAX_CAYLEY_VERTICES box points."""
+    radius = Fraction(radius)
+    _check_size(count_an_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
+    # the cell vertices at scale n+1 are (1/2)V_P at the lattice's scale 2(n+1)
+    return _cayley_property_d(
+        an_half_dual_scale(n), an_vertices_scaled(n), gauge_an(n), radius,
+        lambda r: enumerate_an_half_dual_scaled(n, r),
+    )
+
+
+def dn_property_d(n: int, radius) -> PropertyDReport:
+    """Strong Property D of the box Cayley graph on (1/2)D_n^# generated by
+    (1/2)V_P; raises ValueError above MAX_CAYLEY_VERTICES box points."""
+    radius = Fraction(radius)
+    _check_size(count_dn_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
+    # the cell vertices at scale 2 are (1/2)V_P at the lattice's scale 4
+    return _cayley_property_d(
+        dn_half_dual_scale(n), dn_vertices_scaled(n), gauge_dn(n), radius,
+        lambda r: enumerate_dn_half_dual_scaled(n, r),
+    )
+
+
+def _cayley_property_d(scale: int, generators, gauge: GaugeNorm, radius: Fraction, lattice_box) -> PropertyDReport:
+    """check_property_d(g, gauge, "strong") for g the Cayley graph (i ~ j iff
+    p_i - p_j is a generator) on the lattice points with every coordinate
+    within radius, without building g.
+
+    lattice_box(r) lists the scaled lattice points with every coordinate
+    within r, sorted.  The group is abelian, so a vertex u within
+    radius - 2*ext (ext the generators' largest coordinate) has both steps
+    of every 2-walk in the box and exactly u - D2 at graph distance 2,
+    D2 = (S+S) minus S and 0: each d in D2 is tested once.  Raises
+    ValueError if the generators are not closed under negation and
+    CertificateError if one is not a lattice point (the box would then miss
+    some u - d).
+    """
+    gens = set(generators)
+    if any(tuple(-c for c in g) not in gens for g in gens):
+        raise ValueError("generator set not symmetric")
+    ext = Fraction(max(abs(c) for g in gens for c in g), scale)
+    off = sorted(gens.difference(lattice_box(ext)))
+    if off:
+        raise CertificateError(f"generator {off[0]} is not a point of the lattice")
+    d2 = sorted(d for d in {tuple(map(add, a, b)) for a in gens for b in gens} - gens if any(d))
+    is_unit = gauge.unit_checker(scale)
+    failing = [d for d in d2 if not is_unit(d)]
+    inner = radius - 2 * ext
+    interior = lattice_box(inner) if inner >= 0 else []
+    # a point's key is linear and one-to-one on the coordinates u and u - d
+    # can take, so u - d is interior iff key(u) - key(d) is an interior key
+    reach = max((abs(c) for u in interior for c in u), default=0) + max(abs(c) for d in d2 for c in d)
+    powers = [(2 * reach + 1) ** i for i in range(len(d2[0]))]
+    keys = [sum(map(mul, u, powers)) for u in interior]
+    inside = set(keys)
+    # as in check_property_d, a pair of two interior points is checked from
+    # its larger end only: u - d < u iff d is positive in tuple order
+    zero = (0,) * len(d2[0])
+    positive = [sum(map(mul, d, powers)) for d in d2 if d > zero]
+    checked = len(interior) * len(d2) - sum(len(inside.intersection([k - dk for k in keys])) for dk in positive)
+    found = []
+    for d in failing:
+        dk, value = sum(map(mul, d, powers)), gauge.value_scaled(d, scale)
+        found += [(u, tuple(map(sub, u, d)), value) for u, k in zip(interior, keys) if d < zero or k - dk not in inside]
+    found.sort()
+    violations = [PropertyDViolation(from_scaled(u, scale), from_scaled(w, scale), 2, v) for u, w, v in found]
+    return PropertyDReport("strong", checked, len(interior), violations)

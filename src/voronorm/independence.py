@@ -236,7 +236,8 @@ def _solve_mask(adj, full: int, budget: int, group=()):
     optimum through any vertex of the orbit maps onto one through the
     branch vertex, which the take child covers.  An empty group gives the
     plain search.  When more than budget nodes are needed, the best set
-    found so far comes back with the root bound, unproven.
+    found so far comes back with the root bound, proven only if it reaches
+    that bound.
     """
     greedy = _greedy_independent(adj, full)
     best_mask, best = greedy, greedy.bit_count()
@@ -248,7 +249,7 @@ def _solve_mask(adj, full: int, budget: int, group=()):
     while stack:
         nodes += 1
         if nodes > budget:
-            return best, best_mask, False, root_bound, nodes
+            return best, best_mask, best == root_bound, root_bound, nodes
         cand, taken, dirty, group = stack.pop()
         cand, taken = _take_simplicial(adj, cand, taken, dirty)
         size = taken.bit_count()

@@ -1,14 +1,28 @@
 """Reference helpers shared by the tests: brute-force lattice boxes, the
 exact Fraction coset enumerator, the Fraction cell vertices and boundary
-catalog, and Vec views of the integer kernels."""
+catalog, the box Cayley graphs on the half dual lattices, and Vec views of
+the integer kernels."""
 
 import math
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
+from operator import add
 
 from voronorm.coloring import boundary_catalog
-from voronorm.constructions import gauge_an, gauge_dn, gauge_sup
-from voronorm.geometry import Vec, basis_vec, from_scaled, scaled_ints, to_scaled, zero_vec
+from voronorm.constructions import an_vertices_scaled, dn_vertices_scaled, gauge_an, gauge_dn, gauge_sup
+from voronorm.geometry import (
+    Vec,
+    an_half_dual_scale,
+    basis_vec,
+    dn_half_dual_scale,
+    enumerate_an_half_dual_scaled,
+    enumerate_dn_half_dual_scaled,
+    from_scaled,
+    scaled_ints,
+    to_scaled,
+    zero_vec,
+)
+from voronorm.graphs import GeometricGraph, _bits, two_step_candidates
 
 
 def coset_in_box(b0: Vec, b1: Vec, offset: Vec, radius: F) -> list:
@@ -92,3 +106,51 @@ def catalog_points(coloring) -> list:
     """The coloring's integer boundary catalog, read as Vecs."""
     steps, scale = boundary_catalog(coloring)
     return [from_scaled(b, scale) for b in steps]
+
+
+def build_cayley_graph(scale: int, points, generators, box_radius) -> GeometricGraph:
+    """Cayley graph on scaled integer points: i ~ j iff p_i - p_j is a
+    generator.  The generator set must be closed under negation."""
+    gens = sorted(set(generators))
+    for g in gens:
+        if tuple(-c for c in g) not in gens:
+            raise ValueError("generator set not symmetric")
+    pts = sorted(set(points))
+    index = {p: i for i, p in enumerate(pts)}
+    # the generators are symmetric, so scanning each vertex's own
+    # generators finds every edge from both ends
+    steps = [g for g in gens if any(g)]
+    adj = []
+    for p in pts:
+        m = 0
+        for g in steps:
+            j = index.get(tuple(map(add, p, g)))
+            if j is not None:
+                m |= 1 << j
+        adj.append(m)
+    ext = max(F(abs(c), scale) for g in gens for c in g)
+    return GeometricGraph(scale, pts, adj, box_radius=F(box_radius), step_extent=ext)
+
+
+def an_cayley_graph(n: int, radius) -> GeometricGraph:
+    """Box Cayley graph on (1/2)A_n^# generated by (1/2)V_P: the graph
+    whose Property D `an_property_d` checks without building it."""
+    pts = enumerate_an_half_dual_scaled(n, F(radius))
+    return build_cayley_graph(an_half_dual_scale(n), pts, an_vertices_scaled(n), radius)
+
+
+def dn_cayley_graph(n: int, radius) -> GeometricGraph:
+    """Box Cayley graph on (1/2)D_n^# generated by (1/2)V_P."""
+    pts = enumerate_dn_half_dual_scaled(n, F(radius))
+    return build_cayley_graph(dn_half_dual_scale(n), pts, dn_vertices_scaled(n), radius)
+
+
+def graph_distance_2_pairs(g, interior_k: int = 2):
+    """All unordered pairs at graph distance 2 with at least one interior
+    endpoint, with their common neighbor sets; deterministic order."""
+    interior = set(g.interior_indices(interior_k))
+    for u in sorted(interior):
+        for w in _bits(two_step_candidates(g, u)):
+            if w in interior and w < u:
+                continue
+            yield u, w, _bits(g.adj[u] & g.adj[w])

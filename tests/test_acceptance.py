@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from voronorm.cli import main
 from voronorm.coloring import chromatic_report, chromatic_witness_search, coset_coloring, verify_coloring, verify_chromatic_number
-from voronorm.constructions import gauge_an, gauge_dn, hexagon_pattern
+from voronorm.constructions import hexagon_pattern
 from voronorm.density import (
     HEX_EXPECTED_DELTAS,
     an_brute_neighborhood_counts,
@@ -24,9 +24,9 @@ from voronorm.density import (
 )
 from voronorm.geometry import Vec, reduce_planar_basis
 from voronorm.graphs import (
-    an_cayley_graph,
+    an_property_d,
     check_property_d,
-    dn_cayley_graph,
+    dn_property_d,
     hex_pattern_graph,
     hex_unit_distance_graph,
 )
@@ -145,11 +145,11 @@ def test_criterion_4_hexagon_densities():
 def test_criterion_5_property_d():
     with criterion("5 (Property D: strong A_n/D_n, weak hexagon)"):
         t0 = time.monotonic()
-        for n in (2, 3, 4):
-            rep = check_property_d(an_cayley_graph(n, F(3, 2)), gauge_an(n), "strong")
+        for n in (2, 3, 4, 5):
+            rep = an_property_d(n, F(3, 2))
             assert rep.holds and rep.checked_pairs > 0, n
         for n in (4, 5):
-            rep = check_property_d(dn_cayley_graph(n, F(3, 2)), gauge_dn(n), "strong")
+            rep = dn_property_d(n, F(3, 2))
             assert rep.holds and rep.checked_pairs > 0, n
         strong_violation_seen = False
         for raw in HEX_BASES:

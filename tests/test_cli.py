@@ -1,14 +1,16 @@
 import json
 import os
 import time
+from fractions import Fraction as F
 
 import pytest
 
-from voronorm import density, independence
+from voronorm import density, independence, reports
 from voronorm.cli import main
 from voronorm.coloring import coset_coloring, verify_coloring
-from voronorm.constructions import CertificateError, GaugeNorm
-from voronorm.graphs import cube_graph
+from voronorm.constructions import CertificateError, GaugeNorm, gauge_an, gauge_dn
+from voronorm.graphs import check_property_d, cube_graph
+from oracles import an_cayley_graph, dn_cayley_graph
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -66,6 +68,18 @@ def test_property_d_cli(tmp_path):
     assert doc["holds"] is False and doc["violation_count"] > 0
     # violations embed exact gauge values as fractions
     assert all("/" in v["gauge"] for v in doc["violations"])
+
+
+@pytest.mark.parametrize("family, dim", [("an", 2), ("an", 3), ("an", 4), ("dn", 4)])
+def test_property_d_json_matches_oracle_cayley_graph(tmp_path, family, dim):
+    # the report checked on the whole box graph, byte for byte
+    code, raw = run_cli(["property-d", family, "--dim", str(dim)], tmp_path)
+    assert code == 0
+    if family == "an":
+        rep = check_property_d(an_cayley_graph(dim, F(3, 2)), gauge_an(dim), "strong")
+    else:
+        rep = check_property_d(dn_cayley_graph(dim, F(3, 2)), gauge_dn(dim), "strong")
+    assert raw == reports.to_json(reports.property_d_dict(rep, family, dim)).encode("utf-8")
 
 
 def test_ratio_cli_and_budget_exit(tmp_path):

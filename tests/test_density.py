@@ -32,9 +32,9 @@ from voronorm.geometry import (
     reduce_planar_basis,
     zero_vec,
 )
-from voronorm.graphs import an_cayley_graph, hex_pattern_graph
+from voronorm.graphs import hex_pattern_graph
 from voronorm.independence import max_independent_set
-from oracles import vertex
+from oracles import an_cayley_graph, graph_distance_2_pairs, vertex
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +373,6 @@ def test_decompose_singleton():
 
 
 def test_decompose_rejects_distance_one_pair():
-    from voronorm.graphs import graph_distance_2_pairs
-
     g = _an2_graph()
     gauge = gauge_an(2)
     i0 = vertex(g, zero_vec(3))

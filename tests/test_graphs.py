@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from voronorm.coloring import WitnessResult
 from voronorm.constructions import (
+    CertificateError,
     an_vertices_scaled,
     dn_vertices_scaled,
     gauge_an,
@@ -18,6 +19,8 @@ from voronorm.constructions import (
 )
 from voronorm.geometry import (
     Vec,
+    an_half_dual_scale,
+    dn_half_dual_scale,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
     reduce_planar_basis,
@@ -25,19 +28,19 @@ from voronorm.geometry import (
     zero_vec,
 )
 from voronorm.graphs import (
+    _cayley_property_d,
     _unit_edges,
-    an_cayley_graph,
+    an_property_d,
     an_unit_distance_graph,
     build_unit_distance_graph,
     check_property_d,
     cube_graph,
-    dn_cayley_graph,
+    dn_property_d,
     dn_unit_distance_graph,
-    graph_distance_2_pairs,
     hex_pattern_graph,
 )
 from voronorm.reports import witness_edge_list
-from oracles import vertex
+from oracles import an_cayley_graph, build_cayley_graph, dn_cayley_graph, graph_distance_2_pairs, vertex
 
 
 def test_cube_graph_complete():
@@ -150,15 +153,11 @@ def test_generator_sets_symmetric():
 
 
 def test_cayley_rejects_asymmetric_generators():
-    from voronorm.graphs import build_cayley_graph
-
     with pytest.raises(ValueError):
         build_cayley_graph(1, [(0, 0)], [(1, 0)], F(1))
 
 
 def test_cayley_single_vertex_box_no_edges():
-    from voronorm.graphs import build_cayley_graph
-
     g = build_cayley_graph(1, [(0, 0)], [(1, 0), (-1, 0)], F(1, 2))
     assert g.n == 1 and g.edge_count() == 0
 
@@ -319,17 +318,78 @@ def test_distance_2_pairs_triangle():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_property_d_strong_an(n):
-    g = an_cayley_graph(n, F(3, 2))
-    rep = check_property_d(g, gauge_an(n), "strong")
+    rep = an_property_d(n, F(3, 2))
     assert rep.holds
     assert rep.checked_pairs > 0
 
 
 def test_property_d_strong_dn4():
-    g = dn_cayley_graph(4, F(3, 2))
-    rep = check_property_d(g, gauge_dn(4), "strong")
+    rep = dn_property_d(4, F(3, 2))
     assert rep.holds
     assert rep.checked_pairs > 0
+
+
+ORACLE_BOXES = [
+    ("an", 2, F(3, 2)),
+    ("an", 2, F(7, 4)),
+    ("an", 2, F(2)),
+    ("an", 2, F(3)),  # interior coordinates larger than any difference
+    ("an", 3, F(3, 2)),
+    ("an", 3, F(7, 4)),
+    ("an", 3, F(2)),
+    ("an", 4, F(3, 2)),
+    ("dn", 4, F(3, 2)),
+    ("dn", 4, F(7, 4)),
+]
+
+
+def _kernel(family, n, radius, gauge):
+    """The shipped Property D kernel on the family's generators, with any gauge."""
+    if family == "an":
+        box = lambda r: enumerate_an_half_dual_scaled(n, r)
+        return _cayley_property_d(an_half_dual_scale(n), an_vertices_scaled(n), gauge, radius, box)
+    box = lambda r: enumerate_dn_half_dual_scaled(n, r)
+    return _cayley_property_d(dn_half_dual_scale(n), dn_vertices_scaled(n), gauge, radius, box)
+
+
+def _fields(rep):
+    return rep.mode, rep.interior_vertices, rep.checked_pairs, rep.violations
+
+
+@pytest.mark.parametrize("family, n, radius", ORACLE_BOXES)
+def test_property_d_matches_oracle_cayley_graph(family, n, radius):
+    if family == "an":
+        rep, g, gauge = an_property_d(n, radius), an_cayley_graph(n, radius), gauge_an(n)
+    else:
+        rep, g, gauge = dn_property_d(n, radius), dn_cayley_graph(n, radius), gauge_dn(n)
+    assert _fields(rep) == _fields(check_property_d(g, gauge, "strong"))
+    assert rep.holds and rep.checked_pairs > 0
+
+
+# the sup gauge at the lattice's scale puts every distance-2 difference of
+# A_n, and some of D_4's, off its unit sphere; on the larger boxes the
+# violation records alone take seconds
+@pytest.mark.parametrize("family, n, radius", [b for b in ORACLE_BOXES if b[1] == 2] + [("an", 3, F(3, 2)), ("dn", 4, F(3, 2))])
+def test_property_d_violations_match_oracle_cayley_graph(family, n, radius):
+    m = n + 1 if family == "an" else n
+    g = an_cayley_graph(n, radius) if family == "an" else dn_cayley_graph(n, radius)
+    rep = _kernel(family, n, radius, gauge_sup(m))
+    # the violations compare as (u, w, graph distance, gauge value), in order
+    assert rep.violations
+    assert _fields(rep) == _fields(check_property_d(g, gauge_sup(m), "strong"))
+
+
+def test_property_d_rejects_generator_off_the_lattice():
+    # (1, -1, 0)/6 has zero sum but mixed residues modulo 3: not in (1/2)A_2^#
+    gens = an_vertices_scaled(2) + [(1, -1, 0), (-1, 1, 0)]
+    with pytest.raises(CertificateError, match="not a point of the lattice"):
+        _cayley_property_d(6, gens, gauge_an(2), F(3, 2), lambda r: enumerate_an_half_dual_scaled(2, r))
+
+
+def test_property_d_rejects_asymmetric_generators():
+    gens = an_vertices_scaled(2)[1:]
+    with pytest.raises(ValueError, match="not symmetric"):
+        _cayley_property_d(6, gens, gauge_an(2), F(3, 2), lambda r: enumerate_an_half_dual_scaled(2, r))
 
 
 def test_property_d_hexagon():

@@ -148,7 +148,7 @@ def _solve_mask_full_scan(adj, full, budget):
     while stack:
         nodes += 1
         if nodes > budget:
-            return best, best_mask, False, root_bound, nodes
+            return best, best_mask, best == root_bound, root_bound, nodes
         cand, taken = _take_simplicial_full_scan(adj, *stack.pop())
         size = taken.bit_count()
         if size + _cover_full(adj, cand) <= best:
@@ -193,6 +193,19 @@ def test_solve_mask_matches_full_scan_oracle(graph, budget):
     adj, full = graph
     budget = DEFAULT_NODE_BUDGET if budget is None else budget
     assert _solve_mask(adj, full, budget) == _solve_mask_full_scan(adj, full, budget)
+
+
+def test_timed_out_search_at_the_root_bound_is_proven():
+    # greedy takes 3; the search reaches 4, the clique-cover bound, and the
+    # budget runs out before the stack empties
+    edges = [(0, 3), (0, 5), (1, 4), (1, 6), (1, 7), (2, 6), (2, 7), (3, 4), (4, 5), (4, 6), (4, 7)]
+    adj = [0] * 8
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    alpha, witness, proven, bound, nodes = _solve_mask(adj, 0xFF, 4)
+    assert (alpha, proven, bound, nodes) == (4, True, 4, 5)
+    assert witness.bit_count() == 4 and all(not adj[v] & witness for v in _bits(witness))
 
 
 @pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 8129), (3, F(3, 4), 20, 1185)])

@@ -2,8 +2,7 @@ import json
 from fractions import Fraction as F
 
 from voronorm.density import verify_an_bound
-from voronorm.graphs import an_cayley_graph, check_property_d
-from voronorm.constructions import gauge_an
+from voronorm.graphs import an_property_d
 from voronorm import reports
 
 
@@ -28,8 +27,7 @@ def test_certificate_csv_header_and_rows():
 
 
 def test_property_d_serialization():
-    g = an_cayley_graph(2, F(3, 2))
-    rep = check_property_d(g, gauge_an(2), "strong")
+    rep = an_property_d(2, F(3, 2))
     doc = reports.property_d_dict(rep, "an", 2)
     assert doc["holds"] is True
     assert doc["violation_count"] == 0
