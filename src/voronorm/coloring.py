@@ -117,8 +117,8 @@ def _decode(coloring: CosetColoring, w: Sequence[int], d: int) -> tuple:
     as integers at ``lattice.scale``."""
     if coloring.family == "cube":
         # the points of 2Z^n closest to 2x are twice those of Z^n closest to x
-        return tuple(2 * z for z in min(coloring.lattice.closest_scaled(w, d)))
-    return min(coloring.lattice.closest_scaled([2 * c for c in w], d))
+        return tuple(2 * z for z in coloring.lattice.nearest_scaled(w, d))
+    return coloring.lattice.nearest_scaled([2 * c for c in w], d)
 
 
 def _basis_coords(coloring: CosetColoring, p: Sequence[int]) -> list:

@@ -129,81 +129,6 @@ def _round_half_up(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
 
-def _closest_integer_points(w: Sequence[int], d: int, sum_zero: bool = False, even_sum: bool = False) -> list:
-    """All integer tuples z minimizing |z - w/d|^2, optionally constrained to
-    zero sum (w must then have zero sum) or even sum.  Pure integer
-    arithmetic: the cost of z is the sum of (z_i*d - w_i)^2.  The search
-    starts from the cost of a feasible rounding t of w/d."""
-    m = len(w)
-    t = [(2 * c + d) // (2 * d) for c in w]  # nearest integers, half-ties up
-    s = sum(t)
-    if sum_zero and s != 0:
-        # step the |s| coordinates where the step costs least
-        step = -1 if s > 0 else 1
-        for i in sorted(range(m), key=lambda i: step * (t[i] * d - w[i]))[: abs(s)]:
-            t[i] += step
-    if even_sum and s % 2:
-        # re-round the coordinate farthest from its nearest integer
-        i = max(range(m), key=lambda i: abs(w[i] - t[i] * d))
-        t[i] += 1 if w[i] >= t[i] * d else -1
-    best = [sum((z * d - c) ** 2 for z, c in zip(t, w))]
-    hits: list = []
-    last = m - 1
-
-    def leaf(partial: int, prefix: tuple, z: int) -> None:
-        cost = partial + (z * d - w[last]) ** 2
-        if cost > best[0]:
-            return
-        if cost < best[0]:
-            best[0] = cost
-            hits.clear()
-        hits.append(prefix + (z,))
-
-    def dfs(i: int, partial: int, prefix: tuple, psum: int) -> None:
-        if i == last:
-            if sum_zero:
-                leaf(partial, prefix, -psum)
-                return
-            c0 = (2 * w[i] + d) // (2 * d)
-            step = 1
-            if even_sum:
-                par = psum % 2
-                if c0 % 2 != par:
-                    c0_up, c0_down = c0 + 1, c0 - 1
-                else:
-                    c0_up, c0_down = c0, c0 - 2
-                step = 2
-            else:
-                c0_up, c0_down = c0, c0 - 1
-            z = c0_up
-            while (z * d - w[i]) ** 2 <= best[0] - partial:
-                leaf(partial, prefix, z)
-                z += step
-            z = c0_down
-            while (z * d - w[i]) ** 2 <= best[0] - partial:
-                leaf(partial, prefix, z)
-                z -= step
-            return
-        c0 = (2 * w[i] + d) // (2 * d)
-        z = c0
-        while True:
-            cost = (z * d - w[i]) ** 2
-            if partial + cost > best[0]:
-                break
-            dfs(i + 1, partial + cost, prefix + (z,), psum + z)
-            z += 1
-        z = c0 - 1
-        while True:
-            cost = (z * d - w[i]) ** 2
-            if partial + cost > best[0]:
-                break
-            dfs(i + 1, partial + cost, prefix + (z,), psum + z)
-            z -= 1
-
-    dfs(0, 0, (), 0)
-    return hits
-
-
 # ---------------------------------------------------------------------------
 # Lattice families
 
@@ -212,7 +137,7 @@ def _closest_integer_points(w: Sequence[int], d: int, sum_zero: bool = False, ev
 class _IntegerLattice:
     """Base of Z^n, A_n and D_n: integer points (``scale`` 1) spanned by the
     cached ``int_basis``.  A subclass gives the basis, its membership rule
-    ``_admits`` on the coordinate sum and the decoder ``closest_scaled``."""
+    ``_admits`` on the coordinate sum and the decoder ``nearest_scaled``."""
 
     n: int
     min_n = 1
@@ -252,14 +177,12 @@ class ZnLattice(_IntegerLattice):
     def int_basis(self) -> tuple:
         return tuple(tuple(int(j == i) for j in range(self.n)) for i in range(self.n))
 
-    def closest_scaled(self, w: Sequence[int], d: int) -> list:
-        """All lattice points closest to w/d, as integer tuples at ``scale``."""
+    def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
+        """The lexicographically least lattice point closest to w/d (d > 0),
+        as an integer tuple at ``scale``: each coordinate rounded, exact
+        halves down."""
         self._check_dim(w)
-        per_coord = []
-        for c in w:
-            lo, r = divmod(c, d)
-            per_coord.append((lo, lo + 1) if 2 * r == d else (lo,) if 2 * r < d else (lo + 1,))
-        return list(product(*per_coord))
+        return tuple((2 * c + d - 1) // (2 * d) for c in w)
 
 
 class AnLattice(_IntegerLattice):
@@ -275,12 +198,33 @@ class AnLattice(_IntegerLattice):
     def int_basis(self) -> tuple:
         return tuple(_differences(self.n + 1, self.n))
 
-    def closest_scaled(self, w: Sequence[int], d: int) -> list:
-        """All lattice points closest to w/d, as integer tuples at ``scale``."""
+    def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
+        """The lexicographically least lattice point closest to w/d (d > 0),
+        as an integer tuple at ``scale``.
+
+        Every closest point lies in lo + {0, 1}^m with lo = floor(w/d) and
+        takes k = -sum(lo) unit steps up; a step at coordinate i adds
+        d*(d - 2(w_i mod d)) to the squared distance (Conway and Sloane,
+        1982).  With lambda the k-th least step cost, the closest points
+        raise every coordinate that costs less than lambda and share the
+        remaining steps among those that cost exactly lambda; the least
+        point gives them to the last such coordinates."""
         self._check_dim(w)
         if sum(w) != 0:
             raise DimensionMismatch("point off the zero-sum hyperplane")
-        return _closest_integer_points(w, d, sum_zero=True)
+        z = [c // d for c in w]
+        k = -sum(z)
+        if k:
+            cost = [d - 2 * (c % d) for c in w]
+            lam = sorted(cost)[k - 1]
+            ties = k - sum(c < lam for c in cost)
+            for i in reversed(range(len(z))):
+                if cost[i] < lam:
+                    z[i] += 1
+                elif cost[i] == lam and ties:
+                    z[i] += 1
+                    ties -= 1
+        return tuple(z)
 
 
 class DnLattice(_IntegerLattice):
@@ -296,10 +240,26 @@ class DnLattice(_IntegerLattice):
     def int_basis(self) -> tuple:
         return tuple([(1, 1) + (0,) * (self.n - 2)] + _differences(self.n, self.n - 1))
 
-    def closest_scaled(self, w: Sequence[int], d: int) -> list:
-        """All lattice points closest to w/d, as integer tuples at ``scale``."""
+    def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
+        """The lexicographically least lattice point closest to w/d (d > 0),
+        as an integer tuple at ``scale``.
+
+        Round each coordinate, exact halves down.  An odd sum is mended at
+        no cost by raising the last exact half, if there is one; otherwise
+        the closest points are the cheapest single +-1 changes, the change
+        s at coordinate i adding d*(d + 2s(z_i*d - w_i)) to the squared
+        distance (Conway and Sloane, 1982)."""
         self._check_dim(w)
-        return _closest_integer_points(w, d, even_sum=True)
+        z = [(2 * c + d - 1) // (2 * d) for c in w]
+        if sum(z) % 2:
+            halves = [i for i, c in enumerate(w) if 2 * (c % d) == d]
+            if halves:
+                z[halves[-1]] += 1
+            else:
+                moves = [(d + 2 * s * (zi * d - c), i, s) for i, (zi, c) in enumerate(zip(z, w)) for s in (1, -1)]
+                least = min(moves)[0]
+                return min(tuple(z[:i]) + (z[i] + s,) + tuple(z[i + 1 :]) for cost, i, s in moves if cost == least)
+        return tuple(z)
 
 
 def _planar_rows(p: Sequence[int], q: Sequence[int], offset: Sequence[int], bound):
@@ -381,14 +341,16 @@ class PlanarLattice:
         c0, c1 = self.coefficients(v)
         return c0.denominator == 1 and c1.denominator == 1
 
-    def closest_scaled(self, w: Sequence[int], d: int) -> list:
-        """All lattice points closest to w/d, as integer tuples at ``scale``.
+    def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
+        """The lexicographically least lattice point closest to w/d (d > 0),
+        as an integer tuple at ``scale``.
 
         With u = scale*w, the point a0*b0 + a1*b1 costs |u - d*(a0*p + a1*q)|^2
         for the integer basis (p, q).  For fixed a0 the least cost over real
         a1, times |q|^2, is |r|^2 |q|^2 - <r, q>^2 with r = u - d*a0*p; it is
         convex in a0, so a0 runs outward from the Cramer solution until that
-        bound exceeds the best cost, and a1 likewise for each a0."""
+        bound exceeds the best cost, and a1 likewise for each a0, keeping the
+        least point of the least cost."""
         if len(w) != 2:
             raise DimensionMismatch("expected dim 2")
         (p0, p1), (q0, q1) = self.int_basis
@@ -397,9 +359,9 @@ class PlanarLattice:
         if den < 0:
             n0, n1, den = -n0, -n1, -den
         a0c, a1c = (2 * n0 + den) // (2 * den), (2 * n1 + den) // (2 * den)
-        e0, e1 = u0 - d * (a0c * p0 + a1c * q0), u1 - d * (a0c * p1 + a1c * q1)
+        hit = (a0c * p0 + a1c * q0, a0c * p1 + a1c * q1)
+        e0, e1 = u0 - d * hit[0], u1 - d * hit[1]
         best = e0 * e0 + e1 * e1
-        hits: list = []
         qq = q0 * q0 + q1 * q1
         for step0 in (1, -1):
             a0 = a0c if step0 == 1 else a0c - 1
@@ -416,13 +378,12 @@ class PlanarLattice:
                         cost = rr - 2 * d * a1 * rq + d * d * qq * a1 * a1
                         if cost > best:
                             break
-                        if cost < best:
-                            best = cost
-                            hits.clear()
-                        hits.append((a0 * p0 + a1 * q0, a0 * p1 + a1 * q1))
+                        pt = (a0 * p0 + a1 * q0, a0 * p1 + a1 * q1)
+                        if cost < best or pt < hit:
+                            best, hit = cost, pt
                         a1 += step1
                 a0 += step0
-        return hits
+        return hit
 
 
 Lattice = Union[ZnLattice, AnLattice, DnLattice, PlanarLattice]

@@ -1,12 +1,13 @@
 """Reference helpers shared by the tests: brute-force lattice boxes, the
-exact Fraction coset enumerator, the Fraction cell vertices and boundary
-catalog, the box Cayley graphs on the half dual lattices, and Vec views of
-the integer kernels."""
+exact Fraction coset enumerator, the full-tie-set closest-point search, the
+Fraction cell vertices and boundary catalog, the box Cayley graphs on the
+half dual lattices, and Vec views of the integer kernels."""
 
 import math
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from operator import add
+from typing import Sequence
 
 from voronorm.coloring import boundary_catalog
 from voronorm.constructions import an_vertices_scaled, dn_vertices_scaled, gauge_an, gauge_dn, gauge_sup
@@ -50,9 +51,95 @@ def box_points(lattice, radius) -> list:
     return [v for v in map(Vec, product(range(-b, b + 1), repeat=lattice.ambient_dim)) if lattice.contains(v)]
 
 
+def _closest_integer_points(w: Sequence[int], d: int, sum_zero: bool = False, even_sum: bool = False) -> list:
+    """All integer tuples z minimizing |z - w/d|^2, optionally constrained to
+    zero sum (w must then have zero sum) or even sum.  Pure integer
+    arithmetic: the cost of z is the sum of (z_i*d - w_i)^2.  The search
+    starts from the cost of a feasible rounding t of w/d."""
+    m = len(w)
+    t = [(2 * c + d) // (2 * d) for c in w]  # nearest integers, half-ties up
+    s = sum(t)
+    if sum_zero and s != 0:
+        # step the |s| coordinates where the step costs least
+        step = -1 if s > 0 else 1
+        for i in sorted(range(m), key=lambda i: step * (t[i] * d - w[i]))[: abs(s)]:
+            t[i] += step
+    if even_sum and s % 2:
+        # re-round the coordinate farthest from its nearest integer
+        i = max(range(m), key=lambda i: abs(w[i] - t[i] * d))
+        t[i] += 1 if w[i] >= t[i] * d else -1
+    best = [sum((z * d - c) ** 2 for z, c in zip(t, w))]
+    hits: list = []
+    last = m - 1
+
+    def leaf(partial: int, prefix: tuple, z: int) -> None:
+        cost = partial + (z * d - w[last]) ** 2
+        if cost > best[0]:
+            return
+        if cost < best[0]:
+            best[0] = cost
+            hits.clear()
+        hits.append(prefix + (z,))
+
+    def dfs(i: int, partial: int, prefix: tuple, psum: int) -> None:
+        if i == last:
+            if sum_zero:
+                leaf(partial, prefix, -psum)
+                return
+            c0 = (2 * w[i] + d) // (2 * d)
+            step = 1
+            if even_sum:
+                par = psum % 2
+                if c0 % 2 != par:
+                    c0_up, c0_down = c0 + 1, c0 - 1
+                else:
+                    c0_up, c0_down = c0, c0 - 2
+                step = 2
+            else:
+                c0_up, c0_down = c0, c0 - 1
+            z = c0_up
+            while (z * d - w[i]) ** 2 <= best[0] - partial:
+                leaf(partial, prefix, z)
+                z += step
+            z = c0_down
+            while (z * d - w[i]) ** 2 <= best[0] - partial:
+                leaf(partial, prefix, z)
+                z -= step
+            return
+        c0 = (2 * w[i] + d) // (2 * d)
+        z = c0
+        while True:
+            cost = (z * d - w[i]) ** 2
+            if partial + cost > best[0]:
+                break
+            dfs(i + 1, partial + cost, prefix + (z,), psum + z)
+            z += 1
+        z = c0 - 1
+        while True:
+            cost = (z * d - w[i]) ** 2
+            if partial + cost > best[0]:
+                break
+            dfs(i + 1, partial + cost, prefix + (z,), psum + z)
+            z -= 1
+
+    dfs(0, 0, (), 0)
+    return hits
+
+
 def closest_points(lattice, x: Vec) -> list:
-    """All lattice points closest to x, sorted, decoded by ``closest_scaled``."""
-    return sorted(from_scaled(p, lattice.scale) for p in lattice.closest_scaled(*scaled_ints(x)))
+    """All lattice points closest to x, sorted: the full tie set, from the
+    integer branch-and-bound for Z^n, A_n and D_n and from a box search
+    around x for a planar lattice.  Rounding the basis coordinates of x
+    reaches a point within (|b0| + |b1|)/2 of x, so every closest point lies
+    in the box of half-width |b0|_1 + |b1|_1 around x."""
+    if lattice.family == "planar":
+        reach = sum(map(abs, lattice.b0)) + sum(map(abs, lattice.b1))
+        pts = [p + x for p in coset_in_box(lattice.b0, lattice.b1, -x, reach)]
+        least = min((p - x).norm2() for p in pts)
+        return sorted(p for p in pts if (p - x).norm2() == least)
+    w, d = scaled_ints(x)
+    ties = _closest_integer_points(w, d, sum_zero=lattice.family == "an", even_sum=lattice.family == "dn")
+    return sorted(from_scaled(p, lattice.scale) for p in ties)
 
 
 def vertex(g, v: Vec) -> int:

@@ -161,6 +161,14 @@ def test_verify_coloring_families(fam, n):
     assert rep.holds
 
 
+@pytest.mark.parametrize("fam,catalog_pairs", [("an", 68586), ("dn", 54432)])
+def test_verify_coloring_largest_admitted_cells(fam, catalog_pairs):
+    # A_8 and D_8 are the largest cells under MAX_CATALOG_PAIRS
+    rep = verify_coloring(coset_coloring(fam, 8), 1, 1)
+    assert rep.holds
+    assert rep.catalog_pairs == catalog_pairs
+
+
 def test_verify_coloring_hexagon():
     rep = verify_coloring(coset_coloring("hexagon", pattern=_pattern()), 300, seed=7)
     assert rep.holds

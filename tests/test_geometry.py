@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -5,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from voronorm.coloring import DRAW_DENS, DRAW_SCALE, boundary_catalog, coset_coloring
 from voronorm.constructions import hexagon_pattern
 from voronorm.geometry import (
     AnLattice,
@@ -19,6 +21,7 @@ from voronorm.geometry import (
     count_planar_coset_in_box,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
+    from_scaled,
     planar_coset_in_box,
     reduce_planar_basis,
     to_scaled,
@@ -205,7 +208,19 @@ def test_closest_points_all_same_distance():
 
 def test_closest_an_off_hyperplane_raises():
     with pytest.raises(DimensionMismatch):
-        closest_points(AnLattice(2), Vec([1, 0, 0]))
+        AnLattice(2).nearest_scaled([1, 0, 0], 1)
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [ZnLattice(3), AnLattice(2), DnLattice(4), PlanarLattice(Vec([3, 0]), Vec([1, 3]))],
+    ids=["z3", "a2", "d4", "planar"],
+)
+def test_nearest_scaled_rejects_wrong_length(lattice):
+    m = lattice.ambient_dim
+    for w in ([0] * (m - 1), [0] * (m + 1)):
+        with pytest.raises(DimensionMismatch):
+            lattice.nearest_scaled(w, 1)
 
 
 def test_closest_planar_brute_force():
@@ -218,6 +233,70 @@ def test_closest_planar_brute_force():
         dmin = min((x - p).norm2() for p in allpts)
         want = sorted(p for p in allpts if (x - p).norm2() == dmin)
         assert got == want
+
+
+DECODER_LATTICES = {
+    "z1": ZnLattice(1),
+    "z3": ZnLattice(3),
+    **{f"a{n}": AnLattice(n) for n in range(2, 9)},
+    **{f"d{n}": DnLattice(n) for n in range(4, 9)},
+    "planar": PlanarLattice(Vec([3, 0]), Vec([1, 3])),
+    "planar-half": PlanarLattice(Vec([F(3, 2), 0]), Vec([F(1, 2), F(3, 2)])),
+    "planar-skew": PlanarLattice(Vec([1, 3]), Vec([F(5, 2), -1])),  # negative determinant
+}
+
+
+@functools.cache
+def _catalog_inputs(name: str) -> tuple:
+    """The base points and steps of the coloring's catalog check, with the
+    catalog's scale: the check decodes 2(base + step) over that scale."""
+    lattice = DECODER_LATTICES[name]
+    steps, scale = boundary_catalog(coset_coloring(lattice.family, lattice.n))
+    return [(0,) * len(steps[0])] + [tuple(c // 2 for c in b) for b in steps[:6]], steps, scale
+
+
+def _decoder_inputs(name: str):
+    """(w, d) pairs: points on the sampler's denominator DRAW_SCALE (for A_n
+    projected as the sampler does, over DRAW_SCALE*(n+1)), half-integer
+    points, lattice points and their halves, and for A_n and D_n the
+    catalog check's own inputs, which carry the largest tie sets."""
+    lattice = DECODER_LATTICES[name]
+    m, basis, an = lattice.ambient_dim, lattice.int_basis, lattice.family == "an"
+
+    def sampled(w):
+        s = sum(w)
+        return ([c * m - s for c in w], DRAW_SCALE * m) if an else (w, DRAW_SCALE)
+
+    coord = st.sampled_from(DRAW_DENS).flatmap(
+        lambda den: st.integers(-6 * den, 6 * den).map(lambda k: k * (DRAW_SCALE // den))
+    )
+    halves = st.lists(st.integers(-6, 6), min_size=m, max_size=m)
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+    kinds = [
+        st.lists(coord, min_size=m, max_size=m).map(sampled),
+        halves.map(lambda h: (h[:-1] + [-sum(h[:-1])] if an else h, 2)),
+        st.tuples(coeffs, st.sampled_from([1, 2])).map(
+            lambda t: ([sum(a * b[i] for a, b in zip(t[0], basis)) for i in range(m)], t[1] * lattice.scale)
+        ),
+    ]
+    if lattice.family in ("an", "dn"):
+        bases, steps, scale = _catalog_inputs(name)
+        kinds.append(
+            st.tuples(st.sampled_from(bases), st.sampled_from(steps)).map(
+                lambda t: ([2 * (a + b) for a, b in zip(*t)], scale)
+            )
+        )
+    return st.one_of(kinds)
+
+
+@pytest.mark.parametrize("name", sorted(DECODER_LATTICES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_nearest_scaled_is_least_of_oracle_tie_set(name, data):
+    lattice = DECODER_LATTICES[name]
+    w, d = data.draw(_decoder_inputs(name))
+    want = min(closest_points(lattice, from_scaled(w, d)))
+    assert lattice.nearest_scaled(w, d) == to_scaled(want, lattice.scale)
 
 
 # ---------------------------------------------------------------------------
