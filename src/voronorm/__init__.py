@@ -45,11 +45,8 @@ from .density import (
     CrossCheckMismatch,
     DensityCertificate,
     MarginViolation,
-    NotAvoiding,
     UnknownComponentType,
     an_neighborhood_size_formula,
-    closed_neighborhood,
-    decompose_avoiding_set,
     enumerate_chain_cliques,
     verify_an_bound,
     verify_dn_bound,

@@ -72,24 +72,17 @@ def _pattern_from_args(args):
 
 
 def cmd_bound(args) -> int:
-    if args.family == "an":
-        cert = verify_an_bound(args.dim)
-        payload, csv_text = reports.certificate_dict(cert), reports.certificate_csv(cert)
-        ok = cert.matches_expected
-    elif args.family == "dn":
-        cert = verify_dn_bound(args.dim)
-        payload, csv_text = reports.certificate_dict(cert), reports.certificate_csv(cert)
-        ok = cert.matches_expected
-    elif args.family == "hexagon":
-        cert = verify_hexagon_bound(_pattern_from_args(args))
-        payload, csv_text = reports.certificate_dict(cert), reports.certificate_csv(cert)
-        ok = cert.matches_expected
-    else:
+    if args.family == "cube":
         cert = cube_certificate(args.dim)
         payload, csv_text = reports.cube_certificate_dict(cert), None
-        ok = cert.matches_expected
+    else:
+        if args.family == "hexagon":
+            cert = verify_hexagon_bound(_pattern_from_args(args))
+        else:
+            cert = (verify_an_bound if args.family == "an" else verify_dn_bound)(args.dim)
+        payload, csv_text = reports.certificate_dict(cert), reports.certificate_csv(cert)
     _emit(args, payload, csv_text)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_OK if cert.matches_expected else EXIT_MISMATCH
 
 
 def cmd_property_d(args) -> int:

@@ -19,16 +19,12 @@ from operator import add, sub
 from typing import Iterable, Optional
 
 from .constructions import CertificateError, GaugeNorm, HexagonPattern, an_vertices_scaled, dn_vertices_scaled
-from .geometry import an_half_dual_scale, from_scaled, planar_coset_in_box
+from .geometry import planar_coset_in_box
 from .graphs import MAX_CAYLEY_VERTICES, GeometricGraph, _bits, hex_pattern_graph, hex_step_extent
 
 
 class MarginViolation(ValueError):
     """A vertex set reaches too close to the box boundary."""
-
-
-class NotAvoiding(ValueError):
-    """The vertex set contains a pair at gauge distance exactly 1."""
 
 
 class CrossCheckMismatch(CertificateError):
@@ -113,10 +109,6 @@ class ChainClique:
         for w in self.weights:
             pts.append(tuple((m if i < w else 0) - w for i in range(m)))
         return pts
-
-    def points(self) -> list:
-        s = an_half_dual_scale(self.n)
-        return [from_scaled(p, s) for p in self.points_scaled()]
 
 
 def enumerate_chain_cliques(n: int) -> list:
@@ -344,90 +336,6 @@ def verify_dn_bound(n: int) -> DensityCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Shared graph-side neighborhood helpers
-
-
-def closed_neighborhood(g: GeometricGraph, members: Iterable[int]) -> list:
-    """Indices of C together with all neighbors; requires C inside the
-    1-step margin so the result equals the infinite-graph neighborhood."""
-    members = list(members)
-    mask = 0
-    for c in members:
-        if not g.is_interior(c, 1):
-            raise MarginViolation(f"vertex {g.coords(c)} too close to the boundary")
-        mask |= g.adj[c] | (1 << c)
-    return _bits(mask)
-
-
-@dataclass
-class Decomposition:
-    components: list  # lists of vertex indices
-    all_cliques: Optional[bool]
-    neighborhoods_disjoint: bool
-
-
-def decompose_avoiding_set(
-    g: GeometricGraph,
-    gauge: GaugeNorm,
-    members: Iterable[int],
-    neighborhood_kind: str = "full",
-) -> Decomposition:
-    """Split a distance-1-avoiding vertex set into connected components of
-    the auxiliary graph and check the disjoint-neighborhood property.
-
-    Raises NotAvoiding when two members are at gauge distance exactly 1.
-    neighborhood_kind "full" also checks that every component is a clique;
-    "class-B" restricts neighborhood counting to B-tagged vertices.
-    """
-    members = sorted(set(members))
-    for c in members:
-        if not g.is_interior(c, 2):
-            raise MarginViolation(f"vertex {g.coords(c)} too close to the boundary")
-    for i, j in combinations(members, 2):
-        d = tuple(a - b for a, b in zip(g.points[i], g.points[j]))
-        if gauge.value_scaled(d, g.scale) == 1:
-            raise NotAvoiding(f"{g.coords(i)} and {g.coords(j)} at distance 1")
-    member_mask = 0
-    for c in members:
-        member_mask |= 1 << c
-    components = []
-    seen = 0
-    for c in members:
-        if seen & (1 << c):
-            continue
-        comp = 1 << c
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v] & member_mask & ~comp
-            comp |= nxt
-            frontier = nxt
-        seen |= comp
-        components.append(_bits(comp))
-    all_cliques: Optional[bool] = None
-    if neighborhood_kind == "full":
-        all_cliques = all(
-            all(g.adj[i] & (1 << j) for i, j in combinations(comp, 2))
-            for comp in components
-        )
-    b_mask = g.class_mask("B") if neighborhood_kind == "class-B" else None
-    hoods = []
-    for comp in components:
-        m = 0
-        for c in comp:
-            m |= g.adj[c] | (1 << c)
-        if b_mask is not None:
-            m &= b_mask
-        hoods.append(m)
-    disjoint = True
-    for a, b in combinations(hoods, 2):
-        if a & b:
-            disjoint = False
-    return Decomposition(components, all_cliques, disjoint)
-
-
-# ---------------------------------------------------------------------------
 # Hexagon component taxonomy
 
 
@@ -493,7 +401,7 @@ def _connected_avoiding_subsets(g: GeometricGraph, gauge: GaugeNorm, base: int, 
     def ok_margin(i):
         return all(abs(c) <= interior2 for c in g.points[i])
 
-    def grow(current: tuple, frontier_exclusions: set):
+    def grow(current: tuple):
         results.append(current)
         if len(current) == max_size:
             return
@@ -501,16 +409,16 @@ def _connected_avoiding_subsets(g: GeometricGraph, gauge: GaugeNorm, base: int, 
         for v in current:
             cand |= g.adj[v]
         for w in _bits(cand):
-            if w in current or w in frontier_exclusions:
+            if w in current:
                 continue
             if not ok_margin(w):
                 continue
             if any(unit(w, v) for v in current):
                 continue
-            grow(tuple(sorted(current + (w,))), frontier_exclusions | {w})
+            grow(tuple(sorted(current + (w,))))
 
     if ok_margin(base):
-        grow((base,), {base})
+        grow((base,))
     # grow() revisits the same subset through different orders; dedupe
     return sorted(set(results))
 

@@ -32,7 +32,6 @@ from .constructions import (
     gauge_dn,
     polytope_an,
     polytope_cube,
-    polytope_dn,
 )
 from .geometry import (
     Vec,
@@ -223,16 +222,6 @@ def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
     maps = (lambda p: (p[1], p[0]) + p[2:], lambda p: p[1:] + p[:1], lambda p: tuple(-c for c in p))
     g.symmetries = [[g.index[f(p)] for p in g.points] for f in maps]
     return g
-
-
-def dn_unit_distance_graph(n: int, radius) -> GeometricGraph:
-    radius = Fraction(radius)
-    _check_size(count_dn_half_dual_scaled(n, radius))
-    data = polytope_dn(n)
-    pts = enumerate_dn_half_dual_scaled(n, radius)
-    return build_unit_distance_graph(
-        dn_half_dual_scale(n), pts, data.gauge, box_radius=radius, step_extent=data.vertex_extent()
-    )
 
 
 def cube_graph(n: int) -> GeometricGraph:

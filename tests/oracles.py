@@ -1,16 +1,19 @@
 """Reference helpers shared by the tests: brute-force lattice boxes, the
 exact Fraction coset enumerator, the full-tie-set closest-point search, the
 Fraction cell vertices and boundary catalog, the box Cayley graphs on the
-half dual lattices, and Vec views of the integer kernels."""
+half dual lattices, the avoiding-set decomposition into cliques with
+disjoint neighborhoods, and Vec views of the integer kernels."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from operator import add
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from voronorm.coloring import boundary_catalog
-from voronorm.constructions import an_vertices_scaled, dn_vertices_scaled, gauge_an, gauge_dn, gauge_sup
+from voronorm.constructions import GaugeNorm, an_vertices_scaled, dn_vertices_scaled, gauge_an, gauge_dn, gauge_sup
+from voronorm.density import MarginViolation
 from voronorm.geometry import (
     Vec,
     an_half_dual_scale,
@@ -241,3 +244,75 @@ def graph_distance_2_pairs(g, interior_k: int = 2):
             if w in interior and w < u:
                 continue
             yield u, w, _bits(g.adj[u] & g.adj[w])
+
+
+class NotAvoiding(ValueError):
+    """The vertex set contains a pair at gauge distance exactly 1."""
+
+
+@dataclass
+class Decomposition:
+    components: list  # lists of vertex indices
+    all_cliques: Optional[bool]
+    neighborhoods_disjoint: bool
+
+
+def decompose_avoiding_set(
+    g: GeometricGraph,
+    gauge: GaugeNorm,
+    members: Iterable[int],
+    neighborhood_kind: str = "full",
+) -> Decomposition:
+    """Split a distance-1-avoiding vertex set into connected components of
+    the auxiliary graph and check the disjoint-neighborhood property.
+
+    Raises NotAvoiding when two members are at gauge distance exactly 1.
+    neighborhood_kind "full" also checks that every component is a clique;
+    "class-B" restricts neighborhood counting to B-tagged vertices.
+    """
+    members = sorted(set(members))
+    for c in members:
+        if not g.is_interior(c, 2):
+            raise MarginViolation(f"vertex {g.coords(c)} too close to the boundary")
+    for i, j in combinations(members, 2):
+        d = tuple(a - b for a, b in zip(g.points[i], g.points[j]))
+        if gauge.value_scaled(d, g.scale) == 1:
+            raise NotAvoiding(f"{g.coords(i)} and {g.coords(j)} at distance 1")
+    member_mask = 0
+    for c in members:
+        member_mask |= 1 << c
+    components = []
+    seen = 0
+    for c in members:
+        if seen & (1 << c):
+            continue
+        comp = 1 << c
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= g.adj[v] & member_mask & ~comp
+            comp |= nxt
+            frontier = nxt
+        seen |= comp
+        components.append(_bits(comp))
+    all_cliques: Optional[bool] = None
+    if neighborhood_kind == "full":
+        all_cliques = all(
+            all(g.adj[i] & (1 << j) for i, j in combinations(comp, 2))
+            for comp in components
+        )
+    b_mask = g.class_mask("B") if neighborhood_kind == "class-B" else None
+    hoods = []
+    for comp in components:
+        m = 0
+        for c in comp:
+            m |= g.adj[c] | (1 << c)
+        if b_mask is not None:
+            m &= b_mask
+        hoods.append(m)
+    disjoint = True
+    for a, b in combinations(hoods, 2):
+        if a & b:
+            disjoint = False
+    return Decomposition(components, all_cliques, disjoint)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -188,6 +189,44 @@ def test_stdout_output(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["family"] == "an"
+
+
+# The README's example commands with the sha256 of their stdout; every
+# report must stay byte-identical, so a change to one of these hashes is a
+# change of the report, not of its implementation.
+README_REPORTS = [
+    ("bound an --dim 4", "852c3efb7ad78c75459c865dee066f0085048b3819e872eb51aff67adf672bc7"),
+    ("bound dn --dim 8", "526c8f4738674c973d1dac7eb88075ebcc1a985c60b574ebe1205b72f36f2bd1"),
+    ("bound hexagon --basis 3,0,1,3", "b803c52a5e8cd5134c0e5dd607c862d8884d8538de5205dc1f6db9e15a9ae902"),
+    ("bound cube --dim 10", "6c1883cc3c015178f9a35b1b8f193801017b3515e2565db150982912838ae531"),
+    (
+        "property-d an --dim 3 --radius 3/2 --mode strong",
+        "8143f64a243dcdff53e3b4b21c381f4f898c50e0b76347b4148fb7e61b2b83e3",
+    ),
+    (
+        "property-d hexagon --basis 3,0,1,3 --mode weak",
+        "5e6e1cf38e0e1c1079b484ccd71f8fdadb9c21317134007d6a5636e9611db09a",
+    ),
+    ("ratio an --dim 2 --radii 1,5/4,3/2,7/4", "9031c899b84a4483c1e36ea3a41fbf21986f50b678cadf84e72570ed435b242e"),
+    ("ratio cube --dim 3", "d613b3419c60020d8d49fe38c3f6502fa313786689f691b872bc155fe8fbe011"),
+    ("ratio counterexample --n 30", "eedb9b03da04a13fd8dc3bd6dec3c23e70e5dacea9e12a239944bcef86522e9c"),
+    ("color an --dim 3 --samples 10000 --seed 7", "e51551191c90478375a5791d07a86f044edb919082e02b6be4dd9fa6b0052b3b"),
+    ("witness --basis 3,0,1,3 --k 4", "6ffe07d97bd464d2f51015abef5ddeee6606d874d1ad7746d715c0c9cb1ebc0f"),
+]
+README_WITNESS_EDGES = "8153ccd55c3f66d65c136c7610c33a16044399e80af8de1663c7df3e107fe6fa"
+
+
+def test_readme_reports_are_pinned(tmp_path, capsys):
+    edges = tmp_path / "witness.edges"
+    for command, digest in README_REPORTS:
+        argv = command.split()
+        if argv[0] == "witness":
+            argv += ["--edges-out", str(edges)]
+        assert main(argv) == 0, command
+        captured = capsys.readouterr()
+        assert captured.err == "", command
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, command
+    assert hashlib.sha256(edges.read_bytes()).hexdigest() == README_WITNESS_EDGES
 
 
 @pytest.mark.parametrize("radius", ["-1", "0"])

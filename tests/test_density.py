@@ -10,12 +10,8 @@ from voronorm.density import (
     ChainClique,
     CrossCheckMismatch,
     HEX_EXPECTED_DELTAS,
-    MarginViolation,
-    NotAvoiding,
     an_brute_neighborhood_counts,
     an_neighborhood_size_formula,
-    closed_neighborhood,
-    decompose_avoiding_set,
     dn_brute_neighborhood_counts,
     dn_cmax_points_scaled,
     enumerate_chain_cliques,
@@ -34,48 +30,7 @@ from voronorm.geometry import (
 )
 from voronorm.graphs import hex_pattern_graph
 from voronorm.independence import max_independent_set
-from oracles import an_cayley_graph, graph_distance_2_pairs, vertex
-
-
-# ---------------------------------------------------------------------------
-# closed neighborhoods on graphs
-
-
-def _an2_graph():
-    return an_cayley_graph(2, F(3, 2))
-
-
-def test_closed_neighborhood_singleton():
-    g = _an2_graph()
-    i0 = vertex(g, zero_vec(3))
-    assert len(closed_neighborhood(g, [i0])) == 7
-
-
-def test_closed_neighborhood_pair():
-    g = _an2_graph()
-    c = ChainClique(2, (1,))
-    idx = [vertex(g, p) for p in c.points()]
-    assert None not in idx
-    assert len(closed_neighborhood(g, idx)) == 10
-
-
-def test_closed_neighborhood_triple():
-    g = _an2_graph()
-    c = ChainClique(2, (1, 2))
-    idx = [vertex(g, p) for p in c.points()]
-    assert len(closed_neighborhood(g, idx)) == 12
-
-
-def test_closed_neighborhood_empty():
-    g = _an2_graph()
-    assert closed_neighborhood(g, []) == []
-
-
-def test_closed_neighborhood_margin_violation():
-    g = _an2_graph()
-    boundary = max(range(g.n), key=lambda i: max(abs(c) for c in g.points[i]))
-    with pytest.raises(MarginViolation):
-        closed_neighborhood(g, [boundary])
+from oracles import NotAvoiding, an_cayley_graph, decompose_avoiding_set, graph_distance_2_pairs, vertex
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +317,10 @@ def test_component_search_matches_brute_force_enumeration():
 
 # ---------------------------------------------------------------------------
 # avoiding-set decomposition
+
+
+def _an2_graph():
+    return an_cayley_graph(2, F(3, 2))
 
 
 def test_decompose_singleton():

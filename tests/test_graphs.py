@@ -36,7 +36,6 @@ from voronorm.graphs import (
     check_property_d,
     cube_graph,
     dn_property_d,
-    dn_unit_distance_graph,
     hex_pattern_graph,
 )
 from voronorm.reports import witness_edge_list
@@ -454,8 +453,8 @@ def test_edge_list_round_trip():
 def test_dn_box_is_counted_before_enumerating():
     # 5^9 + 4^9 points: refused from the count, before the box is enumerated
     t0 = time.monotonic()
-    with pytest.raises(ValueError, match="2215269 vertices exceeds the limit"):
-        dn_unit_distance_graph(9, 1)
+    with pytest.raises(ValueError, match="Cayley graph of 2215269 vertices exceeds the limit"):
+        dn_property_d(9, 1)
     assert time.monotonic() - t0 < 2
 
 
