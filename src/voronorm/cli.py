@@ -210,10 +210,9 @@ def _validate(args) -> None:
         _usage_error(f"--dim is required for {fam}")
     if (fam == "hexagon" or args.func is cmd_witness) and args.basis is None:
         _usage_error("--basis is required for the hexagon")
-    if fam == "an" and args.dim < 2:
-        _usage_error(f"--dim must be at least 2 for an, got {args.dim}")
-    if fam == "dn" and args.dim < 4:
-        _usage_error(f"--dim must be at least 4 for dn, got {args.dim}")
+    least = {"an": 2, "dn": 4, "cube": 1}.get(fam)
+    if least is not None and args.dim < least:
+        _usage_error(f"--dim must be at least {least} for {fam}, got {args.dim}")
     if args.func is cmd_ratio and fam == "an":
         if not args.radii:
             _usage_error("--radii is required for ratio an")

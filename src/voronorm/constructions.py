@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
-from operator import mul
+from operator import add, mul
 from typing import Callable
 
 from .geometry import (
@@ -160,6 +160,19 @@ class GaugeNorm:
         return check
 
 
+def row_values(rows, points):
+    """For each integer row a of ``integer_system``, the list [a.p for p in
+    points], summed over the coordinate columns of a's nonzero entries only
+    (every cube, A_n and D_n row has one or two)."""
+    cols = list(zip(*points))
+    for a in rows:
+        terms = [col if c == 1 else [c * x for x in col] for c, col in zip(a, cols) if c]
+        vals = list(terms[0]) if terms else [0] * len(points)
+        for t in terms[1:]:
+            vals = list(map(add, vals, t))
+        yield vals
+
+
 def gauge_an(n: int) -> GaugeNorm:
     """Gauge of the A_n Voronoi cell: max_j x_j - min_i x_i on the hyperplane."""
     if n < 2:
@@ -237,10 +250,23 @@ class PolytopeData:
         return Fraction(max(abs(c) for v in self.vertices for c in v), self.scale)
 
     def check_vertices_on_boundary(self) -> None:
-        """Check exactly that every vertex has gauge 1."""
+        """Check exactly that every vertex has gauge 1: no row above its
+        level and at least one on it.  All vertices are checked in one pass
+        over the rows; the first failing vertex is named."""
         for v in self.vertices:
-            if self.gauge.value_scaled(v, self.scale) != 1:
-                raise CertificateError(f"vertex {from_scaled(v, self.scale)} is not on the boundary")
+            self.gauge._check_scaled_domain(v)
+        rows, levels = self.gauge.integer_system(self.scale)
+        over = on = 0
+        for t, vals in zip(levels, row_values(rows, self.vertices)):
+            for j, v in enumerate(vals):
+                if v > t:
+                    over |= 1 << j
+                elif v == t:
+                    on |= 1 << j
+        bad = over | (((1 << len(self.vertices)) - 1) & ~on)
+        if bad:
+            v = self.vertices[(bad & -bad).bit_length() - 1]
+            raise CertificateError(f"vertex {from_scaled(v, self.scale)} is not on the boundary")
 
 
 def _polytope(family: str, lattice: Lattice, gauge: GaugeNorm, scale: int, vertices: list) -> PolytopeData:

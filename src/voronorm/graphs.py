@@ -32,6 +32,7 @@ from .constructions import (
     gauge_dn,
     polytope_an,
     polytope_cube,
+    row_values,
 )
 from .geometry import (
     Vec,
@@ -157,13 +158,13 @@ def _unit_edges(points: Sequence[tuple], rows, thresholds) -> list:
 
     Row by row, with v_j = a.p_j, the condition a.(p_i - p_j) <= t reads
     v_j >= v_i - t and its equality v_j = v_i - t; both are read off one
-    bitmask per value (the equality) and their suffix unions (the bound).
+    bitmask per value (the equality) and their suffix unions (the bound),
+    resolved once per distinct value.
     """
     n = len(points)
     within = [(1 << n) - 1] * n
     on_face = [0] * n
-    for a, t in zip(rows, thresholds):
-        vals = [sum(map(mul, a, p)) for p in points]
+    for t, vals in zip(thresholds, row_values(rows, points)):
         at = {}
         for j, v in enumerate(vals):
             at[v] = at.get(v, 0) | (1 << j)
@@ -171,9 +172,11 @@ def _unit_edges(points: Sequence[tuple], rows, thresholds) -> list:
         suffix = [0] * (len(keys) + 1)
         for k in range(len(keys) - 1, -1, -1):
             suffix[k] = suffix[k + 1] | at[keys[k]]
+        bound = {v: suffix[bisect_left(keys, v - t)] for v in keys}
+        face = {v: at.get(v - t, 0) for v in keys}
         for i, v in enumerate(vals):
-            within[i] &= suffix[bisect_left(keys, v - t)]
-            on_face[i] |= at.get(v - t, 0)
+            within[i] &= bound[v]
+            on_face[i] |= face[v]
     return [w & f for w, f in zip(within, on_face)]
 
 

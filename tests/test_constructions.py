@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from voronorm.constructions import (
     polytope_an,
     polytope_cube,
     polytope_dn,
+    row_values,
 )
 from voronorm.geometry import (
     AnLattice,
@@ -228,6 +231,24 @@ def test_cached_rows_match_fraction_value(name, data):
         assert not gauge.is_unit_scaled(z, 2 * e) and not on_system([2 * c for c in z], e)
 
 
+@pytest.mark.parametrize("name", sorted(ROW_GAUGES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_row_values_match_dense_dot_products(name, data):
+    # the planar rows have coefficients other than +-1 and a level of their
+    # own; coordinates near +-2^62 are where fixed-width int64 would wrap
+    gauge, m = ROW_GAUGES[name]
+    big = 2**62
+    coord = st.integers(-50, 50).flatmap(lambda c: st.sampled_from([c, c + big, c - big]))
+    width = m - 1 if gauge.require_zero_sum else m
+    point = st.lists(coord, min_size=width, max_size=width)
+    if gauge.require_zero_sum:
+        point = point.map(lambda c: c + [-sum(c)])
+    points = [tuple(p) for p in data.draw(st.lists(point, max_size=12))]
+    rows, _ = gauge.integer_system(data.draw(st.integers(1, 6)))
+    assert list(row_values(rows, points)) == [[sum(map(mul, a, p)) for p in points] for a in rows]
+
+
 def _sample_gauge_vs_voronoi(gauge, lattice, dim, project, count, seed):
     rnd = random.Random(seed)
     for _ in range(count):
@@ -260,18 +281,100 @@ def test_polytope_data_builders():
         assert all(data.gauge.value(from_scaled(v, data.scale)) == 1 for v in data.vertices)
 
 
-@pytest.mark.parametrize("builder,n", [(polytope_an, 3), (polytope_dn, 4), (polytope_cube, 3)])
+def test_large_polytopes_pass_the_vertex_check():
+    for data in (polytope_an(8), polytope_dn(8), polytope_cube(10)):
+        data.check_vertices_on_boundary()
+        assert all(data.gauge.value_scaled(v, data.scale) == 1 for v in data.vertices)
+
+
+def _hexagon_cell(raw):
+    return hexagon_pattern(reduce_planar_basis(Vec(raw[0]), Vec(raw[1]))).cell
+
+
+def _move_vertices(data, moves):
+    """data with vertex i times moves[i], every vertex at the scale times
+    the common denominator of the factors."""
+    q = math.lcm(*(f.denominator for f in moves.values()))
+    vertices = tuple(tuple(int(c * moves.get(i, 1) * q) for c in v) for i, v in enumerate(data.vertices))
+    return dataclasses.replace(data, scale=data.scale * q, vertices=vertices)
+
+
+def _not_on_boundary(data, i):
+    return f"vertex {from_scaled(data.vertices[i], data.scale)} is not on the boundary"
+
+
+# first-position cases keep the plain builder ids, so those test ids stay stable
+MOVED_VERTEX_CASES = [
+    pytest.param(builder, n, position, id=f"{builder.__name__}-{n}" + ("" if position == "first" else f"-{position}"))
+    for builder, n in [(polytope_an, 3), (polytope_dn, 4), (polytope_cube, 3)]
+    for position in ("first", "middle", "last")
+]
+
+
+@pytest.mark.parametrize("builder,n,position", MOVED_VERTEX_CASES)
 @pytest.mark.parametrize("factor", [F(1, 2), F(3, 2)])
-def test_check_vertices_on_boundary_rejects_moved_vertex(builder, n, factor):
-    # the first vertex times factor, all vertices at the scale times its denominator
+def test_check_vertices_on_boundary_rejects_moved_vertex(builder, n, position, factor):
     data = builder(n)
-    p, q = factor.numerator, factor.denominator
-    moved = tuple(c * p for c in data.vertices[0])
-    rest = tuple(tuple(c * q for c in v) for v in data.vertices[1:])
-    bad = dataclasses.replace(data, scale=data.scale * q, vertices=(moved,) + rest)
-    assert data.gauge.value(from_scaled(moved, bad.scale)) == factor
-    with pytest.raises(CertificateError, match="not on the boundary"):
+    i = {"first": 0, "middle": len(data.vertices) // 2, "last": len(data.vertices) - 1}[position]
+    bad = _move_vertices(data, {i: factor})
+    assert data.gauge.value(from_scaled(bad.vertices[i], bad.scale)) == factor
+    with pytest.raises(CertificateError) as exc:
         bad.check_vertices_on_boundary()
+    assert str(exc.value) == _not_on_boundary(bad, i)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: polytope_an(3), lambda: polytope_dn(4), lambda: _hexagon_cell(BASES[0])], ids=["an3", "dn4", "hexagon"]
+)
+@pytest.mark.parametrize("low,high", [(F(1, 2), F(3, 2)), (F(3, 2), F(1, 2))])
+def test_check_vertices_on_boundary_names_the_lowest_moved_vertex(make, low, high):
+    # one vertex falls inside the cell, the other outside: whichever it is,
+    # the message names the one of lower index
+    data = make()
+    i, j = 1, len(data.vertices) - 2
+    bad = _move_vertices(data, {i: low, j: high})
+    with pytest.raises(CertificateError) as exc:
+        bad.check_vertices_on_boundary()
+    assert str(exc.value) == _not_on_boundary(bad, i)
+
+
+@pytest.mark.parametrize(
+    "make,old,new",
+    [
+        (lambda: polytope_cube(3), (-1, -1, -1), (-1, -1, -2)),
+        (lambda: polytope_an(3), (3, -1, -1, -1), (3, 0, -1, -2)),
+        (lambda: polytope_dn(4), (2, 0, 0, 0), (2, 1, 0, 0)),
+        # v0 pushed past itself along the edge from v1: on face[0]'s line, beyond face[5]
+        (lambda: _hexagon_cell(BASES[0]), 0, 1),
+    ],
+    ids=["cube3", "an3", "dn4", "hexagon"],
+)
+def test_check_vertices_on_boundary_rejects_vertex_on_one_face_beyond_another(make, old, new):
+    data = make()
+    if isinstance(old, int):
+        old, new = data.vertices[old], tuple(2 * a - b for a, b in zip(data.vertices[old], data.vertices[new]))
+    i = data.vertices.index(old)
+    bad = dataclasses.replace(data, vertices=data.vertices[:i] + (new,) + data.vertices[i + 1 :])
+    rows, levels = bad.gauge.integer_system(bad.scale)
+    dots = [sum(map(mul, a, new)) for a in rows]
+    assert any(v == t for v, t in zip(dots, levels)) and any(v > t for v, t in zip(dots, levels))
+    with pytest.raises(CertificateError) as exc:
+        bad.check_vertices_on_boundary()
+    assert str(exc.value) == _not_on_boundary(bad, i)
+
+
+@pytest.mark.parametrize("raw", [((3, 0), (1, 3)), ((5, 0), (2, 5))])
+def test_planar_cell_vertex_check(raw):
+    # the hexagon's rows have different levels, so each row has its own T*s
+    cell = _hexagon_cell(raw)
+    assert len(set(cell.gauge.integer_system(cell.scale)[1])) == 3
+    cell.check_vertices_on_boundary()
+    for i in range(6):
+        for factor in (F(1, 2), F(3, 2)):
+            bad = _move_vertices(cell, {i: factor})
+            with pytest.raises(CertificateError) as exc:
+                bad.check_vertices_on_boundary()
+            assert str(exc.value) == _not_on_boundary(bad, i)
 
 
 # ---------------------------------------------------------------------------
