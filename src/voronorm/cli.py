@@ -213,6 +213,8 @@ def _validate(args) -> None:
     least = {"an": 2, "dn": 4, "cube": 1}.get(fam)
     if least is not None and args.dim < least:
         _usage_error(f"--dim must be at least {least} for {fam}, got {args.dim}")
+    if args.func is cmd_ratio and fam == "counterexample" and args.n < 1:
+        _usage_error(f"--n must be at least 1, got {args.n}")
     if args.func is cmd_ratio and fam == "an":
         if not args.radii:
             _usage_error("--radii is required for ratio an")

@@ -7,11 +7,11 @@ lexicographically, which turns the open-ball construction into a total
 function without breaking properness.  A color is computed on scaled
 integers: x is scaled to an integer tuple once, the lexicographically
 smallest point of L closest to 2x comes from the lattice's integer decoder,
-and its coset bits from an integer left inverse of the basis computed once
-per coloring.  The properness check stays on integers from draw to decode:
-sampled points and unit steps are drawn as numerators over one
-denominator, and the boundary catalog is built on the cell's integer
-vertices.
+and its coset bits are the parities of its coordinates in the lattice's own
+basis, which each lattice reads off in closed form.  The properness check
+stays on integers from draw to decode: sampled points and unit steps are
+drawn as numerators over one denominator, and the boundary catalog is built
+on the cell's integer vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .constructions import CertificateError, GaugeNorm, HexagonPattern, PolytopeData
@@ -29,50 +29,23 @@ from .geometry import DimensionMismatch, Vec, from_scaled, lcm_denominator, scal
 from .graphs import GeometricGraph, _bits
 
 
-def _integer_left_inverse(cols: list) -> tuple:
-    """(M, den) with integer rows M and den > 0 such that M @ (B @ a) = den * a
-    for every a, B being the integer matrix with the given columns (full
-    column rank).  Exact Gauss-Jordan on [B | I]: the row operations that
-    take B to [I; 0] form a left inverse in their first k rows."""
-    m, k = len(cols[0]), len(cols)
-    rows = [[Fraction(c[i]) for c in cols] + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    for c in range(k):
-        piv = next((i for i in range(c, m) if rows[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("basis is not full rank")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        rows[c] = [a / rows[c][c] for a in rows[c]]
-        for i in range(m):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    left = [row[k:] for row in rows[:k]]
-    den = math.lcm(*(a.denominator for row in left for a in row))
-    return tuple(tuple(int(a * den) for a in row) for row in left), den
-
-
 @dataclass(frozen=True)
 class CosetColoring:
     """The 2^n-coloring by cosets of (1/2)Lambda / Lambda.
 
     ``cell`` is the Voronoi cell of the tiling lattice Lambda, the unit ball
     of ``gauge``; ``basis`` spans Lambda, as integer columns at the
-    decoder's scale ``lattice.scale``, and provides the coset coordinates.
-    For the cube, Lambda = 2Z^n and ``lattice`` is Z^n.  ``inverse`` and
-    ``den`` map a point of Lambda, as integers at that scale, to den times
-    its basis coordinates."""
+    decoder's scale ``lattice.scale``, and the coset coordinates are taken
+    in it: ``lattice.coordinates`` reads them off a point of Lambda.  For
+    the cube, Lambda = 2Z^n, ``lattice`` is Z^n and ``basis`` is 2I, so a
+    point's coordinates are those of its half."""
 
     cell: PolytopeData
     basis: tuple = field(init=False)
-    inverse: tuple = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = 2 if self.family == "cube" else 1
         object.__setattr__(self, "basis", tuple(tuple(k * c for c in b) for b in self.lattice.int_basis))
-        inverse, den = _integer_left_inverse(self.basis)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "den", den)
 
     # views of the cell and the basis
     family = property(lambda self: self.cell.family)
@@ -123,8 +96,9 @@ def _decode(coloring: CosetColoring, w: Sequence[int], d: int) -> tuple:
 
 def _basis_coords(coloring: CosetColoring, p: Sequence[int]) -> list:
     """Basis coordinates of the point p of Lambda (integers at ``lattice.scale``)."""
-    den = coloring.den
-    return [sum(map(mul, row, p)) // den for row in coloring.inverse]
+    if coloring.family == "cube":
+        p = [c // 2 for c in p]
+    return coloring.lattice.coordinates(p)
 
 
 def _parity_index(coords: list) -> int:

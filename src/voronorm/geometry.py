@@ -1,9 +1,10 @@
 """Exact rational lattice geometry.
 
 Vectors with Fraction components, the lattice families Z^n / A_n / D_n /
-planar, Lagrange-Gauss reduction of planar bases, closest-point decoding on
-scaled integers, and the integer box enumerators and counts of the graph
-vertex sets.  Everything is exact; no floating point is used anywhere.
+planar, Lagrange-Gauss reduction of planar bases, closest-point decoding and
+basis coordinates on scaled integers, and the integer box enumerators and
+counts of the graph vertex sets.  Everything is exact; no floating point is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -177,6 +178,10 @@ class ZnLattice(_IntegerLattice):
     def int_basis(self) -> tuple:
         return tuple(tuple(int(j == i) for j in range(self.n)) for i in range(self.n))
 
+    def coordinates(self, p: Sequence[int]) -> list:
+        """The ``int_basis`` coordinates of the lattice point p."""
+        return list(p)
+
     def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
         """The lexicographically least lattice point closest to w/d (d > 0),
         as an integer tuple at ``scale``: each coordinate rounded, exact
@@ -197,6 +202,11 @@ class AnLattice(_IntegerLattice):
     @cached_property
     def int_basis(self) -> tuple:
         return tuple(_differences(self.n + 1, self.n))
+
+    def coordinates(self, p: Sequence[int]) -> list:
+        """The ``int_basis`` coordinates of the lattice point p: the
+        coefficient of e_i - e_{i+1} is p_0 + ... + p_i."""
+        return list(accumulate(p[:-1]))
 
     def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
         """The lexicographically least lattice point closest to w/d (d > 0),
@@ -239,6 +249,14 @@ class DnLattice(_IntegerLattice):
     @cached_property
     def int_basis(self) -> tuple:
         return tuple([(1, 1) + (0,) * (self.n - 2)] + _differences(self.n, self.n - 1))
+
+    def coordinates(self, p: Sequence[int]) -> list:
+        """The ``int_basis`` coordinates of the lattice point p: e_0 + e_1
+        takes half the coordinate sum, e_0 - e_1 the rest of p_0, and
+        e_{i-1} - e_i, for i >= 2, minus p_i + ... + p_{n-1}."""
+        half = sum(p) // 2
+        tails = list(accumulate(reversed(p[2:])))
+        return [half, p[0] - half] + [-s for s in reversed(tails)]
 
     def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
         """The lexicographically least lattice point closest to w/d (d > 0),
@@ -315,7 +333,7 @@ class PlanarLattice:
     def __post_init__(self):
         if self.b0.dim != 2 or self.b1.dim != 2:
             raise DimensionMismatch("planar basis vectors must have dim 2")
-        if self.det() == 0:
+        if self.b0[0] * self.b1[1] - self.b0[1] * self.b1[0] == 0:
             raise DegenerateCell("planar basis is linearly dependent")
         scale = lcm_denominator([self.b0, self.b1])
         object.__setattr__(self, "scale", scale)
@@ -325,21 +343,25 @@ class PlanarLattice:
     def ambient_dim(self) -> int:
         return 2
 
-    def det(self) -> Fraction:
-        return self.b0[0] * self.b1[1] - self.b0[1] * self.b1[0]
+    def _cramer(self, u: Sequence[int]) -> tuple:
+        """(n0, n1, det) with det > 0 and u = (n0*p + n1*q)/det, for the
+        integer basis (p, q) and an integer point u at ``scale``."""
+        (p0, p1), (q0, q1) = self.int_basis
+        n0, n1, det = u[0] * q1 - u[1] * q0, p0 * u[1] - p1 * u[0], p0 * q1 - p1 * q0
+        return (n0, n1, det) if det > 0 else (-n0, -n1, -det)
 
-    def coefficients(self, x: Vec) -> tuple:
-        """Exact (c0, c1) with x = c0*b0 + c1*b1."""
-        d = self.det()
-        c0 = (x[0] * self.b1[1] - x[1] * self.b1[0]) / d
-        c1 = (self.b0[0] * x[1] - self.b0[1] * x[0]) / d
-        return c0, c1
+    def coordinates(self, p: Sequence[int]) -> list:
+        """The ``int_basis`` coordinates of the lattice point p (integers at
+        ``scale``)."""
+        n0, n1, det = self._cramer(p)
+        return [n0 // det, n1 // det]
 
     def contains(self, v: Vec) -> bool:
         if v.dim != 2:
             raise DimensionMismatch("expected dim 2")
-        c0, c1 = self.coefficients(v)
-        return c0.denominator == 1 and c1.denominator == 1
+        w, d = scaled_ints(v)
+        n0, n1, det = self._cramer([self.scale * c for c in w])
+        return n0 % (d * det) == 0 and n1 % (d * det) == 0
 
     def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
         """The lexicographically least lattice point closest to w/d (d > 0),
@@ -355,9 +377,8 @@ class PlanarLattice:
             raise DimensionMismatch("expected dim 2")
         (p0, p1), (q0, q1) = self.int_basis
         u0, u1 = self.scale * w[0], self.scale * w[1]
-        n0, n1, den = u0 * q1 - u1 * q0, p0 * u1 - p1 * u0, d * (p0 * q1 - p1 * q0)
-        if den < 0:
-            n0, n1, den = -n0, -n1, -den
+        n0, n1, det = self._cramer((u0, u1))
+        den = d * det
         a0c, a1c = (2 * n0 + den) // (2 * den), (2 * n1 + den) // (2 * den)
         hit = (a0c * p0 + a1c * q0, a0c * p1 + a1c * q1)
         e0, e1 = u0 - d * hit[0], u1 - d * hit[1]

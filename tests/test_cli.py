@@ -288,6 +288,8 @@ def test_ratio_rejects_non_positive_radii(tmp_path, capsys, radii):
         pytest.param(["bound", "cube", "--dim", "0"], "--dim", id="bound-cube-dim-0"),
         pytest.param(["ratio", "cube", "--dim", "0"], "--dim", id="ratio-cube-dim-0"),
         pytest.param(["color", "cube", "--dim", "-1", "--seed", "1"], "--dim", id="color-cube-dim-minus-1"),
+        pytest.param(["ratio", "counterexample", "--n", "0"], "--n", id="ratio-counterexample-n-0"),
+        pytest.param(["ratio", "counterexample", "--n", "-3"], "--n", id="ratio-counterexample-n-minus-3"),
         pytest.param(["bound", "hexagon"], "--basis", id="bound-hexagon-no-basis"),
         pytest.param(["witness", "--k", "4"], "--basis", id="witness-no-basis"),
     ],

@@ -161,10 +161,10 @@ def test_verify_coloring_families(fam, n):
     assert rep.holds
 
 
-@pytest.mark.parametrize("fam,catalog_pairs", [("an", 68586), ("dn", 54432)])
-def test_verify_coloring_largest_admitted_cells(fam, catalog_pairs):
-    # A_8 and D_8 are the largest cells under MAX_CATALOG_PAIRS
-    rep = verify_coloring(coset_coloring(fam, 8), 1, 1)
+@pytest.mark.parametrize("fam,n,catalog_pairs", [("an", 8, 68586), ("dn", 8, 54432), ("cube", 11, 172186)])
+def test_verify_coloring_largest_admitted_cells(fam, n, catalog_pairs):
+    # A_8, D_8 and the 11-cube are the largest cells under MAX_CATALOG_PAIRS
+    rep = verify_coloring(coset_coloring(fam, n), 1, 1)
     assert rep.holds
     assert rep.catalog_pairs == catalog_pairs
 
@@ -431,6 +431,50 @@ def test_closest_lattice_points_match_box_search(name, data):
     costs = [sum((c * d - t) ** 2 for c, t in zip(p, w)) for p in ints]
     least = min(costs)
     assert closest_points(lattice, x) == sorted(p for p, c in zip(pts, costs) if c == least)
+
+
+COORDINATE_LATTICES = {
+    **{f"z{n}": ZnLattice(n) for n in range(1, 12)},
+    **{f"a{n}": AnLattice(n) for n in range(2, 9)},
+    **{f"d{n}": DnLattice(n) for n in range(3, 9)},
+    **{name: lat for name, lat in BRUTE_LATTICES.items() if lat.family == "planar"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_LATTICES))
+@PROPERTY
+@given(data=st.data())
+def test_coordinates_invert_the_basis_sum(name, data):
+    # the oracle is the basis sum itself: p = sum a_i * int_basis[i]
+    lattice = COORDINATE_LATTICES[name]
+    basis = lattice.int_basis
+    a = data.draw(st.lists(st.integers(-9, 9), min_size=len(basis), max_size=len(basis)))
+    p = tuple(sum(c * b[i] for c, b in zip(a, basis)) for i in range(lattice.ambient_dim))
+    assert lattice.coordinates(p) == a
+
+
+def _fraction_cramer(lattice, x: Vec) -> tuple:
+    """Exact (c0, c1) with x = c0*b0 + c1*b1, on Fractions."""
+    b0, b1 = lattice.b0, lattice.b1
+    det = b0[0] * b1[1] - b0[1] * b1[0]
+    return (x[0] * b1[1] - x[1] * b1[0]) / det, (b0[0] * x[1] - b0[1] * x[0]) / det
+
+
+@pytest.mark.parametrize("name", sorted(n for n, lat in BRUTE_LATTICES.items() if lat.family == "planar"))
+@PROPERTY
+@given(data=st.data())
+def test_planar_contains_matches_fraction_cramer(name, data):
+    # free points and halves, thirds and sixths of basis combinations, so
+    # that lattice points and points just off the lattice both occur
+    lattice = BRUTE_LATTICES[name]
+    coord = st.sampled_from([1, 2, 3, 4, 6]).flatmap(lambda d: st.integers(-3 * d, 3 * d).map(lambda k: F(k, d)))
+    x = data.draw(
+        st.one_of(
+            st.tuples(coord, coord).map(Vec),
+            st.tuples(coord, coord).map(lambda c: lattice.b0 * c[0] + lattice.b1 * c[1]),
+        )
+    )
+    assert lattice.contains(x) == all(c.denominator == 1 for c in _fraction_cramer(lattice, x))
 
 
 # ---------------------------------------------------------------------------
