@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .coloring import chromatic_witness_search, coset_coloring, verify_coloring
 from .constructions import CertificateError, hexagon_pattern
-from .density import verify_an_bound, verify_dn_bound, verify_hexagon_bound
+from .density import MAX_CHAIN_DIM, verify_an_bound, verify_dn_bound, verify_hexagon_bound
 from .geometry import DegenerateCell, Vec, reduce_planar_basis
 from .graphs import (
     an_property_d,
@@ -213,6 +213,8 @@ def _validate(args) -> None:
     least = {"an": 2, "dn": 4, "cube": 1}.get(fam)
     if least is not None and args.dim < least:
         _usage_error(f"--dim must be at least {least} for {fam}, got {args.dim}")
+    if args.func is cmd_bound and fam == "an" and args.dim > MAX_CHAIN_DIM:
+        _usage_error(f"--dim must be at most {MAX_CHAIN_DIM} for bound an, got {args.dim}")
     if args.func is cmd_ratio and fam == "counterexample" and args.n < 1:
         _usage_error(f"--n must be at least 1, got {args.n}")
     if args.func is cmd_ratio and fam == "an":

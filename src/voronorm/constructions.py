@@ -1,6 +1,8 @@
 """Voronoi polytope data for each lattice family.
 
-Gauge (polytope-norm) evaluators as explicit functional lists, one integer
+Gauge (polytope-norm) evaluators as integer rows, one (a, t) per facet,
+with a closed form on scaled integers for the A_n, D_n and cube gauges (the
+Fraction functional lists are the oracle in the tests), one integer
 vertex builder per family (the cell vertices on scaled integers, which are
 also the Cayley generators (1/2)V_P at twice the scale), and the hexagon
 vertex/edge pattern used by the planar pipeline.
@@ -13,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 from operator import add, mul
-from typing import Callable
+from typing import Callable, Optional
 
 from .geometry import (
     AnLattice,
@@ -24,7 +26,6 @@ from .geometry import (
     ReducedPlanarBasis,
     Vec,
     ZnLattice,
-    basis_vec,
     from_scaled,
     lcm_denominator,
     scaled_ints,
@@ -62,45 +63,29 @@ def _sup_form(d) -> int:
 
 @dataclass(frozen=True)
 class GaugeNorm:
-    """Polytope norm as a finite max of affine functionals.
+    """Polytope norm as a finite max over integer rows.
 
-    value(x) = max over (a, c) of <a, x> / c.  The functional set is closed
-    under negation, so the evaluator is centrally symmetric and positively
-    homogeneous by construction.  ``kind`` selects a closed form on scaled
-    integers (an: max - min, dn: the two largest absolute values, sup: the
-    largest absolute value); the functional list remains the definition and
-    the closed forms are cross-checked against it in tests.
+    ``rows`` holds one pair (a, t) per facet: an integer row a and its level
+    t > 0, with value(y/s) = max over the rows of a.y / (t*s) for integer
+    tuples y.  The rows are closed under negation, a row and its negation
+    sharing a level, so the gauge is centrally symmetric and positively
+    homogeneous.  ``form`` is an optional closed form f on scaled integers
+    with value(y/s) = f(y)/s (an: max - min, dn: the two largest absolute
+    values, sup: the largest absolute value).  The ``Fraction`` functional
+    lists are the oracle of both in the tests.
     """
 
-    functionals: tuple
+    rows: tuple
     require_zero_sum: bool = False
-    kind: str = "generic"
+    form: Optional[Callable] = None
 
     def _check_scaled_domain(self, y) -> None:
         if self.require_zero_sum and sum(y) != 0:
             raise InputOffHyperplane(f"sum {sum(y)} != 0")
 
-    def _integer_form(self):
-        """The closed form f of ``kind`` with value(y/s) = f(y)/s for
-        integer tuples y, or None if the kind has none."""
-        return {"an": _an_form, "dn": _dn_form, "sup": _sup_form}.get(self.kind)
-
-    @cached_property
-    def _rows(self) -> tuple:
-        """(A, T): integer rows A_i and levels T_i > 0 with value(y/s) =
-        max_i A_i.y / (T_i*s) for integer tuples y.  Functional (a, c) gives
-        A_i = L*a/c and T_i = L, L the common denominator of a/c."""
-        rows, levels = [], []
-        for a, c in self.functionals:
-            u = a / c
-            level = lcm_denominator([u])
-            rows.append(tuple(int(x * level) for x in u))
-            levels.append(level)
-        return tuple(rows), tuple(levels)
-
     def value(self, x: Vec) -> Fraction:
-        self._check_scaled_domain(x)
-        return max(a.dot(x) / c for a, c in self.functionals)
+        """The gauge of the Fraction vector x, by ``value_scaled``."""
+        return self.value_scaled(*scaled_ints(x))
 
     def is_unit_scaled(self, y, scale: int) -> bool:
         """value(y/scale) == 1 for the integer tuple y, by ``unit_checker``."""
@@ -109,11 +94,10 @@ class GaugeNorm:
 
     def unit_step(self, y) -> tuple:
         """(z, e) with z/e = y/value(y): the nonzero integer tuple y scaled
-        onto the unit sphere, by the closed form of ``kind`` if it has one."""
+        onto the unit sphere, by the closed form if there is one."""
         self._check_scaled_domain(y)
-        form = self._integer_form()
-        if form is not None:
-            return y, form(y)
+        if self.form is not None:
+            return y, self.form(y)
         g = self.value_scaled(y, 1)
         return [c * g.denominator for c in y], g.numerator
 
@@ -122,7 +106,7 @@ class GaugeNorm:
         max over the rows is taken by cross-multiplication."""
         self._check_scaled_domain(y)
         best = None
-        for a, t in zip(*self._rows):
+        for a, t in self.rows:
             num, den = sum(map(mul, a, y)), t * scale
             if best is None or num * best[1] > best[0] * den:
                 best = num, den
@@ -131,19 +115,18 @@ class GaugeNorm:
     def integer_system(self, scale: int) -> tuple:
         """Rows (A, T) of integers such that value(y/scale) <= 1 iff
         A@y <= T componentwise, with equality attained iff value == 1."""
-        rows, levels = self._rows
-        return rows, [t * scale for t in levels]
+        return tuple(a for a, _ in self.rows), [t * scale for _, t in self.rows]
 
     def unit_checker(self, scale: int) -> Callable:
         """Predicate: is the scaled-integer displacement at gauge exactly 1.
 
         max_j x_j - min_i x_i equals the pairwise-difference max, and
         max_{i<j}(|x_i|+|x_j|) equals the sum of the two largest absolute
-        values, so the closed forms agree with the functional lists.  Other
-        gauges are decided on ``integer_system``: no row above its level,
-        at least one on it.
+        values, so the closed forms agree with the rows.  A gauge without a
+        closed form is decided on ``integer_system``: no row above its
+        level, at least one on it.
         """
-        form = self._integer_form()
+        form = self.form
         if form is not None:
             return lambda d: form(d) == scale
         rows, levels = self.integer_system(scale)
@@ -173,40 +156,46 @@ def row_values(rows, points):
         yield vals
 
 
+def _row(m: int, coefs: dict) -> tuple:
+    return tuple(coefs.get(k, 0) for k in range(m))
+
+
 def gauge_an(n: int) -> GaugeNorm:
     """Gauge of the A_n Voronoi cell: max_j x_j - min_i x_i on the hyperplane."""
     if n < 2:
         raise ValueError("n >= 2 required")
     m = n + 1
-    funcs = tuple((basis_vec(m, j) - basis_vec(m, i), Fraction(1)) for i, j in permutations(range(m), 2))
-    return GaugeNorm(funcs, require_zero_sum=True, kind="an")
+    rows = tuple((_row(m, {j: 1, i: -1}), 1) for i, j in permutations(range(m), 2))
+    return GaugeNorm(rows, require_zero_sum=True, form=_an_form)
 
 
 def gauge_dn(n: int) -> GaugeNorm:
     """Gauge of the D_n Voronoi cell: max_{i != j} |x_i| + |x_j|."""
     if n < 4:
         raise ValueError("n >= 4 required")
-    funcs = tuple(
-        (basis_vec(n, i) * si + basis_vec(n, j) * sj, Fraction(1))
-        for i, j in combinations(range(n), 2)
-        for si, sj in product((1, -1), repeat=2)
+    rows = tuple(
+        (_row(n, {i: si, j: sj}), 1) for i, j in combinations(range(n), 2) for si, sj in product((1, -1), repeat=2)
     )
-    return GaugeNorm(funcs, kind="dn")
+    return GaugeNorm(rows, form=_dn_form)
 
 
 def gauge_sup(n: int) -> GaugeNorm:
     """Sup norm: gauge of the cube with vertices (+-1, ..., +-1)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    funcs = tuple((basis_vec(n, i) * s, Fraction(1)) for i in range(n) for s in (1, -1))
-    return GaugeNorm(funcs, kind="sup")
+    return GaugeNorm(tuple((_row(n, {i: s}), 1) for i in range(n) for s in (1, -1)), form=_sup_form)
 
 
 def gauge_planar(basis: ReducedPlanarBasis) -> GaugeNorm:
     """Gauge of the hexagonal Voronoi cell: max over the six face vectors v
-    of 2<x, v>/<v, v>."""
-    funcs = tuple((v, v.norm2() / 2) for v in basis.face_vectors())
-    return GaugeNorm(funcs, kind="planar")
+    of 2<x, v>/<v, v>.  Each row is 2v/<v, v> cleared by its common
+    denominator, which becomes the row's level."""
+    rows = []
+    for v in basis.face_vectors():
+        u = v * 2 / v.norm2()
+        level = lcm_denominator([u])
+        rows.append((tuple(int(c * level) for c in u), level))
+    return GaugeNorm(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

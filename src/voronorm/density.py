@@ -111,10 +111,14 @@ class ChainClique:
         return pts
 
 
+# Largest n whose 2^n chain cliques the A_n certificate enumerates.
+MAX_CHAIN_DIM = 12
+
+
 def enumerate_chain_cliques(n: int) -> list:
     """All canonical chain cliques (one per weight subset), lexicographic."""
-    if not (2 <= n <= 12):
-        raise ValueError("n outside the practical range 2..12")
+    if not (2 <= n <= MAX_CHAIN_DIM):
+        raise ValueError(f"n outside the practical range 2..{MAX_CHAIN_DIM}")
     out = []
     for mask in range(2**n):
         weights = tuple(w for w in range(1, n + 1) if mask & (1 << (w - 1)))

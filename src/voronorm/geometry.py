@@ -91,10 +91,6 @@ def zero_vec(dim: int) -> Vec:
     return Vec([0] * dim)
 
 
-def basis_vec(dim: int, i: int) -> Vec:
-    return Vec([1 if j == i else 0 for j in range(dim)])
-
-
 def lcm_denominator(vectors: Iterable[Vec]) -> int:
     """Least common multiple of all component denominators."""
     d = 1

@@ -1,6 +1,7 @@
 """Reference helpers shared by the tests: brute-force lattice boxes, the
 exact Fraction coset enumerator, the full-tie-set closest-point search, the
-Fraction cell vertices and boundary catalog, the box Cayley graphs on the
+Fraction gauge functional lists, the Fraction cell vertices and boundary
+catalog, the box Cayley graphs on the
 half dual lattices, the avoiding-set decomposition into cliques with
 disjoint neighborhoods, and Vec views of the integer kernels."""
 
@@ -12,12 +13,11 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from voronorm.coloring import boundary_catalog
-from voronorm.constructions import GaugeNorm, an_vertices_scaled, dn_vertices_scaled, gauge_an, gauge_dn, gauge_sup
+from voronorm.constructions import GaugeNorm, an_vertices_scaled, dn_vertices_scaled
 from voronorm.density import MarginViolation
 from voronorm.geometry import (
     Vec,
     an_half_dual_scale,
-    basis_vec,
     dn_half_dual_scale,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
@@ -145,6 +145,41 @@ def closest_points(lattice, x: Vec) -> list:
     return sorted(from_scaled(p, lattice.scale) for p in ties)
 
 
+def basis_vec(dim: int, i: int) -> Vec:
+    return Vec([1 if j == i else 0 for j in range(dim)])
+
+
+def functionals_an(n: int) -> tuple:
+    """The A_n gauge as functionals (a, c): e_j - e_i over c = 1, i != j."""
+    m = n + 1
+    return tuple((basis_vec(m, j) - basis_vec(m, i), F(1)) for i, j in permutations(range(m), 2))
+
+
+def functionals_dn(n: int) -> tuple:
+    """The D_n gauge as functionals (a, c): +-e_i +-e_j over c = 1, i < j."""
+    return tuple(
+        (basis_vec(n, i) * si + basis_vec(n, j) * sj, F(1))
+        for i, j in combinations(range(n), 2)
+        for si, sj in product((1, -1), repeat=2)
+    )
+
+
+def functionals_sup(n: int) -> tuple:
+    """The cube gauge as functionals (a, c): +-e_i over c = 1."""
+    return tuple((basis_vec(n, i) * s, F(1)) for i in range(n) for s in (1, -1))
+
+
+def functionals_planar(basis) -> tuple:
+    """The hexagon gauge as functionals (v, <v, v>/2) over the six face
+    vectors v: the facet inequalities 2<x, v> <= <v, v>."""
+    return tuple((v, v.norm2() / 2) for v in basis.face_vectors())
+
+
+def functional_value(functionals, x: Vec) -> F:
+    """The gauge of x on Fractions: max over (a, c) of <a, x>/c."""
+    return max(a.dot(x) / c for a, c in functionals)
+
+
 def vertex(g, v: Vec) -> int:
     """Index of the point v among the vertices of g."""
     return g.index[to_scaled(v, g.scale)]
@@ -177,19 +212,19 @@ def fraction_catalog(family: str, n: int = 0, pattern=None) -> list:
     """The boundary catalog on Fractions: cell vertices, facet centers and
     the gauge-1 midpoints between them, with each family's centers by hand."""
     if family == "an":
-        verts, gauge = vertices_an(n), gauge_an(n)
+        verts, funcs = vertices_an(n), functionals_an(n)
         centers = [(basis_vec(n + 1, i) - basis_vec(n + 1, j)) / 2 for i, j in permutations(range(n + 1), 2)]
     elif family == "dn":
-        verts, gauge = vertices_dn(n), gauge_dn(n)
+        verts, funcs = vertices_dn(n), functionals_dn(n)
         pairs = product(combinations(range(n), 2), product((1, -1), repeat=2))
         centers = [(basis_vec(n, i) * si + basis_vec(n, j) * sj) / 2 for (i, j), (si, sj) in pairs]
     elif family == "cube":
-        verts, gauge = vertices_cube(n), gauge_sup(n)
+        verts, funcs = vertices_cube(n), functionals_sup(n)
         centers = [basis_vec(n, i) * s for i in range(n) for s in (1, -1)]
     else:
-        verts, gauge, centers = list(pattern.v), pattern.gauge, [f / 2 for f in pattern.face]
+        verts, funcs, centers = list(pattern.v), functionals_planar(pattern.basis), [f / 2 for f in pattern.face]
     mids = [(c + v) / 2 for c in centers for v in verts]
-    return sorted(set(verts + centers + [m for m in mids if gauge.value(m) == 1]))
+    return sorted(set(verts + centers + [m for m in mids if functional_value(funcs, m) == 1]))
 
 
 def catalog_points(coloring) -> list:

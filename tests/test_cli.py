@@ -284,6 +284,7 @@ def test_ratio_rejects_non_positive_radii(tmp_path, capsys, radii):
         pytest.param(["ratio", "an", "--dim", "2"], "--radii", id="ratio-an-no-radii"),
         pytest.param(["bound", "an"], "--dim", id="bound-an-no-dim"),
         pytest.param(["bound", "an", "--dim", "1"], "--dim", id="bound-an-dim-1"),
+        pytest.param(["bound", "an", "--dim", "13"], "--dim", id="bound-an-dim-13"),
         pytest.param(["bound", "dn", "--dim", "3"], "--dim", id="bound-dn-dim-3"),
         pytest.param(["bound", "cube", "--dim", "0"], "--dim", id="bound-cube-dim-0"),
         pytest.param(["ratio", "cube", "--dim", "0"], "--dim", id="ratio-cube-dim-0"),
@@ -501,8 +502,9 @@ def test_property_d_weak_mode_needs_hexagon(tmp_path, capsys, family):
 
 
 def test_hexagon_run_path_never_calls_the_fraction_gauge(tmp_path, monkeypatch):
-    # GaugeNorm.value stays the definition the tests check against; the
-    # hexagon commands run on scaled integers from the box to the report
+    # GaugeNorm.value is the Fraction view of the rows that the tests and the
+    # tracer read; the hexagon commands run on scaled integers from the box
+    # to the report
     commands = [
         ["bound", "hexagon", "--basis", "3,0,1,3"],
         ["property-d", "hexagon", "--basis", "3,0,1,3", "--mode", "weak"],

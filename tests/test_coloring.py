@@ -149,7 +149,7 @@ def test_catalog_limit_admits_the_largest_accepted_cells():
     assert max(counts["an"](8), counts["dn"](8), counts["cube"](11)) <= coloring_module.MAX_CATALOG_PAIRS
     for fam, n in (("an", 3), ("dn", 4), ("cube", 3)):
         cell = coset_coloring(fam, n).cell
-        assert counts[fam](n) == len(cell.vertices) * len(cell.gauge.functionals)
+        assert counts[fam](n) == len(cell.vertices) * len(cell.gauge.rows)
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,20 @@ from voronorm.geometry import (
     scaled_ints,
     zero_vec,
 )
-from oracles import box_points, closest_points, project_to_hyperplane, vertices_an, vertices_cube, vertices_dn
+from voronorm.coloring import _CELLS
+from oracles import (
+    box_points,
+    closest_points,
+    functional_value,
+    functionals_an,
+    functionals_dn,
+    functionals_planar,
+    functionals_sup,
+    project_to_hyperplane,
+    vertices_an,
+    vertices_cube,
+    vertices_dn,
+)
 
 
 def test_gauge_an_values():
@@ -153,16 +166,17 @@ def test_integer_vertex_builders_match_fraction_oracles():
 def test_closed_form_cross_check():
     rnd = random.Random(7)
     ga, gd, gs = gauge_an(3), gauge_dn(4), gauge_sup(3)
+    fa, fd, fs = functionals_an(3), functionals_dn(4), functionals_sup(3)
     for _ in range(50):
         x = Vec([F(rnd.randint(-24, 24), 6) for _ in range(4)])
         xa = project_to_hyperplane(x)
-        for g, v in ((ga, xa), (gd, x), (gs, Vec(x[:3]))):
+        for g, funcs, v in ((ga, fa, xa), (gd, fd, x), (gs, fs, Vec(x[:3]))):
             if any(v):
                 # unit_step scales by the closed form; is_unit_scaled decides
                 # value == 1 on the scaled integers
                 z, e = g.unit_step(scaled_ints(v)[0])
                 u = from_scaled(z, e)
-                assert u == v / g.value(v)
+                assert u == v / functional_value(funcs, v)
                 for w, unit in ((u, True), (u * 2, False), (u / 3, False)):
                     assert g.is_unit_scaled(*scaled_ints(w)) == unit
 
@@ -171,15 +185,13 @@ def test_unit_checker_agrees_with_functional_list():
     # the scaled fast paths must match the functional-list evaluation
     rnd = random.Random(13)
     b = reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))
-    from voronorm.constructions import gauge_planar
-
     cases = [
-        (gauge_an(2), 6, 3, True),
-        (gauge_dn(4), 4, 4, False),
-        (gauge_sup(3), 2, 3, False),
-        (gauge_planar(b), 12, 2, False),
+        (gauge_an(2), functionals_an(2), 6, 3, True),
+        (gauge_dn(4), functionals_dn(4), 4, 4, False),
+        (gauge_sup(3), functionals_sup(3), 2, 3, False),
+        (gauge_planar(b), functionals_planar(b), 12, 2, False),
     ]
-    for gauge, scale, dim, zero_sum in cases:
+    for gauge, funcs, scale, dim, zero_sum in cases:
         check = gauge.unit_checker(scale)
         hits = 0
         for _ in range(400):
@@ -187,19 +199,25 @@ def test_unit_checker_agrees_with_functional_list():
             if zero_sum:
                 d[-1] = -sum(d[:-1])
             d = tuple(d)
-            want = gauge.value_scaled(d, scale) == 1
-            assert check(d) == want, (gauge.kind, d)
+            want = functional_value(funcs, from_scaled(d, scale)) == 1
+            assert check(d) == want, d
             hits += want
         assert hits > 0  # the sample actually exercised the unit sphere
 
 
+def _hexagon_row_gauge(b0, b1):
+    basis = reduce_planar_basis(Vec(b0), Vec(b1))
+    return hexagon_pattern(basis).gauge, 2, functionals_planar(basis)
+
+
+# name: (gauge, ambient dimension, Fraction functional list of the oracle)
 ROW_GAUGES = {
-    "hexagon-3,0,1,3": (hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))).gauge, 2),
-    "hexagon-4,0,1,4": (hexagon_pattern(reduce_planar_basis(Vec([4, 0]), Vec([1, 4]))).gauge, 2),
-    "hexagon-5,0,2,5": (hexagon_pattern(reduce_planar_basis(Vec([5, 0]), Vec([2, 5]))).gauge, 2),
-    "an3": (gauge_an(3), 4),
-    "dn4": (gauge_dn(4), 4),
-    "cube3": (gauge_sup(3), 3),
+    "hexagon-3,0,1,3": _hexagon_row_gauge([3, 0], [1, 3]),
+    "hexagon-4,0,1,4": _hexagon_row_gauge([4, 0], [1, 4]),
+    "hexagon-5,0,2,5": _hexagon_row_gauge([5, 0], [2, 5]),
+    "an3": (gauge_an(3), 4, functionals_an(3)),
+    "dn4": (gauge_dn(4), 4, functionals_dn(4)),
+    "cube3": (gauge_sup(3), 3, functionals_sup(3)),
 }
 
 
@@ -208,8 +226,8 @@ ROW_GAUGES = {
 @given(data=st.data())
 def test_cached_rows_match_fraction_value(name, data):
     # value_scaled, the unit predicate and the integer system read the one
-    # row system built per gauge; the functional list on Fractions is the oracle
-    gauge, m = ROW_GAUGES[name]
+    # row system of each gauge; the functional list on Fractions is the oracle
+    gauge, m, funcs = ROW_GAUGES[name]
 
     def on_system(y, scale):
         rows, levels = gauge.integer_system(scale)
@@ -220,8 +238,8 @@ def test_cached_rows_match_fraction_value(name, data):
     y = data.draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m))
     if gauge.require_zero_sum:
         y[-1] = -sum(y[:-1])
-    value = gauge.value(from_scaled(y, scale))
-    assert gauge.value_scaled(y, scale) == value
+    value = functional_value(funcs, from_scaled(y, scale))
+    assert gauge.value_scaled(y, scale) == gauge.value(from_scaled(y, scale)) == value
     assert gauge.unit_checker(scale)(y) == on_system(y, scale) == (value == 1)
     if any(y):
         # the same point scaled onto the unit sphere, and off it by a factor
@@ -237,7 +255,7 @@ def test_cached_rows_match_fraction_value(name, data):
 def test_row_values_match_dense_dot_products(name, data):
     # the planar rows have coefficients other than +-1 and a level of their
     # own; coordinates near +-2^62 are where fixed-width int64 would wrap
-    gauge, m = ROW_GAUGES[name]
+    gauge, m, _ = ROW_GAUGES[name]
     big = 2**62
     coord = st.integers(-50, 50).flatmap(lambda c: st.sampled_from([c, c + big, c - big]))
     width = m - 1 if gauge.require_zero_sum else m
@@ -247,6 +265,34 @@ def test_row_values_match_dense_dot_products(name, data):
     points = [tuple(p) for p in data.draw(st.lists(point, max_size=12))]
     rows, _ = gauge.integer_system(data.draw(st.integers(1, 6)))
     assert list(row_values(rows, points)) == [[sum(map(mul, a, p)) for p in points] for a in rows]
+
+
+def _row_gauges():
+    """(name, gauge, facet count) for the gauges of every accepted cell."""
+    families = (
+        ("an", range(2, 9), gauge_an, an_vertices_scaled, lambda n: n * (n + 1)),
+        ("dn", range(4, 9), gauge_dn, dn_vertices_scaled, lambda n: 2 * n * (n - 1)),
+        ("cube", range(1, 12), gauge_sup, cube_vertices_scaled, lambda n: 2 * n),
+    )
+    for fam, dims, gauge, vertices, facets in families:
+        for n in dims:
+            # the facet factor of the catalog count |V|*|F|
+            assert _CELLS[fam][1](n) == len(vertices(n)) * facets(n)
+            yield f"{fam}{n}", gauge(n), facets(n)
+    for name in sorted(ROW_GAUGES):
+        if name.startswith("hexagon"):
+            yield name, ROW_GAUGES[name][0], 6
+
+
+def test_rows_are_symmetric_with_positive_levels():
+    # GaugeNorm relies on these: every level positive, the rows closed under
+    # negation with a row and its negation on one level, and one row per facet
+    for name, gauge, facets in _row_gauges():
+        levels = dict(gauge.rows)
+        assert len(levels) == len(gauge.rows) == facets, name
+        for a, t in gauge.rows:
+            assert t > 0, name
+            assert levels.get(tuple(-c for c in a)) == t, (name, a)
 
 
 def _sample_gauge_vs_voronoi(gauge, lattice, dim, project, count, seed):

@@ -1,14 +1,20 @@
-"""Package-wide properties: the command loads no numpy, and no module
-guards anything with an ``assert`` (``python -O`` strips them) or an
-``AssertionError``."""
+"""Package-wide properties: the command loads no numpy, no module guards
+anything with an ``assert`` (``python -O`` strips them) or an
+``AssertionError``, and the integer families build no ``Vec``."""
 
 import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import voronorm
+from voronorm.coloring import coset_coloring, verify_coloring
+from voronorm.density import verify_an_bound, verify_dn_bound
+from voronorm.geometry import Vec
+from voronorm.graphs import an_property_d, dn_property_d
+from voronorm.independence import cube_certificate
 
 PACKAGE = Path(voronorm.__file__).parent
 
@@ -40,6 +46,29 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}:{node.lineno}" for node in _assertions(tree)]
     assert found == []
+
+
+def test_integer_families_build_no_vec(monkeypatch):
+    # the A_n, D_n and cube paths run on scaled integers from gauge to
+    # report; a Vec is built only on a violation, which these runs have none of
+    built = []
+    new = Vec.__new__
+
+    def counting_new(cls, comps):
+        built.append(cls)
+        return new(cls, comps)
+
+    monkeypatch.setattr(Vec, "__new__", staticmethod(counting_new))
+    for fam, n in (("an", 4), ("dn", 5), ("cube", 4)):
+        assert verify_coloring(coset_coloring(fam, n), 50, seed=1).holds
+    verify_an_bound(4)
+    verify_dn_bound(5)
+    cube_certificate(6)
+    assert an_property_d(3, Fraction(3, 2)).holds
+    assert dn_property_d(4, Fraction(3, 2)).holds
+    assert built == []
+    Vec([1])
+    assert built == [Vec]  # the count sees a construction
 
 
 def test_bench_tracer_installs(tmp_path):
