@@ -239,23 +239,14 @@ class PolytopeData:
         return Fraction(max(abs(c) for v in self.vertices for c in v), self.scale)
 
     def check_vertices_on_boundary(self) -> None:
-        """Check exactly that every vertex has gauge 1: no row above its
-        level and at least one on it.  All vertices are checked in one pass
-        over the rows; the first failing vertex is named."""
+        """Check exactly that every vertex has gauge 1, by the gauge's own
+        ``unit_checker``; the first failing vertex is named."""
         for v in self.vertices:
             self.gauge._check_scaled_domain(v)
-        rows, levels = self.gauge.integer_system(self.scale)
-        over = on = 0
-        for t, vals in zip(levels, row_values(rows, self.vertices)):
-            for j, v in enumerate(vals):
-                if v > t:
-                    over |= 1 << j
-                elif v == t:
-                    on |= 1 << j
-        bad = over | (((1 << len(self.vertices)) - 1) & ~on)
-        if bad:
-            v = self.vertices[(bad & -bad).bit_length() - 1]
-            raise CertificateError(f"vertex {from_scaled(v, self.scale)} is not on the boundary")
+        is_unit = self.gauge.unit_checker(self.scale)
+        for v in self.vertices:
+            if not is_unit(v):
+                raise CertificateError(f"vertex {from_scaled(v, self.scale)} is not on the boundary")
 
 
 def _polytope(family: str, lattice: Lattice, gauge: GaugeNorm, scale: int, vertices: list) -> PolytopeData:

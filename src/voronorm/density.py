@@ -1,8 +1,11 @@
 """Clique/component enumeration, local densities and density certificates.
 
-The certificates pair an exact brute-force count of every closed
-neighborhood with the closed-form reference value, and assemble the
-resulting upper bound on the density of distance-1-avoiding sets.  The
+The A_n (n <= 6) and D_n certificates pair an exact brute-force count of
+every closed neighborhood with its closed-form value, and a disagreement
+raises CrossCheckMismatch.  One assembler, ``_certificate``, finishes all
+three certificates: the density of distance-1-avoiding sets is at most
+max |C|/|N[C]| over the scored cliques C, weighted 2/3 for the hexagon's
+class-B counts, and BoundViolated fires above the expected bound.  The
 brute force counts N[C] = U_{c in C} (c + (G u {0})) in the Cayley graph on
 (1/2)Lambda^# generated by G = (1/2)V_P: each point of the union carries the
 bitmask of the clique points it equals or is adjacent to, and a clique's
@@ -76,6 +79,18 @@ class DensityCertificate:
 
     def mismatched_entries(self) -> list:
         return [e for e in self.entries if e.matches is False]
+
+
+def _certificate(family: str, dim: int, kind: str, entries: list, expected: Fraction, weight=1, notes=()):
+    """Finish a certificate: the assembled bound is weight * max |C|/|N[C]|
+    over the entries (weight 2/3 for the hexagon's class-B count, else 1),
+    and BoundViolated fires when it exceeds the expected bound."""
+    max_density = max(e.density for e in entries)
+    assembled = weight * max_density
+    if assembled > expected:
+        raise BoundViolated(f"{family} dim {dim}: assembled bound {assembled} > {expected}")
+    maximizers = [e.label for e in entries if e.density == max_density]
+    return DensityCertificate(family, dim, kind, entries, max_density, assembled, expected, maximizers, list(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +203,6 @@ def verify_an_bound(n: int) -> DensityCertificate:
     density exceeds the expected bound.
     """
     brute = an_brute_neighborhood_counts(n) if n <= 6 else None
-    expected = an_expected_bound(n)
     entries = []
     for clique in enumerate_chain_cliques(n):
         nb = an_neighborhood_size_formula(n, clique.weights)
@@ -198,24 +212,10 @@ def verify_an_bound(n: int) -> DensityCertificate:
                 f"{brute[clique.weights]}"
             )
         entries.append(CertEntry(clique.label(), clique.size, nb, Fraction(clique.size, nb)))
-    max_density = max(e.density for e in entries)
-    if max_density > expected:
-        raise BoundViolated(f"A_{n}: max density {max_density} > {expected}")
-    maximizers = [e.label for e in entries if e.density == max_density]
     # the wording is part of the report bytes, so it stays although the
     # brute force now counts translates instead of scanning a box
     notes = ["cross-checked against box-scan brute force"] if brute is not None else []
-    return DensityCertificate(
-        family="an",
-        dim=n,
-        neighborhood_kind="full",
-        entries=entries,
-        max_density=max_density,
-        assembled_bound=max_density,
-        expected_bound=expected,
-        maximizers=maximizers,
-        notes=notes,
-    )
+    return _certificate("an", n, "full", entries, an_expected_bound(n), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +288,10 @@ def _dn_label(extra: tuple) -> str:
 def verify_dn_bound(n: int) -> DensityCertificate:
     """Certificate for the D_n bound 1/((3/4)2^n + n - 1).
 
-    All eight subsets of C_max containing the origin are brute-forced; the
-    per-case closed forms are attached as expected values, and disagreements
-    are recorded on the entries rather than raised, so the certificate always
-    reports computed and expected side by side.
+    All eight subsets of C_max containing the origin are brute-forced, and
+    each count must equal its closed-form reference value, otherwise
+    CrossCheckMismatch is raised; the reference density stays on each entry
+    as its expected value.
     """
     if n < 4:
         raise ValueError("n >= 4 required")
@@ -301,42 +301,13 @@ def verify_dn_bound(n: int) -> DensityCertificate:
     brute = dn_brute_neighborhood_counts(n)
     entries = []
     for extra in _dn_subsets():
-        has_v1 = 0 in extra
         type2 = len([i for i in extra if i in (1, 2)])
-        size, ref = dn_reference_neighborhood(n, has_v1, type2)
+        size, ref = dn_reference_neighborhood(n, 0 in extra, type2)
         nb = brute[extra]
-        entries.append(
-            CertEntry(
-                _dn_label(extra),
-                size,
-                nb,
-                Fraction(size, nb),
-                expected_density=Fraction(size, ref),
-            )
-        )
-    expected = dn_expected_bound(n)
-    max_density = max(e.density for e in entries)
-    if max_density > expected:
-        raise BoundViolated(f"D_{n}: max density {max_density} > {expected}")
-    maximizers = [e.label for e in entries if e.density == max_density]
-    notes = []
-    for e in entries:
-        if e.matches is False:
-            notes.append(
-                f"entry {e.label}: computed density {e.density} differs from the "
-                f"reference value {e.expected_density}"
-            )
-    return DensityCertificate(
-        family="dn",
-        dim=n,
-        neighborhood_kind="full",
-        entries=entries,
-        max_density=max_density,
-        assembled_bound=max_density,
-        expected_bound=expected,
-        maximizers=maximizers,
-        notes=notes,
-    )
+        if nb != ref:
+            raise CrossCheckMismatch(f"D_{n} subset {_dn_label(extra)}: closed form {ref}, brute force {nb}")
+        entries.append(CertEntry(_dn_label(extra), size, nb, Fraction(size, nb), Fraction(size, ref)))
+    return _certificate("dn", n, "full", entries, dn_expected_bound(n))
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +451,5 @@ def verify_hexagon_bound(pattern: HexagonPattern) -> DensityCertificate:
         CertEntry(kind, size, nb, delta, expected_density=HEX_EXPECTED_DELTAS[kind])
         for kind, (size, nb, delta) in sorted(found.items())
     ]
-    max_density = max(e.density for e in entries)
-    assembled = Fraction(2, 3) * max_density
-    expected = hexagon_expected_bound()
-    if assembled > expected:
-        raise BoundViolated(f"hexagon: assembled bound {assembled} > {expected}")
-    maximizers = [e.label for e in entries if e.density == max_density]
-    return DensityCertificate(
-        family="hexagon",
-        dim=2,
-        neighborhood_kind="class-B",
-        entries=entries,
-        max_density=max_density,
-        assembled_bound=assembled,
-        expected_bound=expected,
-        maximizers=maximizers,
-        notes=["class-B density weight 2/3 applied (B is twice as dense as A)"],
-    )
+    notes = ["class-B density weight 2/3 applied (B is twice as dense as A)"]
+    return _certificate("hexagon", 2, "class-B", entries, hexagon_expected_bound(), Fraction(2, 3), notes)

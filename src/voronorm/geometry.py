@@ -87,10 +87,6 @@ class Vec(tuple):
         return "Vec(" + ", ".join(str(a) for a in self) + ")"
 
 
-def zero_vec(dim: int) -> Vec:
-    return Vec([0] * dim)
-
-
 def lcm_denominator(vectors: Iterable[Vec]) -> int:
     """Least common multiple of all component denominators."""
     d = 1

@@ -106,10 +106,6 @@ class GeometricGraph:
             raise ValueError("graph carries no box metadata")
         return (self.box_radius - k * self.step_extent) * self.scale
 
-    def is_interior(self, i: int, k: int = 1) -> bool:
-        bound = self.interior_bound_scaled(k)
-        return all(abs(c) <= bound for c in self.points[i])
-
     def interior_indices(self, k: int = 1) -> list:
         bound = self.interior_bound_scaled(k)
         return [i for i, p in enumerate(self.points) if all(abs(c) <= bound for c in p)]

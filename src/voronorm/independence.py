@@ -398,7 +398,7 @@ def counterexample_graph(n_max: int) -> GeometricGraph:
             i, j = index[(a,)], index[(b,)]
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return GeometricGraph(1, points, adj, box_radius=Fraction(n_max), step_extent=Fraction(0))
+    return GeometricGraph(1, points, adj)
 
 
 def reference_independent_set_size(n_max: int) -> int:

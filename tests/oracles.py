@@ -3,7 +3,8 @@ exact Fraction coset enumerator, the full-tie-set closest-point search, the
 Fraction gauge functional lists, the Fraction cell vertices and boundary
 catalog, the box Cayley graphs on the
 half dual lattices, the avoiding-set decomposition into cliques with
-disjoint neighborhoods, and Vec views of the integer kernels."""
+disjoint neighborhoods, Vec views of the integer kernels, and a fault
+injected into the D_n closed-form reference table."""
 
 import math
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from voronorm.coloring import boundary_catalog
 from voronorm.constructions import GaugeNorm, an_vertices_scaled, dn_vertices_scaled
+import voronorm.density as density
 from voronorm.density import MarginViolation
 from voronorm.geometry import (
     Vec,
@@ -24,7 +26,6 @@ from voronorm.geometry import (
     from_scaled,
     scaled_ints,
     to_scaled,
-    zero_vec,
 )
 from voronorm.graphs import GeometricGraph, _bits, two_step_candidates
 
@@ -143,6 +144,10 @@ def closest_points(lattice, x: Vec) -> list:
     w, d = scaled_ints(x)
     ties = _closest_integer_points(w, d, sum_zero=lattice.family == "an", even_sum=lattice.family == "dn")
     return sorted(from_scaled(p, lattice.scale) for p in ties)
+
+
+def zero_vec(dim: int) -> Vec:
+    return Vec([0] * dim)
 
 
 def basis_vec(dim: int, i: int) -> Vec:
@@ -270,6 +275,12 @@ def dn_cayley_graph(n: int, radius) -> GeometricGraph:
     return build_cayley_graph(dn_half_dual_scale(n), pts, dn_vertices_scaled(n), radius)
 
 
+def is_interior(g: GeometricGraph, i: int, k: int = 1) -> bool:
+    """Whether vertex i has its full k-step neighborhood in g's box."""
+    bound = g.interior_bound_scaled(k)
+    return all(abs(c) <= bound for c in g.points[i])
+
+
 def graph_distance_2_pairs(g, interior_k: int = 2):
     """All unordered pairs at graph distance 2 with at least one interior
     endpoint, with their common neighbor sets; deterministic order."""
@@ -307,7 +318,7 @@ def decompose_avoiding_set(
     """
     members = sorted(set(members))
     for c in members:
-        if not g.is_interior(c, 2):
+        if not is_interior(g, c, 2):
             raise MarginViolation(f"vertex {g.coords(c)} too close to the boundary")
     for i, j in combinations(members, 2):
         d = tuple(a - b for a, b in zip(g.points[i], g.points[j]))
@@ -351,3 +362,15 @@ def decompose_avoiding_set(
         if a & b:
             disjoint = False
     return Decomposition(components, all_cliques, disjoint)
+
+
+def corrupt_dn_singleton_reference(monkeypatch) -> None:
+    """Make ``dn_reference_neighborhood`` count the singleton {0} one too
+    many, so that it disagrees with the brute force."""
+    reference = density.dn_reference_neighborhood
+
+    def off_by_one(n, has_v1, type2_count):
+        size, count = reference(n, has_v1, type2_count)
+        return size, count + (size == 1)
+
+    monkeypatch.setattr(density, "dn_reference_neighborhood", off_by_one)

@@ -11,7 +11,7 @@ from voronorm.cli import main
 from voronorm.coloring import coset_coloring, verify_coloring
 from voronorm.constructions import CertificateError, GaugeNorm, gauge_an, gauge_dn
 from voronorm.graphs import check_property_d, cube_graph
-from oracles import an_cayley_graph, dn_cayley_graph
+from oracles import an_cayley_graph, corrupt_dn_singleton_reference, dn_cayley_graph
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -29,7 +29,7 @@ def test_bound_an(tmp_path):
     assert doc["matches_expected"] is True
 
 
-def test_bound_dn_exit_zero_with_recorded_mismatch(tmp_path):
+def test_bound_dn_exit_zero_with_matching_reference_values(tmp_path):
     code, raw = run_cli(["bound", "dn", "--dim", "4"], tmp_path)
     assert code == 0  # the headline bound matches
     doc = json.loads(raw)
@@ -484,6 +484,32 @@ def test_failed_density_guard_exits_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: certificate check failed") and err.count("\n") == 1
     assert "brute force" in err
+    assert not out.exists()
+
+
+def _an_expected_bound_below(monkeypatch):
+    monkeypatch.setattr(density, "an_expected_bound", lambda n: F(1, 2**n + 1))
+
+
+@pytest.mark.parametrize(
+    "patch, argv, message",
+    [
+        (_an_expected_bound_below, ["bound", "an", "--dim", "3"], "an dim 3: assembled bound 1/8 > 1/9"),
+        (
+            corrupt_dn_singleton_reference,
+            ["bound", "dn", "--dim", "4"],
+            "D_4 subset {0}: closed form 26, brute force 25",
+        ),
+    ],
+    ids=["an-bound-violated", "dn-reference-mismatch"],
+)
+def test_failed_certificate_exits_1_without_report(tmp_path, capsys, monkeypatch, patch, argv, message):
+    # a D_n closed-form disagreement fails like an A_n one: exit 1, one
+    # stderr line and no report, not a report with the disagreement in its notes
+    patch(monkeypatch)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: certificate check failed: {message}\n"
     assert not out.exists()
 
 

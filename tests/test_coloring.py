@@ -36,10 +36,9 @@ from voronorm.geometry import (
     reduce_planar_basis,
     scaled_ints,
     to_scaled,
-    zero_vec,
 )
 from voronorm.graphs import GeometricGraph, _bits, hex_unit_distance_graph
-from oracles import box_points, catalog_points, closest_points, fraction_catalog, project_to_hyperplane
+from oracles import box_points, catalog_points, closest_points, fraction_catalog, project_to_hyperplane, zero_vec
 
 
 def _pattern():

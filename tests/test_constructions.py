@@ -32,7 +32,6 @@ from voronorm.geometry import (
     from_scaled,
     reduce_planar_basis,
     scaled_ints,
-    zero_vec,
 )
 from voronorm.coloring import _CELLS
 from oracles import (
@@ -47,6 +46,7 @@ from oracles import (
     vertices_an,
     vertices_cube,
     vertices_dn,
+    zero_vec,
 )
 
 

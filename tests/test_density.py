@@ -6,7 +6,9 @@ from itertools import combinations
 import pytest
 
 from voronorm.constructions import an_vertices_scaled, dn_vertices_scaled, gauge_an, hexagon_pattern
+import voronorm.density as density
 from voronorm.density import (
+    BoundViolated,
     ChainClique,
     CrossCheckMismatch,
     HEX_EXPECTED_DELTAS,
@@ -26,11 +28,19 @@ from voronorm.geometry import (
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
     reduce_planar_basis,
-    zero_vec,
 )
 from voronorm.graphs import hex_pattern_graph
 from voronorm.independence import max_independent_set
-from oracles import NotAvoiding, an_cayley_graph, decompose_avoiding_set, graph_distance_2_pairs, vertex
+from oracles import (
+    NotAvoiding,
+    an_cayley_graph,
+    corrupt_dn_singleton_reference,
+    decompose_avoiding_set,
+    graph_distance_2_pairs,
+    is_interior,
+    vertex,
+    zero_vec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +261,40 @@ def test_verify_hexagon_bound(raw):
     assert all(e.matches for e in cert.entries)
 
 
+# ---------------------------------------------------------------------------
+# certificate guards
+
+
+def _hexagon_3013():
+    return hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3])))
+
+
+@pytest.mark.parametrize(
+    "bound_name, run",
+    [
+        ("an_expected_bound", lambda: verify_an_bound(3)),
+        ("dn_expected_bound", lambda: verify_dn_bound(4)),
+        ("hexagon_expected_bound", lambda: verify_hexagon_bound(_hexagon_3013())),
+    ],
+    ids=["an", "dn", "hexagon"],
+)
+def test_assembled_bound_above_the_expected_bound_is_refused(monkeypatch, bound_name, run):
+    # an expected bound just below the assembled one must fail the
+    # certificate, for each family through the one shared assembler
+    expected = getattr(density, bound_name)
+    monkeypatch.setattr(density, bound_name, lambda *args: expected(*args) * F(99, 100))
+    with pytest.raises(BoundViolated, match="assembled bound"):
+        run()
+
+
+def test_dn_reference_mismatch_raises(monkeypatch):
+    # a closed-form singleton count off by one against the brute force must
+    # fail the certificate, as an A_n mismatch does
+    corrupt_dn_singleton_reference(monkeypatch)
+    with pytest.raises(CrossCheckMismatch, match=r"D_4 subset \{0\}: closed form 26, brute force 25"):
+        verify_dn_bound(4)
+
+
 def test_classify_rejects_foreign_shapes():
     from voronorm.density import UnknownComponentType, _classify_component
     from voronorm.graphs import hex_pattern_graph
@@ -339,7 +383,7 @@ def test_decompose_rejects_distance_one_pair():
     two = [
         w
         for u, w, _ in graph_distance_2_pairs(g)
-        if u == i0 and g.is_interior(w, 2)
+        if u == i0 and is_interior(g, w, 2)
     ]
     assert two
     with pytest.raises(NotAvoiding):
@@ -353,7 +397,7 @@ def test_decompose_mis_witness_into_disjoint_cliques():
     res = max_independent_set(gu)
     gc = an_cayley_graph(2, F(3, 2))
     members = [vertex(gc, gu.coords(i)) for i in res.witness]
-    members = [m for m in members if m is not None and gc.is_interior(m, 2)]
+    members = [m for m in members if m is not None and is_interior(gc, m, 2)]
     dec = decompose_avoiding_set(gc, gauge_an(2), members)
     assert dec.all_cliques
     assert dec.neighborhoods_disjoint

@@ -25,9 +25,8 @@ from voronorm.geometry import (
     planar_coset_in_box,
     reduce_planar_basis,
     to_scaled,
-    zero_vec,
 )
-from oracles import box_points, closest_points, coset_in_box
+from oracles import box_points, closest_points, coset_in_box, zero_vec
 
 
 # ---------------------------------------------------------------------------

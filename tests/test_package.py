@@ -1,6 +1,7 @@
 """Package-wide properties: the command loads no numpy, no module guards
 anything with an ``assert`` (``python -O`` strips them) or an
-``AssertionError``, and the integer families build no ``Vec``."""
+``AssertionError``, the integer families build no ``Vec``, and every
+shipped function, class and method has a caller in the package."""
 
 import ast
 import os
@@ -105,3 +106,66 @@ def test_bench_coloring_checks_pass():
     assert jobs
     for job in jobs:
         assert checks.coloring_extra_problems(job, seed) == [], job.name
+
+
+# kept although no package code calls them: a gate or the benchmark tracer
+# reads them (ROADMAP, "Ship only run-path code")
+KEPT = {
+    "Vec",
+    "contains",
+    "mismatched_entries",
+    "edge_count",
+    "an_tiling_witness",
+    "chromatic_report",
+    "ChromaticReport.conclusion",
+    "coset_index",
+    "nearest_half_cell_center",
+    "color",
+    "GaugeNorm.value",
+}
+
+
+def _definitions_and_references(tree):
+    """(qualified name, node) of every function, class and method in tree,
+    and (name, enclosing definition nodes) of every Name and Attribute."""
+    defs, refs = [], []
+
+    def walk(node, qual, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{qual}.{child.name}" if qual else child.name
+                defs.append((name, child))
+                # methods are qualified by their class, nested functions by
+                # their own name only
+                walk(child, name if isinstance(child, ast.ClassDef) else "", enclosing | {id(child)})
+                continue
+            if isinstance(child, ast.Name):
+                refs.append((child.id, enclosing))
+            elif isinstance(child, ast.Attribute):
+                refs.append((child.attr, enclosing))
+            walk(child, qual, enclosing)
+
+    walk(tree, "", frozenset())
+    return defs, refs
+
+
+def test_every_shipped_name_has_a_package_caller():
+    # a function only the tests call belongs in tests/oracles.py; the
+    # re-exports of __init__.py and a definition's own body are no callers.
+    # A reference is matched by its bare name, so a method counts as called
+    # when any attribute of that name is read.
+    defs, refs = [], {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        d, r = _definitions_and_references(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        defs += [(path.name, name, node) for name, node in d]
+        if path.name != "__init__.py":
+            for ref, enclosing in r:
+                refs.setdefault(ref, []).append(enclosing)
+    uncalled = []
+    for module, name, node in defs:
+        bare = name.rsplit(".", 1)[-1]
+        if bare.startswith("__") and bare.endswith("__") or name in KEPT or bare in KEPT:
+            continue
+        if all(id(node) in enclosing for enclosing in refs.get(bare, [])):
+            uncalled.append(f"{module}:{name}")
+    assert uncalled == []
