@@ -193,11 +193,12 @@ def _random_unit_step(coloring: CosetColoring, rng: random.Random) -> tuple:
 def boundary_catalog(coloring: CosetColoring) -> tuple:
     """(steps, scale): deterministic points at gauge exactly 1, as sorted
     integer tuples at ``scale``, every coordinate even.  The points are the
-    cell vertices, the facet centers level*a/|a|^2 of the gauge's rows
-    (a, level), and the gauge-1 midpoints between a center and a vertex."""
+    cell vertices, the facet centers L*a/|a|^2 of the gauge's rows a on its
+    level L, and the gauge-1 midpoints between a center and a vertex."""
     cell = coloring.cell
+    level = cell.gauge.level
     centers = []
-    for a, level in cell.gauge.rows:
+    for a in cell.gauge.rows:
         norm2 = sum(c * c for c in a)
         centers.append([Fraction(level * c, norm2) for c in a])
     t = math.lcm(cell.scale, lcm_denominator(centers))

@@ -1,8 +1,9 @@
 """Voronoi polytope data for each lattice family.
 
-Gauge (polytope-norm) evaluators as integer rows, one (a, t) per facet,
-with a closed form on scaled integers for the A_n, D_n and cube gauges (the
-Fraction functional lists are the oracle in the tests), one integer
+Gauge (polytope-norm) evaluators as integer rows, one per facet, on one
+level, evaluated only through one form on scaled integers: the max of the
+rows, in closed form for the A_n, D_n and cube gauges (the Fraction
+functional lists are the oracle in the tests), one integer
 vertex builder per family (the cell vertices on scaled integers, which are
 also the Cayley generators (1/2)V_P at twice the scale), and the hexagon
 vertex/edge pattern used by the planar pipeline.
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
-from operator import add, mul
-from typing import Callable, Optional
+from operator import add
+from typing import Callable
 
 from .geometry import (
     AnLattice,
@@ -63,21 +64,23 @@ def _sup_form(d) -> int:
 
 @dataclass(frozen=True)
 class GaugeNorm:
-    """Polytope norm as a finite max over integer rows.
+    """Polytope norm as a finite max over integer rows on one level.
 
-    ``rows`` holds one pair (a, t) per facet: an integer row a and its level
-    t > 0, with value(y/s) = max over the rows of a.y / (t*s) for integer
-    tuples y.  The rows are closed under negation, a row and its negation
-    sharing a level, so the gauge is centrally symmetric and positively
-    homogeneous.  ``form`` is an optional closed form f on scaled integers
-    with value(y/s) = f(y)/s (an: max - min, dn: the two largest absolute
-    values, sup: the largest absolute value).  The ``Fraction`` functional
-    lists are the oracle of both in the tests.
+    ``rows`` holds one integer row a per facet and ``level`` is one positive
+    integer L, with value(y/s) = max over the rows of a.y / (L*s) for integer
+    tuples y.  The rows are closed under negation, so the gauge is centrally
+    symmetric and positively homogeneous.  ``form`` is that max on scaled
+    integers, f(y) = max_a a.y, and every evaluation goes through it.  At
+    L = 1 it has a closed form: for an max - min, the max of the x_j - x_i;
+    for dn the sum of the two largest absolute values, the max of
+    |x_i| + |x_j|; for sup the largest absolute value.  The ``Fraction``
+    functional lists are its oracle in the tests.
     """
 
     rows: tuple
+    form: Callable
+    level: int = 1
     require_zero_sum: bool = False
-    form: Optional[Callable] = None
 
     def _check_scaled_domain(self, y) -> None:
         if self.require_zero_sum and sum(y) != 0:
@@ -94,57 +97,23 @@ class GaugeNorm:
 
     def unit_step(self, y) -> tuple:
         """(z, e) with z/e = y/value(y): the nonzero integer tuple y scaled
-        onto the unit sphere, by the closed form if there is one."""
+        onto the unit sphere."""
         self._check_scaled_domain(y)
-        if self.form is not None:
-            return y, self.form(y)
-        g = self.value_scaled(y, 1)
-        return [c * g.denominator for c in y], g.numerator
+        return [self.level * c for c in y], self.form(y)
 
     def value_scaled(self, y, scale: int) -> Fraction:
-        """value of the point y/scale, with y given in scaled integers; the
-        max over the rows is taken by cross-multiplication."""
+        """value of the point y/scale, with y given in scaled integers."""
         self._check_scaled_domain(y)
-        best = None
-        for a, t in self.rows:
-            num, den = sum(map(mul, a, y)), t * scale
-            if best is None or num * best[1] > best[0] * den:
-                best = num, den
-        return Fraction(*best)
-
-    def integer_system(self, scale: int) -> tuple:
-        """Rows (A, T) of integers such that value(y/scale) <= 1 iff
-        A@y <= T componentwise, with equality attained iff value == 1."""
-        return tuple(a for a, _ in self.rows), [t * scale for _, t in self.rows]
+        return Fraction(self.form(y), self.level * scale)
 
     def unit_checker(self, scale: int) -> Callable:
-        """Predicate: is the scaled-integer displacement at gauge exactly 1.
-
-        max_j x_j - min_i x_i equals the pairwise-difference max, and
-        max_{i<j}(|x_i|+|x_j|) equals the sum of the two largest absolute
-        values, so the closed forms agree with the rows.  A gauge without a
-        closed form is decided on ``integer_system``: no row above its
-        level, at least one on it.
-        """
-        form = self.form
-        if form is not None:
-            return lambda d: form(d) == scale
-        rows, levels = self.integer_system(scale)
-
-        def check(d):
-            on = False
-            for a, t in zip(rows, levels):
-                v = sum(map(mul, a, d))
-                if v > t:
-                    return False
-                on = on or v == t
-            return on
-
-        return check
+        """Predicate: is the scaled-integer displacement at gauge exactly 1."""
+        form, t = self.form, self.level * scale
+        return lambda d: form(d) == t
 
 
 def row_values(rows, points):
-    """For each integer row a of ``integer_system``, the list [a.p for p in
+    """For each integer row a of a gauge, the list [a.p for p in
     points], summed over the coordinate columns of a's nonzero entries only
     (every cube, A_n and D_n row has one or two)."""
     cols = list(zip(*points))
@@ -165,8 +134,8 @@ def gauge_an(n: int) -> GaugeNorm:
     if n < 2:
         raise ValueError("n >= 2 required")
     m = n + 1
-    rows = tuple((_row(m, {j: 1, i: -1}), 1) for i, j in permutations(range(m), 2))
-    return GaugeNorm(rows, require_zero_sum=True, form=_an_form)
+    rows = tuple(_row(m, {j: 1, i: -1}) for i, j in permutations(range(m), 2))
+    return GaugeNorm(rows, _an_form, require_zero_sum=True)
 
 
 def gauge_dn(n: int) -> GaugeNorm:
@@ -174,28 +143,27 @@ def gauge_dn(n: int) -> GaugeNorm:
     if n < 4:
         raise ValueError("n >= 4 required")
     rows = tuple(
-        (_row(n, {i: si, j: sj}), 1) for i, j in combinations(range(n), 2) for si, sj in product((1, -1), repeat=2)
+        _row(n, {i: si, j: sj}) for i, j in combinations(range(n), 2) for si, sj in product((1, -1), repeat=2)
     )
-    return GaugeNorm(rows, form=_dn_form)
+    return GaugeNorm(rows, _dn_form)
 
 
 def gauge_sup(n: int) -> GaugeNorm:
     """Sup norm: gauge of the cube with vertices (+-1, ..., +-1)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    return GaugeNorm(tuple((_row(n, {i: s}), 1) for i in range(n) for s in (1, -1)), form=_sup_form)
+    return GaugeNorm(tuple(_row(n, {i: s}) for i in range(n) for s in (1, -1)), _sup_form)
 
 
 def gauge_planar(basis: ReducedPlanarBasis) -> GaugeNorm:
     """Gauge of the hexagonal Voronoi cell: max over the six face vectors v
-    of 2<x, v>/<v, v>.  Each row is 2v/<v, v> cleared by its common
-    denominator, which becomes the row's level."""
-    rows = []
-    for v in basis.face_vectors():
-        u = v * 2 / v.norm2()
-        level = lcm_denominator([u])
-        rows.append((tuple(int(c * level) for c in u), level))
-    return GaugeNorm(tuple(rows))
+    of 2<x, v>/<v, v>.  The rows are the six 2v/<v, v> cleared by their
+    common denominator, which becomes the level; the form is the max of the
+    rows."""
+    units = [v * 2 / v.norm2() for v in basis.face_vectors()]
+    level = lcm_denominator(units)
+    rows = tuple(tuple(int(c * level) for c in u) for u in units)
+    return GaugeNorm(rows, lambda y: max([a0 * y[0] + a1 * y[1] for a0, a1 in rows]), level)
 
 
 # ---------------------------------------------------------------------------

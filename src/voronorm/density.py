@@ -1,15 +1,15 @@
 """Clique/component enumeration, local densities and density certificates.
 
-The A_n (n <= 6) and D_n certificates pair an exact brute-force count of
-every closed neighborhood with its closed-form value, and a disagreement
-raises CrossCheckMismatch.  One assembler, ``_certificate``, finishes all
-three certificates: the density of distance-1-avoiding sets is at most
-max |C|/|N[C]| over the scored cliques C, weighted 2/3 for the hexagon's
-class-B counts, and BoundViolated fires above the expected bound.  The
-brute force counts N[C] = U_{c in C} (c + (G u {0})) in the Cayley graph on
-(1/2)Lambda^# generated by G = (1/2)V_P: each point of the union carries the
-bitmask of the clique points it equals or is adjacent to, and a clique's
-count is the number of points whose mask meets it.
+The A_n and D_n certificates pair an exact brute-force count of every
+closed neighborhood with its closed-form value at every dimension, and a
+disagreement raises CrossCheckMismatch.  One assembler, ``_certificate``,
+finishes all three certificates: the density of distance-1-avoiding sets is
+at most max |C|/|N[C]| over the scored cliques C, weighted 2/3 for the
+hexagon's class-B counts, and BoundViolated fires above the expected bound.
+The brute force counts N[C] = U_{c in C} (c + (G u {0})) in the Cayley
+graph on (1/2)Lambda^# generated by G = (1/2)V_P: each point of the union
+carries the bitmask of the clique points it equals or is adjacent to, and a
+clique's count is the number of points whose mask meets it.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import add, sub
+from operator import sub
 from typing import Iterable, Optional
 
 from .constructions import CertificateError, GaugeNorm, HexagonPattern, an_vertices_scaled, dn_vertices_scaled
 from .geometry import planar_coset_in_box
-from .graphs import MAX_CAYLEY_VERTICES, GeometricGraph, _bits, hex_pattern_graph, hex_step_extent
+from .graphs import MAX_CAYLEY_VERTICES, GeometricGraph, _bits, hex_pattern_graph, hex_step_extent, linear_key
 
 
 class MarginViolation(ValueError):
@@ -158,16 +158,16 @@ def _translate_mask_counts(targets, generators) -> Counter:
     A point y gets bit b when y = t_b + g for some g in G u {0}, i.e. when y
     equals target b or is adjacent to it.  Every point outside the union of
     those translates has an empty mask, so only the translates are visited.
-    Returns mask -> number of points carrying it.
+    Returns mask -> number of points carrying it.  Points are counted on
+    their linear keys, so a translate's key is the sum of two keys.
     """
-    zero = tuple([0] * len(targets[0]))
-    steps = [zero, *generators]
+    key = linear_key(targets, generators)
+    steps = [0, *map(key, generators)]
     masks: dict = {}
     for b, t in enumerate(targets):
-        bit = 1 << b
+        bit, k = 1 << b, key(t)
         for g in steps:
-            q = tuple(map(add, t, g))
-            masks[q] = masks.get(q, 0) | bit
+            masks[k + g] = masks.get(k + g, 0) | bit
     return Counter(masks.values())
 
 
@@ -197,16 +197,16 @@ def an_expected_bound(n: int) -> Fraction:
 def verify_an_bound(n: int) -> DensityCertificate:
     """Certificate for the A_n local density bound 1/2^n.
 
-    Every chain clique's |N[C]| comes from the closed form; for n <= 6 the
+    Every chain clique's |N[C]| comes from the closed form, and the
     brute-force translate count must reproduce each count exactly,
     otherwise CrossCheckMismatch is raised.  BoundViolated fires if any
     density exceeds the expected bound.
     """
-    brute = an_brute_neighborhood_counts(n) if n <= 6 else None
+    brute = an_brute_neighborhood_counts(n)
     entries = []
     for clique in enumerate_chain_cliques(n):
         nb = an_neighborhood_size_formula(n, clique.weights)
-        if brute is not None and brute[clique.weights] != nb:
+        if brute[clique.weights] != nb:
             raise CrossCheckMismatch(
                 f"A_{n} clique {clique.weights}: formula {nb}, brute force "
                 f"{brute[clique.weights]}"
@@ -214,7 +214,7 @@ def verify_an_bound(n: int) -> DensityCertificate:
         entries.append(CertEntry(clique.label(), clique.size, nb, Fraction(clique.size, nb)))
     # the wording is part of the report bytes, so it stays although the
     # brute force now counts translates instead of scanning a box
-    notes = ["cross-checked against box-scan brute force"] if brute is not None else []
+    notes = ["cross-checked against box-scan brute force"]
     return _certificate("an", n, "full", entries, an_expected_bound(n), notes=notes)
 
 

@@ -16,7 +16,6 @@ from functools import cached_property
 from itertools import accumulate, product
 from typing import Iterable, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[int, Fraction, str]
 
 

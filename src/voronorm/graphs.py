@@ -5,8 +5,8 @@ distance 1) on them and on the Cayley graphs of the half dual lattices.
 Vertices are stored as scaled integer tuples (one denominator per graph,
 the family's scale) and adjacency as per-vertex bitmasks, so every distance
 test is pure integer arithmetic.  Unit-distance edges come from one bitset
-kernel on the gauge's integer system; a pair-by-pair scan is its oracle
-in the tests.  The A_n / D_n Cayley graphs are never built: their
+kernel on the gauge's integer rows and level; a pair-by-pair scan is its
+oracle in the tests.  The A_n / D_n Cayley graphs are never built: their
 Property D check tests each distinct distance-2 difference once and counts
 pairs on the interior points (the built graph is its oracle in the tests).
 Unit-distance graphs are capped at MAX_UNIT_DISTANCE_VERTICES vertices and
@@ -16,11 +16,12 @@ checked before anything is allocated.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .constructions import (
     CertificateError,
@@ -101,10 +102,11 @@ class GeometricGraph:
                 if j > i:
                     yield i, j
 
-    def interior_bound_scaled(self, k: int) -> Fraction:
+    def interior_bound_scaled(self, k: int) -> int:
+        """The k-step margin at ``scale``, floored: integers compare to it exactly."""
         if self.box_radius is None or self.step_extent is None:
             raise ValueError("graph carries no box metadata")
-        return (self.box_radius - k * self.step_extent) * self.scale
+        return math.floor((self.box_radius - k * self.step_extent) * self.scale)
 
     def interior_indices(self, k: int = 1) -> list:
         bound = self.interior_bound_scaled(k)
@@ -148,9 +150,9 @@ def _check_size(count: int, limit: int = MAX_UNIT_DISTANCE_VERTICES, kind: str =
         raise ValueError(f"{kind} graph of {count} vertices exceeds the limit of {limit}")
 
 
-def _unit_edges(points: Sequence[tuple], rows, thresholds) -> list:
-    """Adjacency bitmasks: j ~ i iff A(p_i - p_j) <= T with at least one
-    equality.
+def _unit_edges(points: Sequence[tuple], rows, t: int) -> list:
+    """Adjacency bitmasks: j ~ i iff a.(p_i - p_j) <= t for every row a,
+    with at least one equality.
 
     Row by row, with v_j = a.p_j, the condition a.(p_i - p_j) <= t reads
     v_j >= v_i - t and its equality v_j = v_i - t; both are read off one
@@ -160,7 +162,7 @@ def _unit_edges(points: Sequence[tuple], rows, thresholds) -> list:
     n = len(points)
     within = [(1 << n) - 1] * n
     on_face = [0] * n
-    for t, vals in zip(thresholds, row_values(rows, points)):
+    for vals in row_values(rows, points):
         at = {}
         for j, v in enumerate(vals):
             at[v] = at.get(v, 0) | (1 << j)
@@ -192,11 +194,10 @@ def build_unit_distance_graph(
     """
     pts = sorted(set(points))
     _check_size(len(pts))
-    rows, thresholds = gauge.integer_system(scale)
     return GeometricGraph(
         scale,
         pts,
-        _unit_edges(pts, rows, thresholds),
+        _unit_edges(pts, gauge.rows, gauge.level * scale),
         box_radius=box_radius,
         step_extent=step_extent,
     )
@@ -396,6 +397,15 @@ def dn_property_d(n: int, radius) -> PropertyDReport:
     )
 
 
+def linear_key(xs, ys) -> Callable:
+    """The key sum_i p_i (2r + 1)^i of an integer tuple p, with r the largest
+    |x_i| over xs plus the largest |y_i| over ys: linear, and one-to-one on
+    the tuples x + y and x - y for x in xs and y in ys."""
+    reach = max((abs(c) for x in xs for c in x), default=0) + max(abs(c) for y in ys for c in y)
+    powers = [(2 * reach + 1) ** i for i in range(len(ys[0]))]
+    return lambda p: sum(map(mul, p, powers))
+
+
 def _cayley_property_d(scale: int, generators, gauge: GaugeNorm, radius: Fraction, lattice_box) -> PropertyDReport:
     """check_property_d(g, gauge, "strong") for g the Cayley graph (i ~ j iff
     p_i - p_j is a generator) on the lattice points with every coordinate
@@ -422,20 +432,19 @@ def _cayley_property_d(scale: int, generators, gauge: GaugeNorm, radius: Fractio
     failing = [d for d in d2 if not is_unit(d)]
     inner = radius - 2 * ext
     interior = lattice_box(inner) if inner >= 0 else []
-    # a point's key is linear and one-to-one on the coordinates u and u - d
-    # can take, so u - d is interior iff key(u) - key(d) is an interior key
-    reach = max((abs(c) for u in interior for c in u), default=0) + max(abs(c) for d in d2 for c in d)
-    powers = [(2 * reach + 1) ** i for i in range(len(d2[0]))]
-    keys = [sum(map(mul, u, powers)) for u in interior]
+    # the key is one-to-one on every u and u - d, so u - d is interior iff
+    # key(u) - key(d) is an interior key
+    key = linear_key(interior, d2)
+    keys = [key(u) for u in interior]
     inside = set(keys)
     # as in check_property_d, a pair of two interior points is checked from
     # its larger end only: u - d < u iff d is positive in tuple order
     zero = (0,) * len(d2[0])
-    positive = [sum(map(mul, d, powers)) for d in d2 if d > zero]
+    positive = [key(d) for d in d2 if d > zero]
     checked = len(interior) * len(d2) - sum(len(inside.intersection([k - dk for k in keys])) for dk in positive)
     found = []
     for d in failing:
-        dk, value = sum(map(mul, d, powers)), gauge.value_scaled(d, scale)
+        dk, value = key(d), gauge.value_scaled(d, scale)
         found += [(u, tuple(map(sub, u, d)), value) for u, k in zip(interior, keys) if d < zero or k - dk not in inside]
     found.sort()
     violations = [PropertyDViolation(from_scaled(u, scale), from_scaled(w, scale), 2, v) for u, w, v in found]

@@ -229,6 +229,37 @@ def test_readme_reports_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(edges.read_bytes()).hexdigest() == README_WITNESS_EDGES
 
 
+# The hexagon reports of a basis past the README's, with their stdout sha256:
+# its rows 2v/<v, v> have denominators 7, 73 and 10, so the gauge's one
+# level is 5,110.
+HEXAGON_7038_REPORTS = [
+    ("bound hexagon --basis 7,0,3,8", "b803c52a5e8cd5134c0e5dd607c862d8884d8538de5205dc1f6db9e15a9ae902"),
+    (
+        "property-d hexagon --basis 7,0,3,8 --mode strong",
+        "274d11faea1566305c8b876a9b43e0458ae1ca557bec40043bce252b740b2339",
+    ),
+    (
+        "color hexagon --basis 7,0,3,8 --samples 2000 --seed 3",
+        "831fb86270019560cef74a3c69f82dd0e59ab623535ff7d1cba107ca835417b0",
+    ),
+    ("witness --basis 7,0,3,8 --k 4", "bde11f29fd5abdcad178ae159081633d2692e4bbaca820c1800031215cf55ff7"),
+]
+HEXAGON_7038_WITNESS_EDGES = "4e4754c04c1b3f0f9d92ca0f6c492cc819a0336dda33efa4cbb2080005757e07"
+
+
+def test_hexagon_reports_are_pinned(tmp_path, capsys):
+    edges = tmp_path / "witness.edges"
+    for command, digest in HEXAGON_7038_REPORTS:
+        argv = command.split()
+        if argv[0] == "witness":
+            argv += ["--edges-out", str(edges)]
+        assert main(argv) == 0, command
+        captured = capsys.readouterr()
+        assert captured.err == "", command
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, command
+    assert hashlib.sha256(edges.read_bytes()).hexdigest() == HEXAGON_7038_WITNESS_EDGES
+
+
 @pytest.mark.parametrize("radius", ["-1", "0"])
 def test_property_d_rejects_non_positive_radius(tmp_path, capsys, radius):
     out = tmp_path / "out.json"
@@ -510,6 +541,17 @@ def test_failed_certificate_exits_1_without_report(tmp_path, capsys, monkeypatch
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: certificate check failed: {message}\n"
+    assert not out.exists()
+
+
+def test_an_formula_mismatch_past_dim_6_exits_1(tmp_path, capsys, monkeypatch):
+    # the A_n closed form is cross-checked at every n, not only up to n = 6
+    formula = density.an_neighborhood_size_formula
+    monkeypatch.setattr(density, "an_neighborhood_size_formula", lambda n, weights: formula(n, weights) + 1)
+    out = tmp_path / "out.json"
+    assert main(["bound", "an", "--dim", "7", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: certificate check failed: A_7 clique (): formula 256, brute force 255\n"
     assert not out.exists()
 
 

@@ -225,20 +225,22 @@ ROW_GAUGES = {
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(data=st.data())
 def test_cached_rows_match_fraction_value(name, data):
-    # value_scaled, the unit predicate and the integer system read the one
-    # row system of each gauge; the functional list on Fractions is the oracle
+    # value_scaled, the unit predicate and unit_step read the one form of
+    # each gauge, which is the max of its rows; the rows on the one level and
+    # the functional list on Fractions are the oracles
     gauge, m, funcs = ROW_GAUGES[name]
 
     def on_system(y, scale):
-        rows, levels = gauge.integer_system(scale)
-        dots = [sum(a * c for a, c in zip(row, y)) for row in rows]
-        return all(v <= t for v, t in zip(dots, levels)) and any(v == t for v, t in zip(dots, levels))
+        dots = [sum(a * c for a, c in zip(row, y)) for row in gauge.rows]
+        t = gauge.level * scale
+        return all(v <= t for v in dots) and any(v == t for v in dots)
 
     scale = data.draw(st.integers(1, 24))
     y = data.draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m))
     if gauge.require_zero_sum:
         y[-1] = -sum(y[:-1])
     value = functional_value(funcs, from_scaled(y, scale))
+    assert gauge.form(y) == max(sum(map(mul, a, y)) for a in gauge.rows)
     assert gauge.value_scaled(y, scale) == gauge.value(from_scaled(y, scale)) == value
     assert gauge.unit_checker(scale)(y) == on_system(y, scale) == (value == 1)
     if any(y):
@@ -253,8 +255,8 @@ def test_cached_rows_match_fraction_value(name, data):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_row_values_match_dense_dot_products(name, data):
-    # the planar rows have coefficients other than +-1 and a level of their
-    # own; coordinates near +-2^62 are where fixed-width int64 would wrap
+    # the planar rows have coefficients other than +-1; coordinates near
+    # +-2^62 are where fixed-width int64 would wrap
     gauge, m, _ = ROW_GAUGES[name]
     big = 2**62
     coord = st.integers(-50, 50).flatmap(lambda c: st.sampled_from([c, c + big, c - big]))
@@ -263,7 +265,7 @@ def test_row_values_match_dense_dot_products(name, data):
     if gauge.require_zero_sum:
         point = point.map(lambda c: c + [-sum(c)])
     points = [tuple(p) for p in data.draw(st.lists(point, max_size=12))]
-    rows, _ = gauge.integer_system(data.draw(st.integers(1, 6)))
+    rows = gauge.rows
     assert list(row_values(rows, points)) == [[sum(map(mul, a, p)) for p in points] for a in rows]
 
 
@@ -285,14 +287,16 @@ def _row_gauges():
 
 
 def test_rows_are_symmetric_with_positive_levels():
-    # GaugeNorm relies on these: every level positive, the rows closed under
-    # negation with a row and its negation on one level, and one row per facet
+    # GaugeNorm relies on these: the one level positive, the rows closed
+    # under negation, and one row per facet; the level is the least common
+    # denominator of the rows, so it shares no factor with every entry
     for name, gauge, facets in _row_gauges():
-        levels = dict(gauge.rows)
-        assert len(levels) == len(gauge.rows) == facets, name
-        for a, t in gauge.rows:
-            assert t > 0, name
-            assert levels.get(tuple(-c for c in a)) == t, (name, a)
+        rows = set(gauge.rows)
+        assert len(rows) == len(gauge.rows) == facets, name
+        assert gauge.level > 0, name
+        assert math.gcd(gauge.level, *(c for a in rows for c in a)) == 1, name
+        for a in rows:
+            assert tuple(-c for c in a) in rows, (name, a)
 
 
 def _sample_gauge_vs_voronoi(gauge, lattice, dim, project, count, seed):
@@ -401,9 +405,9 @@ def test_check_vertices_on_boundary_rejects_vertex_on_one_face_beyond_another(ma
         old, new = data.vertices[old], tuple(2 * a - b for a, b in zip(data.vertices[old], data.vertices[new]))
     i = data.vertices.index(old)
     bad = dataclasses.replace(data, vertices=data.vertices[:i] + (new,) + data.vertices[i + 1 :])
-    rows, levels = bad.gauge.integer_system(bad.scale)
-    dots = [sum(map(mul, a, new)) for a in rows]
-    assert any(v == t for v, t in zip(dots, levels)) and any(v > t for v, t in zip(dots, levels))
+    t = bad.gauge.level * bad.scale
+    dots = [sum(map(mul, a, new)) for a in bad.gauge.rows]
+    assert t in dots and max(dots) > t
     with pytest.raises(CertificateError) as exc:
         bad.check_vertices_on_boundary()
     assert str(exc.value) == _not_on_boundary(bad, i)
@@ -411,9 +415,11 @@ def test_check_vertices_on_boundary_rejects_vertex_on_one_face_beyond_another(ma
 
 @pytest.mark.parametrize("raw", [((3, 0), (1, 3)), ((5, 0), (2, 5))])
 def test_planar_cell_vertex_check(raw):
-    # the hexagon's rows have different levels, so each row has its own T*s
+    # the hexagon is the gauge whose level exceeds 1 and whose rows have
+    # entries other than +-1
     cell = _hexagon_cell(raw)
-    assert len(set(cell.gauge.integer_system(cell.scale)[1])) == 3
+    assert cell.gauge.level > 1
+    assert any(abs(c) > 1 for a in cell.gauge.rows for c in a)
     cell.check_vertices_on_boundary()
     for i in range(6):
         for factor in (F(1, 2), F(3, 2)):

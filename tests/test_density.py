@@ -138,8 +138,9 @@ def test_verify_an_bound_small(n):
 
 
 def test_verify_an_bound_cross_check_beyond_default_range():
-    # the translate count is cheap enough to cross-check the closed form past
-    # the certificate's n <= 6 cap, up to the n <= 12 limit of the chain cliques
+    # the certificate cross-checks the closed form at every n; this checks
+    # the translate count against it directly past n = 6, up to the n <= 12
+    # limit of the chain cliques
     for n in range(7, 13):
         brute = an_brute_neighborhood_counts(n)
         for clique in enumerate_chain_cliques(n):
@@ -224,7 +225,7 @@ def test_dn_brute_matches_union_materialization():
             assert brute[extra] == _union_count(pts, gens)
 
 
-def test_verify_dn_bound_headline_and_mismatch():
+def test_verify_dn_bound_headline_and_no_mismatch():
     cert = verify_dn_bound(4)
     assert cert.assembled_bound == F(1, 15)
     assert cert.matches_expected

@@ -61,9 +61,9 @@ def test_no_edge_below_unit_distance():
     assert g.edge_count() == 0
 
 
-def _edges_naive(points, rows, thresholds) -> list:
-    """Oracle: decide every pair i < j on A(p_i - p_j) <= T with at least
-    one equality, in pure integer arithmetic."""
+def _edges_naive(points, rows, t) -> list:
+    """Oracle: decide every pair i < j on a.(p_i - p_j) <= t for every row
+    a with at least one equality, in pure integer arithmetic."""
     n = len(points)
     adj = [0] * n
     for i in range(n):
@@ -72,7 +72,7 @@ def _edges_naive(points, rows, thresholds) -> list:
             d = tuple(a - b for a, b in zip(pi, points[j]))
             ok_le = True
             any_eq = False
-            for a, t in zip(rows, thresholds):
+            for a in rows:
                 v = sum(ai * di for ai, di in zip(a, d))
                 if v > t:
                     ok_le = False
@@ -101,10 +101,10 @@ def test_fast_scan_equals_naive():
     ]
     for scale, points, gauge in cases:
         pts = sorted(set(points))
-        rows, thr = gauge.integer_system(scale)
-        adj = _unit_edges(pts, rows, thr)
+        t = gauge.level * scale
+        adj = _unit_edges(pts, gauge.rows, t)
         assert any(adj)
-        assert adj == _edges_naive(pts, rows, thr)
+        assert adj == _edges_naive(pts, gauge.rows, t)
 
 
 def _zero_sum(c):
@@ -132,8 +132,8 @@ def test_unit_edges_match_naive_scan(name, data):
     else:
         point = st.lists(coord, min_size=m, max_size=m).map(tuple)
     pts = sorted(set(data.draw(st.lists(point, min_size=8, max_size=24))))
-    rows, thr = gauge.integer_system(scale)
-    assert _unit_edges(pts, rows, thr) == _edges_naive(pts, rows, thr)
+    t = gauge.level * scale
+    assert _unit_edges(pts, gauge.rows, t) == _edges_naive(pts, gauge.rows, t)
 
 
 def test_an_cayley_interior_degree():
