@@ -10,6 +10,7 @@ regardless of the thread setting.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -143,7 +144,14 @@ def cmd_witness(args) -> int:
     return EXIT_OK if res.found else EXIT_BUDGET
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and shared after it.
+
+    ``parse_args`` leaves the parser as it found it and returns a fresh
+    namespace each time, and every default is immutable, so repeated
+    ``main`` calls in one process see the same parser state.
+    """
     p = argparse.ArgumentParser(
         prog="voronorm",
         description="Certificates for density bounds of distance-1-avoiding sets "

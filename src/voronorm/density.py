@@ -9,7 +9,8 @@ hexagon's class-B counts, and BoundViolated fires above the expected bound.
 The brute force counts N[C] = U_{c in C} (c + (G u {0})) in the Cayley
 graph on (1/2)Lambda^# generated by G = (1/2)V_P: each point of the union
 carries the bitmask of the clique points it equals or is adjacent to, and a
-clique's count is the number of points whose mask meets it.
+clique's count is the number of points whose mask meets it, read for every
+clique at once off one subset-sum pass over the mask histogram.
 """
 
 from __future__ import annotations
@@ -130,10 +131,14 @@ class ChainClique:
 MAX_CHAIN_DIM = 12
 
 
-def enumerate_chain_cliques(n: int) -> list:
-    """All canonical chain cliques (one per weight subset), lexicographic."""
+def _check_chain_dim(n: int) -> None:
     if not (2 <= n <= MAX_CHAIN_DIM):
         raise ValueError(f"n outside the practical range 2..{MAX_CHAIN_DIM}")
+
+
+def enumerate_chain_cliques(n: int) -> list:
+    """All canonical chain cliques (one per weight subset), lexicographic."""
+    _check_chain_dim(n)
     out = []
     for mask in range(2**n):
         weights = tuple(w for w in range(1, n + 1) if mask & (1 << (w - 1)))
@@ -171,23 +176,43 @@ def _translate_mask_counts(targets, generators) -> Counter:
     return Counter(masks.values())
 
 
-def _counts_for_subset(counts: Counter, subset_mask: int) -> int:
-    return sum(c for m, c in counts.items() if m & subset_mask)
+def _meeting_counts(counts: Counter, bits: int) -> list:
+    """For every mask S over ``bits`` bits, the number of points whose mask
+    meets S.
+
+    That is the total less the points whose mask lies inside the complement
+    of S, and one subset-sum (zeta) pass over the histogram gives the
+    points inside every mask at once, in bits * 2^bits steps.
+    """
+    size = 1 << bits
+    inside = [0] * size
+    for m, c in counts.items():
+        inside[m] = c
+    step = 1
+    while step < size:
+        # add each mask without the bit `step` into the mask with it
+        for hi in range(step, size, 2 * step):
+            for s in range(hi, hi + step):
+                inside[s] += inside[s - step]
+        step <<= 1
+    # the complement of s is size - 1 - s: the list read backwards
+    total = inside[-1]
+    return [total - c for c in reversed(inside)]
 
 
 def an_brute_neighborhood_counts(n: int) -> dict:
-    """Brute-force |N[C]| for every chain clique, counted on the union of
-    the translates c + (G u {0}) in (1/2)A_n^#; independent of the closed
-    form."""
+    """Brute-force |N[C]| for every chain clique, keyed by its weights and
+    counted on the union of the translates c + (G u {0}) in (1/2)A_n^#;
+    independent of the closed form."""
+    _check_chain_dim(n)
     targets = [tuple([0] * (n + 1))]
     targets += [ChainClique(n, (w,)).points_scaled()[1] for w in range(1, n + 1)]
     # G = (1/2)V_P: the cell vertices at scale n+1, read at scale 2(n+1)
-    counts = _translate_mask_counts(targets, an_vertices_scaled(n))
-    out = {}
-    for clique in enumerate_chain_cliques(n):
-        mask = 1 | sum(1 << w for w in clique.weights)
-        out[clique.weights] = _counts_for_subset(counts, mask)
-    return out
+    meets = _meeting_counts(_translate_mask_counts(targets, an_vertices_scaled(n)), n + 1)
+    # bit 0 is the origin, which every chain clique holds, and bit w the
+    # weight-w target
+    weights = range(1, n + 1)
+    return {tuple(w for w in weights if m >> w & 1): meets[m] for m in range(1, 2 << n, 2)}
 
 
 def an_expected_bound(n: int) -> Fraction:
@@ -263,12 +288,8 @@ def dn_brute_neighborhood_counts(n: int) -> dict:
     """Brute-force |N[C]| for every subset of C_max containing 0, counted on
     the union of the translates c + (G u {0}) in (1/2)D_n^#."""
     # G = (1/2)V_P: the cell vertices at scale 2, read at scale 4
-    counts = _translate_mask_counts(dn_cmax_points_scaled(n), dn_vertices_scaled(n))
-    out = {}
-    for extra in _dn_subsets():
-        mask = 1 | sum(1 << (i + 1) for i in extra)
-        out[extra] = _counts_for_subset(counts, mask)
-    return out
+    meets = _meeting_counts(_translate_mask_counts(dn_cmax_points_scaled(n), dn_vertices_scaled(n)), 4)
+    return {extra: meets[1 | sum(1 << (i + 1) for i in extra)] for extra in _dn_subsets()}
 
 
 def _dn_subsets() -> list:

@@ -78,25 +78,46 @@ def _clique_cover_bound(adj, cand: int, stop: int) -> int:
             b = common & -common
             v = b.bit_length() - 1
             remaining ^= b
-            common = common & adj[v] & remaining
+            # common lies inside remaining, and b leaves both (no self-loops)
+            common &= adj[v]
     return count
 
 
 def _greedy_independent(adj, cand: int) -> int:
-    """Min-degree greedy independent set (initial lower bound)."""
-    chosen = 0
+    """Min-degree greedy independent set (initial lower bound): take the
+    candidate of least degree within cand, lowest index first, and drop its
+    closed neighbourhood.
+
+    Each candidate's degree is kept in a bucket of equal degrees (a bitmask)
+    and lowered as its neighbours leave cand, so a pick reads the lowest
+    bit of the least nonempty bucket instead of recounting every degree.
+    """
+    deg = [0] * len(adj)
+    buckets = [0] * (cand.bit_count() + 1)
+    for v in _bits(cand):
+        d = deg[v] = (adj[v] & cand).bit_count()
+        buckets[d] |= 1 << v
+    chosen = low = 0
     while cand:
-        best_v, best_d = -1, None
-        x = cand
-        while x:
-            b = x & -x
-            v = b.bit_length() - 1
-            x ^= b
-            d = (adj[v] & cand).bit_count()
-            if best_d is None or d < best_d:
-                best_v, best_d = v, d
-        chosen |= 1 << best_v
-        cand &= ~(adj[best_v] | (1 << best_v))
+        while not buckets[low]:
+            low += 1
+        b = buckets[low] & -buckets[low]
+        chosen |= b
+        gone = (adj[b.bit_length() - 1] | b) & cand
+        cand ^= gone
+        for u in _bits(gone):
+            buckets[deg[u]] ^= 1 << u
+            x = adj[u] & cand
+            while x:
+                c = x & -x
+                x ^= c
+                w = c.bit_length() - 1
+                d = deg[w]
+                buckets[d] ^= c
+                buckets[d - 1] |= c
+                deg[w] = d - 1
+                if d <= low:
+                    low = d - 1
     return chosen
 
 

@@ -3,8 +3,9 @@ exact Fraction coset enumerator, the full-tie-set closest-point search, the
 Fraction gauge functional lists, the Fraction cell vertices and boundary
 catalog, the box Cayley graphs on the
 half dual lattices, the avoiding-set decomposition into cliques with
-disjoint neighborhoods, Vec views of the integer kernels, and a fault
-injected into the D_n closed-form reference table."""
+disjoint neighborhoods, the per-mask neighborhood count, the rescanning
+min-degree greedy, Vec views of the integer kernels, and a fault injected
+into the D_n closed-form reference table."""
 
 import math
 from dataclasses import dataclass
@@ -362,6 +363,23 @@ def decompose_avoiding_set(
         if a & b:
             disjoint = False
     return Decomposition(components, all_cliques, disjoint)
+
+
+def counts_for_subset(counts, subset_mask: int) -> int:
+    """The number of points whose target mask meets subset_mask, summed
+    over every mask of the histogram."""
+    return sum(c for m, c in counts.items() if m & subset_mask)
+
+
+def greedy_independent_rescan(adj, cand: int) -> int:
+    """Min-degree greedy independent set that recounts every candidate's
+    degree within cand for each pick: least degree, lowest index first."""
+    chosen = 0
+    while cand:
+        best_v = min(_bits(cand), key=lambda v: (adj[v] & cand).bit_count())
+        chosen |= 1 << best_v
+        cand &= ~(adj[best_v] | (1 << best_v))
+    return chosen
 
 
 def corrupt_dn_singleton_reference(monkeypatch) -> None:

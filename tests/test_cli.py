@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from voronorm import density, independence, reports
+from voronorm import cli, density, independence, reports
 from voronorm.cli import main
 from voronorm.coloring import coset_coloring, verify_coloring
 from voronorm.constructions import CertificateError, GaugeNorm, gauge_an, gauge_dn
@@ -161,6 +163,26 @@ def test_usage_errors(tmp_path):
         main(["bound", "hexagon"])  # missing --basis
     assert exc.value.code == 2
     assert main(["bound", "hexagon", "--basis", "1,0,0,1"]) == 2  # rectangular
+
+
+def test_cached_parser_leaks_no_state_between_calls(tmp_path):
+    # one parser serves every main() call in a process: a usage error and a
+    # bad-type error before a report leave its bytes as a fresh process has them
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "an", "--dim", "13"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["ratio", "an", "--dim", "2", "--radii", "x"])
+    assert exc.value.code == 2
+    argv = ["bound", "an", "--dim", "4", "--out"]
+    assert main(argv + [str(tmp_path / "here.json")]) == 0
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    fresh = [sys.executable, "-m", "voronorm.cli", *argv, str(tmp_path / "fresh.json")]
+    subprocess.run(fresh, env=env, timeout=60, check=True)
+    assert (tmp_path / "here.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
 def test_determinism_across_threads(tmp_path):

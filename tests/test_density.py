@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voronorm.constructions import an_vertices_scaled, dn_vertices_scaled, gauge_an, hexagon_pattern
 import voronorm.density as density
@@ -35,6 +36,7 @@ from oracles import (
     NotAvoiding,
     an_cayley_graph,
     corrupt_dn_singleton_reference,
+    counts_for_subset,
     decompose_avoiding_set,
     graph_distance_2_pairs,
     is_interior,
@@ -175,7 +177,7 @@ def _box_scan_counts(targets, gens, points, subset_masks):
                 m |= 1 << b
         if m:
             hist[m] += 1
-    return {key: sum(c for m, c in hist.items() if m & mask) for key, mask in subset_masks.items()}
+    return {key: counts_for_subset(hist, mask) for key, mask in subset_masks.items()}
 
 
 def _reach(targets, gens):
@@ -183,11 +185,15 @@ def _reach(targets, gens):
     return max(abs(c + g) for t in targets for gen in [zero, *gens] for c, g in zip(t, gen))
 
 
+def _an_targets(n):
+    targets = [tuple([0] * (n + 1))]
+    return targets + [ChainClique(n, (w,)).points_scaled()[1] for w in range(1, n + 1)]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_an_brute_counts_match_box_scan(n):
     gens = an_vertices_scaled(n)
-    targets = [tuple([0] * (n + 1))]
-    targets += [ChainClique(n, (w,)).points_scaled()[1] for w in range(1, n + 1)]
+    targets = _an_targets(n)
     box = enumerate_an_half_dual_scaled(n, F(_reach(targets, gens), an_half_dual_scale(n)))
     masks = {c.weights: 1 | sum(1 << w for w in c.weights) for c in enumerate_chain_cliques(n)}
     assert an_brute_neighborhood_counts(n) == _box_scan_counts(targets, gens, box, masks)
@@ -201,6 +207,24 @@ def test_dn_brute_counts_match_box_scan(n):
     brute = dn_brute_neighborhood_counts(n)
     masks = {extra: 1 | sum(1 << (i + 1) for i in extra) for extra in brute}
     assert brute == _box_scan_counts(targets, gens, box, masks)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_an_subset_sum_counts_match_per_clique_sum(n):
+    # the one subset-sum pass against a sum over every mask of the
+    # histogram for each clique on its own
+    hist = density._translate_mask_counts(_an_targets(n), an_vertices_scaled(n))
+    masks = {c.weights: 1 | sum(1 << w for w in c.weights) for c in enumerate_chain_cliques(n)}
+    assert an_brute_neighborhood_counts(n) == {key: counts_for_subset(hist, m) for key, m in masks.items()}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data(), bits=st.integers(1, 8))
+def test_meeting_counts_match_per_mask_sum(data, bits):
+    masks = st.integers(0, (1 << bits) - 1)
+    hist = Counter(data.draw(st.dictionaries(masks, st.integers(1, 1000), max_size=40)))
+    meets = density._meeting_counts(hist, bits)
+    assert meets == [counts_for_subset(hist, s) for s in range(1 << bits)]
 
 
 # ---------------------------------------------------------------------------

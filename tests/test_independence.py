@@ -26,6 +26,7 @@ from voronorm.independence import (
     ratio_sequence_an,
     reference_independent_set_size,
 )
+from oracles import greedy_independent_rescan
 
 
 def _graph_from_edges(n, edges):
@@ -138,7 +139,7 @@ def _take_simplicial_full_scan(adj, cand, taken):
 
 
 def _solve_mask_full_scan(adj, full, budget):
-    greedy = _greedy_independent(adj, full)
+    greedy = greedy_independent_rescan(adj, full)
     best_mask, best = greedy, greedy.bit_count()
     root_bound = _cover_full(adj, full)
     if best == root_bound:
@@ -193,6 +194,21 @@ def test_solve_mask_matches_full_scan_oracle(graph, budget):
     adj, full = graph
     budget = DEFAULT_NODE_BUDGET if budget is None else budget
     assert _solve_mask(adj, full, budget) == _solve_mask_full_scan(adj, full, budget)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(graph=_sparse_graphs())
+def test_greedy_matches_rescanning_oracle(graph):
+    # the kept degrees pick the same vertex as a full recount at every step
+    adj, full = graph
+    assert _greedy_independent(adj, full) == greedy_independent_rescan(adj, full)
+
+
+def test_greedy_matches_rescanning_oracle_on_the_counterexample():
+    g = counterexample_graph(60)
+    full = (1 << g.n) - 1
+    for cand in (full, full & ~(g.adj[g.index[(-7,)]] | 1 << g.index[(-7,)])):
+        assert _greedy_independent(g.adj, cand) == greedy_independent_rescan(g.adj, cand)
 
 
 def test_timed_out_search_at_the_root_bound_is_proven():
