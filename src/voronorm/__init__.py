@@ -65,7 +65,6 @@ from .independence import (
 from .coloring import (
     ChromaticReport,
     CosetColoring,
-    chromatic_number,
     chromatic_report,
     chromatic_witness_search,
     color,

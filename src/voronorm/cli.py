@@ -134,8 +134,7 @@ def cmd_witness(args) -> int:
     pattern = _pattern_from_args(args)
     radius = 3 * hex_step_extent(pattern) if args.radius is None else args.radius
     g = hex_unit_distance_graph(pattern, radius)
-    budget = 2_000_000 if args.budget is None else args.budget
-    res = chromatic_witness_search(g, pattern.gauge, args.k, node_budget=budget)
+    res = chromatic_witness_search(g, pattern.gauge, args.k, node_budget=args.budget)
     payload = reports.witness_dict(res, g)
     if res.found and args.edges_out:
         with open(args.edges_out, "w", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 """Coset colorings of space with 2^n colors, properness verification, and
-exact chromatic-number computations for finite witnesses.
+finite chromatic witnesses: one DSATUR decider of k-colorability drives the
+search, and plain backtracking re-checks its result independently.
 
 The coloring assigns x to the coset of (1/2)L / L whose half-open translated
 cell contains x; ties between nearest cell centers are broken
@@ -245,7 +246,7 @@ def verify_coloring(coloring: CosetColoring, samples: int, seed: int) -> Colorin
 
 
 # ---------------------------------------------------------------------------
-# Exact chromatic numbers
+# Finite chromatic witnesses
 
 
 def _greedy_clique(adj, verts: list) -> list:
@@ -262,17 +263,25 @@ def _greedy_clique(adj, verts: list) -> list:
     return best
 
 
-def _feasible_k_coloring(adj, verts: list, k: int, budget: list, seed_clique=None):
-    """DSATUR-ordered backtracking; returns a coloring dict or None.
+# Search-node budgets: per call of the witness search's decider, unless the
+# caller gives one, and per color count of the independent re-check.
+WITNESS_NODE_BUDGET = 2_000_000
+VERIFY_NODE_BUDGET = 4_000_000
 
-    budget is a single-element node counter; raises TimeoutError on
-    exhaustion."""
-    colors: dict = {}
-    if seed_clique:
-        if len(seed_clique) > k:
-            return None
-        for c, v in enumerate(seed_clique):
-            colors[v] = c
+
+def _colorable(g: GeometricGraph, verts: Iterable[int], k: int, budget: int) -> bool:
+    """Whether the subgraph induced on verts is k-colorable.
+
+    A greedy clique larger than k answers False at once; otherwise it seeds
+    DSATUR-ordered backtracking, which raises TimeoutError after budget
+    search nodes."""
+    verts = sorted(verts)
+    mask = sum(1 << v for v in verts)
+    adj = {v: g.adj[v] & mask for v in verts}
+    clique = _greedy_clique(adj, verts)
+    if len(clique) > k:
+        return False
+    colors = {v: c for c, v in enumerate(clique)}
     order_pool = [v for v in verts if v not in colors]
 
     def choose():
@@ -287,8 +296,9 @@ def _feasible_k_coloring(adj, verts: list, k: int, budget: list, seed_clique=Non
         return best_v
 
     def backtrack() -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
             raise TimeoutError("coloring budget exhausted")
         v = choose()
         if v is None:
@@ -308,29 +318,10 @@ def _feasible_k_coloring(adj, verts: list, k: int, budget: list, seed_clique=Non
             del colors[v]
         return False
 
-    return dict(colors) if backtrack() else None
+    return backtrack()
 
 
-def chromatic_number(
-    g: GeometricGraph, indices: Optional[Iterable[int]] = None, node_budget: int = 2_000_000
-):
-    """Exact chromatic number of the induced subgraph, with a coloring."""
-    verts = sorted(indices) if indices is not None else list(range(g.n))
-    mask = sum(1 << v for v in verts)
-    adj = {v: g.adj[v] & mask for v in verts}
-    if not verts:
-        return 0, {}
-    clique = _greedy_clique(adj, verts)
-    k = len(clique)
-    while True:
-        budget = [node_budget]
-        coloring = _feasible_k_coloring(adj, verts, k, budget, seed_clique=clique)
-        if coloring is not None:
-            return k, coloring
-        k += 1
-
-
-def verify_chromatic_number(g: GeometricGraph, indices: Iterable[int], k: int, node_budget: int = 4_000_000) -> bool:
+def verify_chromatic_number(g: GeometricGraph, indices: Iterable[int], k: int) -> bool:
     """Independent re-check: (k-1)-coloring infeasible, k-coloring feasible,
     via plain lexicographic backtracking (no DSATUR, no seed clique)."""
     verts = sorted(indices)
@@ -338,7 +329,7 @@ def verify_chromatic_number(g: GeometricGraph, indices: Iterable[int], k: int, n
     adj = {v: g.adj[v] & mask for v in verts}
 
     def feasible(kk: int) -> bool:
-        budget = [node_budget]
+        budget = [VERIFY_NODE_BUDGET]
 
         def rec(i: int, assign: dict) -> bool:
             budget[0] -= 1
@@ -378,18 +369,22 @@ def chromatic_witness_search(
     g: GeometricGraph,
     gauge: GaugeNorm,
     k: int,
-    node_budget: int = 2_000_000,
+    node_budget: Optional[int] = None,
 ) -> WitnessResult:
     """Search for an induced subgraph with chromatic number exactly k by
-    growing gauge-radius balls around the origin to the first with chromatic
-    number >= k, then greedily dropping every vertex whose removal keeps it
-    >= k.  A removal lowers the chromatic number by at most 1, so when every
+    growing gauge-radius balls around the origin to the first that is not
+    (k-1)-colorable, then greedily dropping every vertex whose removal keeps
+    it so.  A removal lowers the chromatic number by at most 1, so when every
     check finishes within budget each kept vertex is critical and the result
     has chromatic number exactly k; ``verified`` re-checks that.
 
-    Returns found=False when no ball within the graph's box reaches k."""
+    Each check may visit node_budget search nodes (WITNESS_NODE_BUDGET when
+    None).  Returns found=False when no ball within the graph's box reaches
+    k, or when a ball's check runs out of budget; a removal whose check runs
+    out keeps its vertex."""
     if k == 1:
         return WitnessResult(True, 1, [0], 1, True)
+    budget = WITNESS_NODE_BUDGET if node_budget is None else node_budget
     radii = []
     r = Fraction(1)
     top = g.box_radius if g.box_radius is not None else Fraction(3)
@@ -402,22 +397,19 @@ def chromatic_witness_search(
         if len(ball) < k:
             continue
         try:
-            chi, _ = chromatic_number(g, ball, node_budget)
+            if _colorable(g, ball, k - 1, budget):
+                continue
         except TimeoutError:
             return WitnessResult(False, k)
-        if chi < k:
-            continue
-        witness = list(ball)
-        for v in sorted(witness, reverse=True):
+        witness = ball
+        # witness is never (k-1)-colorable, so it keeps at least 2 vertices
+        for v in reversed(ball):
             trial = [u for u in witness if u != v]
-            if not trial:
-                continue
             try:
-                chi2, _ = chromatic_number(g, trial, node_budget)
+                if not _colorable(g, trial, k - 1, budget):
+                    witness = trial
             except TimeoutError:
                 continue
-            if chi2 >= k:
-                witness = trial
         verified = verify_chromatic_number(g, witness, k)
         return WitnessResult(True, k, witness, len(witness), verified)
     return WitnessResult(False, k)

@@ -175,7 +175,7 @@ def an_vertices_scaled(n: int) -> list:
     projections (n+1)u - |u| of the nonconstant 0/1 vectors u.  At scale
     2(n+1) the same tuples are the halved vertices (1/2)V_P."""
     m = n + 1
-    return sorted(tuple(m * c - sum(u) for c in u) for u in product((0, 1), repeat=m) if 0 < sum(u) < m)
+    return sorted(tuple(m * c - s for c in u) for u in product((0, 1), repeat=m) if 0 < (s := sum(u)) < m)
 
 
 def dn_vertices_scaled(n: int) -> list:

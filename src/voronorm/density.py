@@ -426,7 +426,8 @@ def verify_hexagon_bound(pattern: HexagonPattern) -> DensityCertificate:
     subsets of size <= 4 around deep-interior representatives of every
     vertex class, classifies them against the six-type taxonomy (raising
     UnknownComponentType on escape, including any avoiding size-4 subset),
-    and records each type's class-B local density.
+    and records each type's class-B local density, which must equal its
+    HEX_EXPECTED_DELTAS value, otherwise CrossCheckMismatch is raised.
     """
     # interior(5) representatives are needed: radius 7 * step extent is enough
     g = hex_pattern_graph(pattern, 7 * hex_step_extent(pattern))
@@ -468,9 +469,11 @@ def verify_hexagon_bound(pattern: HexagonPattern) -> DensityCertificate:
     missing = sorted(set(HEX_EXPECTED_DELTAS) - set(found))
     if missing:
         raise UnknownComponentType(f"component types never realized: {missing}")
-    entries = [
-        CertEntry(kind, size, nb, delta, expected_density=HEX_EXPECTED_DELTAS[kind])
-        for kind, (size, nb, delta) in sorted(found.items())
-    ]
+    entries = []
+    for kind, (size, nb, delta) in sorted(found.items()):
+        expected = HEX_EXPECTED_DELTAS[kind]
+        if delta != expected:
+            raise CrossCheckMismatch(f"type {kind}: density {delta}, expected {expected}")
+        entries.append(CertEntry(kind, size, nb, delta, expected))
     notes = ["class-B density weight 2/3 applied (B is twice as dense as A)"]
     return _certificate("hexagon", 2, "class-B", entries, hexagon_expected_bound(), Fraction(2, 3), notes)

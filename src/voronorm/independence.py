@@ -52,13 +52,24 @@ class MisResult:
 
 
 def is_independent_set(g: GeometricGraph, indices: Iterable[int]) -> bool:
-    """Validity re-check kept separate from the solver."""
+    """Validity re-check kept separate from the solver: no member is
+    adjacent to a member."""
     idx = list(indices)
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if g.adj[idx[a]] & (1 << idx[b]):
-                return False
-    return True
+    members = 0
+    for v in idx:
+        members |= 1 << v
+    return not any(g.adj[v] & members for v in idx)
+
+
+def _checked_witness(g: GeometricGraph, alpha: int, mask: int, what: str) -> list:
+    """The vertices of a solver's witness mask for a claimed alpha; raises
+    CertificateError unless they are alpha many and independent."""
+    witness = _bits(mask)
+    if len(witness) != alpha:
+        raise CertificateError(f"{what} of size {len(witness)} for a claimed alpha of {alpha}")
+    if not is_independent_set(g, witness):
+        raise CertificateError(f"{what} is not independent")
+    return witness
 
 
 def _clique_cover_bound(adj, cand: int, stop: int) -> int:
@@ -133,11 +144,7 @@ def max_independent_set(g: GeometricGraph, node_budget: Optional[int] = None) ->
     for perm in g.symmetries:
         _check_automorphism(g.adj, perm)
     alpha, witness_mask, proven, upper, nodes = _solve_mask(g.adj, (1 << n) - 1, budget, g.symmetries)
-    witness = _bits(witness_mask)
-    if len(witness) != alpha:
-        raise CertificateError(f"witness of size {len(witness)} for a claimed alpha of {alpha}")
-    if not is_independent_set(g, witness):
-        raise CertificateError("maximum independent set witness is not independent")
+    witness = _checked_witness(g, alpha, witness_mask, "maximum independent set witness")
     return MisResult(alpha, witness, n, proven, upper, nodes)
 
 
@@ -473,9 +480,7 @@ def counterexample_density_gap(
         alpha_rest, mask, proven, _, _ = _solve_mask(g.adj, cand, budget)
         if not proven:
             raise CertificateError(f"search for the set containing -{k} ran out of budget")
-        members = [vk] + _bits(mask)
-        if not is_independent_set(g, members):
-            raise CertificateError(f"witness for -{k} is not independent")
+        members = _checked_witness(g, 1 + alpha_rest, mask | (1 << vk), f"witness for -{k}")
         max_pos = max(g.points[i][0] for i in members)
         if max_pos > 2 * k:
             raise CertificateError(f"witness for -{k} contains a vertex above 2k")

@@ -4,7 +4,8 @@ Fraction gauge functional lists, the Fraction cell vertices and boundary
 catalog, the box Cayley graphs on the
 half dual lattices, the avoiding-set decomposition into cliques with
 disjoint neighborhoods, the per-mask neighborhood count, the rescanning
-min-degree greedy, Vec views of the integer kernels, and a fault injected
+min-degree greedy, the pairwise independence check, the exhaustive
+chromatic number, Vec views of the integer kernels, and a fault injected
 into the D_n closed-form reference table."""
 
 import math
@@ -380,6 +381,44 @@ def greedy_independent_rescan(adj, cand: int) -> int:
         chosen |= 1 << best_v
         cand &= ~(adj[best_v] | (1 << best_v))
     return chosen
+
+
+def is_independent_pairwise(g: GeometricGraph, indices: Iterable[int]) -> bool:
+    """Whether no two of the indices are adjacent, testing every pair."""
+    idx = list(indices)
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            if g.adj[idx[a]] & (1 << idx[b]):
+                return False
+    return True
+
+
+def chromatic_number(g: GeometricGraph, indices: Optional[Iterable[int]] = None) -> tuple:
+    """(chi, coloring) of the subgraph induced on indices (all vertices when
+    None): the least k for which plain backtracking over the vertices in
+    index order finds a k-coloring, and that coloring as a dict."""
+    verts = sorted(indices) if indices is not None else list(range(g.n))
+    mask = sum(1 << v for v in verts)
+
+    def extend(i: int, k: int, assign: dict) -> bool:
+        if i == len(verts):
+            return True
+        v = verts[i]
+        used = {assign[u] for u in _bits(g.adj[v] & mask) if u in assign}
+        for c in range(k):
+            if c not in used:
+                assign[v] = c
+                if extend(i + 1, k, assign):
+                    return True
+                del assign[v]
+        return False
+
+    k = 0
+    while True:
+        assign: dict = {}
+        if extend(0, k, assign):
+            return k, assign
+        k += 1
 
 
 def corrupt_dn_singleton_reference(monkeypatch) -> None:

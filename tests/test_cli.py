@@ -426,6 +426,23 @@ def test_dependent_mis_witness_fails_the_certificate(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_inflated_constrained_alpha_fails_the_certificate(tmp_path, capsys, monkeypatch):
+    # a solver that claims one vertex more than its witness holds, only on
+    # the runs forced to contain -k; the report must not take the claim
+    solve = independence._solve_mask
+
+    def inflate_constrained(adj, cand, budget, group=()):
+        alpha, mask, proven, upper, nodes = solve(adj, cand, budget, group)
+        return alpha + (cand != (1 << len(adj)) - 1), mask, proven, upper, nodes
+
+    monkeypatch.setattr(independence, "_solve_mask", inflate_constrained)
+    out = tmp_path / "out.json"
+    assert main(["ratio", "counterexample", "--n", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: certificate check failed: witness for -1 of size 7 for a claimed alpha of 8\n"
+    assert not out.exists()
+
+
 def _swap_two(perm):
     perm[0], perm[1] = perm[1], perm[0]
 
@@ -544,6 +561,11 @@ def _an_expected_bound_below(monkeypatch):
     monkeypatch.setattr(density, "an_expected_bound", lambda n: F(1, 2**n + 1))
 
 
+def _hex_ab_density_expected_below(monkeypatch):
+    # below the maximum 3/8, so the assembled bound alone would still match
+    monkeypatch.setitem(density.HEX_EXPECTED_DELTAS, "AB", F(1, 5))
+
+
 @pytest.mark.parametrize(
     "patch, argv, message",
     [
@@ -553,12 +575,18 @@ def _an_expected_bound_below(monkeypatch):
             ["bound", "dn", "--dim", "4"],
             "D_4 subset {0}: closed form 26, brute force 25",
         ),
+        (
+            _hex_ab_density_expected_below,
+            ["bound", "hexagon", "--basis", "3,0,1,3"],
+            "type AB: density 2/7, expected 1/5",
+        ),
     ],
-    ids=["an-bound-violated", "dn-reference-mismatch"],
+    ids=["an-bound-violated", "dn-reference-mismatch", "hexagon-type-mismatch"],
 )
 def test_failed_certificate_exits_1_without_report(tmp_path, capsys, monkeypatch, patch, argv, message):
-    # a D_n closed-form disagreement fails like an A_n one: exit 1, one
-    # stderr line and no report, not a report with the disagreement in its notes
+    # a D_n closed-form or hexagon per-type disagreement fails like an A_n
+    # one: exit 1, one stderr line and no report, not a report with the
+    # disagreement in its notes or entries
     patch(monkeypatch)
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 1

@@ -10,11 +10,12 @@ from voronorm import coloring as coloring_module
 from voronorm.coloring import (
     ColoringReport,
     ColoringViolation,
+    WITNESS_NODE_BUDGET,
     _color_scaled,
+    _colorable,
     _random_scaled_point,
     _random_unit_step,
     boundary_catalog,
-    chromatic_number,
     chromatic_report,
     chromatic_witness_search,
     color,
@@ -38,6 +39,7 @@ from voronorm.geometry import (
     to_scaled,
 )
 from voronorm.graphs import GeometricGraph, _bits, hex_unit_distance_graph
+import oracles
 from oracles import box_points, catalog_points, closest_points, fraction_catalog, project_to_hyperplane, zero_vec
 
 
@@ -497,15 +499,43 @@ def _proper_coloring_check(g, assignment: dict) -> bool:
 
 
 def test_chromatic_number_known_graphs():
+    # the decider answers False one color short of chi and True at chi; the
+    # oracle finds chi and a proper coloring that uses all chi colors
     k4 = _graph_from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert chromatic_number(k4)[0] == 4
     c5 = _graph_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert chromatic_number(c5)[0] == 3
     bip = _graph_from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
-    assert chromatic_number(bip)[0] == 2
-    chi, assignment = chromatic_number(c5)
-    assert _proper_coloring_check(c5, assignment)
-    assert len(set(assignment.values())) == chi
+    for g, chi in ((k4, 4), (c5, 3), (bip, 2)):
+        assert not _colorable(g, range(g.n), chi - 1, WITNESS_NODE_BUDGET)
+        assert _colorable(g, range(g.n), chi, WITNESS_NODE_BUDGET)
+        k, assignment = oracles.chromatic_number(g)
+        assert k == chi and len(assignment) == g.n
+        assert _proper_coloring_check(g, assignment)
+        assert len(set(assignment.values())) == chi
+
+
+@st.composite
+def _small_graphs_and_subsets(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    verts = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    return _graph_from_edges(n, edges), verts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(graph=_small_graphs_and_subsets(), k=st.integers(1, 4))
+def test_colorable_matches_chromatic_number_oracle(graph, k):
+    g, verts = graph
+    assert _colorable(g, verts, k, WITNESS_NODE_BUDGET) == (oracles.chromatic_number(g, verts)[0] <= k)
+    assert _colorable(g, range(g.n), k, WITNESS_NODE_BUDGET) == (oracles.chromatic_number(g)[0] <= k)
+
+
+def test_colorable_raises_past_its_budget():
+    # 2-coloring C5 fails only after more than one search node
+    c5 = _graph_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    with pytest.raises(TimeoutError):
+        _colorable(c5, range(5), 2, 1)
+    assert not _colorable(c5, range(5), 2, 100)
 
 
 def test_verify_chromatic_number_independent_path():

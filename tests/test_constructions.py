@@ -155,7 +155,7 @@ def test_vertices_closed_under_symmetry():
 def test_integer_vertex_builders_match_fraction_oracles():
     # one builder per family: the cell vertices at the cell's scale, which
     # are also the Cayley generators (1/2)V_P at twice that scale
-    for n in range(2, 9):
+    for n in range(2, 13):
         assert [from_scaled(v, n + 1) for v in an_vertices_scaled(n)] == vertices_an(n)
     for n in range(4, 10):
         assert [from_scaled(v, 2) for v in dn_vertices_scaled(n)] == vertices_dn(n)

@@ -26,7 +26,7 @@ from voronorm.independence import (
     ratio_sequence_an,
     reference_independent_set_size,
 )
-from oracles import greedy_independent_rescan
+from oracles import greedy_independent_rescan, is_independent_pairwise
 
 
 def _graph_from_edges(n, edges):
@@ -94,6 +94,16 @@ def test_solver_brackets_brute_force_alpha(graph, budget):
     assert not res.proven or res.alpha == true_alpha
     if budget is None:
         assert res.proven
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(graph=_random_graphs(), data=st.data())
+def test_is_independent_set_matches_pairwise_oracle(graph, data):
+    # one AND per member against the member mask, repeated indices included
+    n, edges = graph
+    g = _graph_from_edges(n, edges)
+    indices = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    assert is_independent_set(g, indices) == is_independent_pairwise(g, indices)
 
 
 # ---------------------------------------------------------------------------
