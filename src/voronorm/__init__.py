@@ -44,7 +44,6 @@ from .density import (
     ChainClique,
     CrossCheckMismatch,
     DensityCertificate,
-    MarginViolation,
     UnknownComponentType,
     an_neighborhood_size_formula,
     enumerate_chain_cliques,

@@ -6,7 +6,8 @@ rows, in closed form for the A_n, D_n and cube gauges (the Fraction
 functional lists are the oracle in the tests), one integer
 vertex builder per family (the cell vertices on scaled integers, which are
 also the Cayley generators (1/2)V_P at twice the scale), and the hexagon
-vertex/edge pattern used by the planar pipeline.
+vertex pattern used by the planar pipeline, with its pattern graph
+described once by the steps from each of its three cosets.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
-from operator import add
+from operator import add, sub
 from typing import Callable
 
 from .geometry import (
@@ -280,14 +281,41 @@ class HexagonPattern:
         return tuple(to_scaled(b, self.scale()) for b in self.a_generators())
 
     @cached_property
-    def class_b_offsets_scaled(self) -> tuple:
-        """The class-B offsets v0, v1 as integer tuples at ``scale()``."""
-        return tuple(to_scaled(w, self.scale()) for w in self.class_b_offsets())
+    def coset_offsets_scaled(self) -> tuple:
+        """The offsets 0, v0, v1 of the cosets 0, 1, 2 of ``steps`` as
+        integer tuples at ``scale()``."""
+        return ((0, 0),) + tuple(to_scaled(w, self.scale()) for w in self.class_b_offsets())
 
     @cached_property
     def s_scaled(self) -> tuple:
         """The six interior points s[i] as integer tuples at ``scale()``."""
         return tuple(to_scaled(p, self.scale()) for p in self.s)
+
+    @cached_property
+    def half_lattice(self) -> PlanarLattice:
+        """The class-A lattice (1/2)L."""
+        return PlanarLattice(*self.a_generators())
+
+    @cached_property
+    def steps(self) -> tuple:
+        """The pattern graph, described once: ``steps[c]`` lists the pairs
+        (d, k) such that every point p of coset c (0 for (1/2)L, 1 and 2 for
+        v0 + (1/2)L and v1 + (1/2)L) is adjacent to p + d, of coset k, with d
+        at ``scale()``.  A point of (1/2)L has the steps s_i; a class-B point
+        y has -s_i and s_{i+-1} - s_i for each i with y - s_i in (1/2)L.
+        k is None for a step into no coset, which ``_validate`` refuses."""
+        half, offsets = self.half_lattice, (Vec([0, 0]),) + self.class_b_offsets()
+        at = [next((c for c, o in enumerate(offsets) if half.contains(p - o)), None) for p in self.s]
+        s = self.s_scaled
+        table = [list(zip(s, at))]
+        for c in (1, 2):
+            row = []
+            # y - s_i lies in (1/2)L exactly when s_i lies in the coset of y
+            for i in [i for i in range(6) if at[i] == c]:
+                row.append((tuple(-x for x in s[i]), 0))
+                row += [(tuple(map(sub, s[j], s[i])), at[j]) for j in ((i - 1) % 6, (i + 1) % 6)]
+            table.append(row)
+        return tuple(tuple(dict.fromkeys(row)) for row in table)
 
     @cached_property
     def cell(self) -> PolytopeData:
@@ -309,9 +337,16 @@ class HexagonPattern:
                 raise CertificateError(f"s[{i}] not interior")
         self.cell.check_vertices_on_boundary()
         w0, w1 = self.class_b_offsets()
-        half = PlanarLattice(self.basis.b0 / 2, self.basis.b1 / 2)
+        half = self.half_lattice
         if half.contains(w0) or half.contains(w1) or half.contains(w0 - w1):
             raise CertificateError("class-B cosets not disjoint from (1/2)L")
+        for i, (_, k) in enumerate(self.steps[0]):
+            if k not in (1, 2):
+                raise CertificateError(f"s[{i}] lies in neither class-B coset")
+        for c, row in enumerate(self.steps):
+            for d, k in row:
+                if (tuple(-x for x in d), c) not in self.steps[k]:
+                    raise CertificateError(f"pattern step {d} from coset {c} to coset {k} has no reverse step")
 
 
 def _solve2(a: Vec, ca: Fraction, b: Vec, cb: Fraction) -> Vec:

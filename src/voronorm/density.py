@@ -10,7 +10,11 @@ The brute force counts N[C] = U_{c in C} (c + (G u {0})) in the Cayley
 graph on (1/2)Lambda^# generated by G = (1/2)V_P: each point of the union
 carries the bitmask of the clique points it equals or is adjacent to, and a
 clique's count is the number of points whose mask meets it, read for every
-clique at once off one subset-sum pass over the mask histogram.
+clique at once off one subset-sum pass over the mask histogram.  The
+hexagon certificate grows its connected avoiding subsets on the infinite
+pattern graph, stepping by ``HexagonPattern.steps`` from one point of each
+coset, and builds no graph; the box-graph certificate is its oracle in the
+tests.
 """
 
 from __future__ import annotations
@@ -22,13 +26,9 @@ from itertools import combinations
 from operator import sub
 from typing import Iterable, Optional
 
-from .constructions import CertificateError, GaugeNorm, HexagonPattern, an_vertices_scaled, dn_vertices_scaled
-from .geometry import planar_coset_in_box
-from .graphs import MAX_CAYLEY_VERTICES, GeometricGraph, _bits, hex_pattern_graph, hex_step_extent, linear_key
-
-
-class MarginViolation(ValueError):
-    """A vertex set reaches too close to the box boundary."""
+from .constructions import CertificateError, HexagonPattern, an_vertices_scaled, dn_vertices_scaled
+from .geometry import from_scaled
+from .graphs import MAX_CAYLEY_VERTICES, linear_key
 
 
 class CrossCheckMismatch(CertificateError):
@@ -349,10 +349,11 @@ def hexagon_expected_bound() -> Fraction:
     return Fraction(1, 4)
 
 
-def _classify_component(g: GeometricGraph, pattern: HexagonPattern, comp: list) -> str:
-    """Map a connected avoiding component onto the six-type taxonomy."""
-    tags = sorted(g.tags[i] for i in comp)
-    pts = [g.points[i] for i in comp]
+def _classify_component(pattern: HexagonPattern, comp) -> str:
+    """Map a connected avoiding component, given as (point, coset)
+    members, onto the six-type taxonomy."""
+    tags = sorted("ABB"[c] for _, c in comp)
+    pts = [p for p, _ in comp]
     s_scaled = pattern.s_scaled
     s_set = set(s_scaled)
     if len(comp) == 1:
@@ -368,98 +369,67 @@ def _classify_component(g: GeometricGraph, pattern: HexagonPattern, comp: list) 
                 dd = tuple(map(sub, s_scaled[(i + 1) % 6], s_scaled[i]))
                 if d == dd or dneg == dd:
                     return "BB"
-        raise UnknownComponentType(f"pair {[g.coords(i) for i in comp]}")
+        raise UnknownComponentType(f"pair {[from_scaled(p, pattern.scale()) for p in pts]}")
     if len(comp) == 3 and tags == ["A", "B", "B"]:
-        a = [i for i in comp if g.tags[i] == "A"][0]
-        bs = [i for i in comp if g.tags[i] == "B"]
-        d1 = tuple(map(sub, g.points[bs[0]], g.points[a]))
-        d2 = tuple(map(sub, g.points[bs[1]], g.points[a]))
+        a = [p for p, c in comp if c == 0][0]
+        d1, d2 = [tuple(map(sub, p, a)) for p, c in comp if c]
         if d1 in s_set and d2 in s_set:
             if d1 == tuple(-c for c in d2):
                 return "BAB"
             for i in range(6):
                 if {d1, d2} == {s_scaled[i], s_scaled[(i + 1) % 6]}:
                     return "ABB"
-    raise UnknownComponentType(f"component {[g.coords(i) for i in comp]}")
+    raise UnknownComponentType(f"component {[from_scaled(p, pattern.scale()) for p in pts]}")
 
 
-def _connected_avoiding_subsets(g: GeometricGraph, gauge: GaugeNorm, base: int, max_size: int):
-    """Connected subsets containing ``base`` whose members are pairwise not
-    at gauge distance 1; members must stay within the 2-step margin."""
-    is_unit = gauge.unit_checker(g.scale)
-
-    def unit(i, j):
-        return is_unit(tuple(a - b for a, b in zip(g.points[i], g.points[j])))
-
-    results = []
-    interior2 = g.interior_bound_scaled(2)
-
-    def ok_margin(i):
-        return all(abs(c) <= interior2 for c in g.points[i])
+def _avoiding_subsets(pattern: HexagonPattern, base: tuple, max_size: int) -> list:
+    """The connected subsets of the infinite pattern graph through ``base``
+    with at most ``max_size`` members, no two at gauge distance 1, as sorted
+    tuples of (point, coset) members; (p, c) is adjacent to (p + d, k) for
+    every (d, k) in pattern.steps[c]."""
+    is_unit = pattern.gauge.unit_checker(pattern.scale())
+    steps = pattern.steps
+    seen = set()
 
     def grow(current: tuple):
-        results.append(current)
+        if current in seen:
+            return
+        seen.add(current)
         if len(current) == max_size:
             return
-        cand = 0
-        for v in current:
-            cand |= g.adj[v]
-        for w in _bits(cand):
-            if w in current:
-                continue
-            if not ok_margin(w):
-                continue
-            if any(unit(w, v) for v in current):
-                continue
-            grow(tuple(sorted(current + (w,))))
+        for p, c in current:
+            for d, k in steps[c]:
+                q = (p[0] + d[0], p[1] + d[1])
+                if all(q != r and not is_unit((q[0] - r[0], q[1] - r[1])) for r, _ in current):
+                    grow(tuple(sorted(current + ((q, k),))))
 
-    if ok_margin(base):
-        grow((base,))
-    # grow() revisits the same subset through different orders; dedupe
-    return sorted(set(results))
+    grow((base,))
+    return sorted(seen)
 
 
 def verify_hexagon_bound(pattern: HexagonPattern) -> DensityCertificate:
     """Certificate for the hexagon bound (2/3) * (3/8) = 1/4.
 
-    Builds the pattern graph, exhaustively enumerates connected avoiding
-    subsets of size <= 4 around deep-interior representatives of every
-    vertex class, classifies them against the six-type taxonomy (raising
+    On the infinite, (1/2)L-periodic pattern graph read off
+    ``pattern.steps``, with no graph built: exhaustively enumerates the
+    connected avoiding subsets C of size <= 4 through the offset of each
+    coset (all points of a coset have the same subsets up to translation),
+    classifies them against the six-type taxonomy (raising
     UnknownComponentType on escape, including any avoiding size-4 subset),
-    and records each type's class-B local density, which must equal its
-    HEX_EXPECTED_DELTAS value, otherwise CrossCheckMismatch is raised.
+    and records each type's class-B local density |C| / |N[C] & B|, which
+    must equal its HEX_EXPECTED_DELTAS value, otherwise CrossCheckMismatch
+    is raised.
     """
-    # interior(5) representatives are needed: radius 7 * step extent is enough
-    g = hex_pattern_graph(pattern, 7 * hex_step_extent(pattern))
-    gauge = pattern.gauge
-
-    # class representatives within the 5-step margin: the origin, and per
-    # class-B coset the point least by (max |coordinate|, point)
-    bound5 = g.interior_bound_scaled(5)
-    zero = g.index.get((0, 0))
-    if zero is None or not all(abs(c) <= bound5 for c in g.points[zero]):
-        raise MarginViolation("origin not deep enough in the box")
-    bases = [zero]
-    for off in pattern.class_b_offsets_scaled:
-        deep = planar_coset_in_box(*pattern.half_basis_scaled, off, bound5)
-        if not deep:
-            raise MarginViolation("no deep-interior class-B vertex")
-        bases.append(g.index[min(deep, key=lambda p: (max(map(abs, p)), p))])
-
     found: dict = {}
-    b_mask = g.class_mask("B")
-    for base in bases:
-        for subset in _connected_avoiding_subsets(g, gauge, base, 4):
+    for base in zip(pattern.coset_offsets_scaled, range(3)):
+        for subset in _avoiding_subsets(pattern, base, 4):
             if len(subset) >= 4:
-                raise UnknownComponentType(
-                    f"avoiding connected subset of size {len(subset)}: "
-                    f"{[g.coords(i) for i in subset]}"
-                )
-            kind = _classify_component(g, pattern, list(subset))
-            m = 0
-            for c in subset:
-                m |= g.adj[c] | (1 << c)
-            nb = (m & b_mask).bit_count()
+                pts = [from_scaled(p, pattern.scale()) for p, _ in subset]
+                raise UnknownComponentType(f"avoiding connected subset of size {len(subset)}: {pts}")
+            kind = _classify_component(pattern, subset)
+            hood = {p for p, c in subset if c}
+            hood.update((p[0] + d[0], p[1] + d[1]) for p, c in subset for d, k in pattern.steps[c] if k)
+            nb = len(hood)
             delta = Fraction(len(subset), nb)
             prev = found.setdefault(kind, (len(subset), nb, delta))
             if prev != (len(subset), nb, delta):

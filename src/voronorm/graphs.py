@@ -1,6 +1,8 @@
 """Finite geometric graphs: box-restricted unit-distance graphs and the
 hexagon pattern graph, and Property D (graph distance 2 forces gauge
 distance 1) on them and on the Cayley graphs of the half dual lattices.
+The pattern graph's edges are read off ``HexagonPattern.steps`` (a ring
+sweep over an enlarged box is its oracle in the tests).
 
 Vertices are stored as scaled integer tuples (one denominator per graph,
 the family's scale) and adjacency as per-vertex bitmasks, so every distance
@@ -234,61 +236,51 @@ def cube_graph(n: int) -> GeometricGraph:
 
 
 def hex_step_extent(pattern: HexagonPattern) -> Fraction:
-    """Max per-coordinate displacement along one pattern-graph edge."""
-    s = pattern.s_scaled
-    disp = list(s) + [tuple(map(sub, s[(i + 1) % 6], s[i])) for i in range(6)]
-    return Fraction(max(abs(c) for d in disp for c in d), pattern.scale())
+    """Max per-coordinate displacement along one pattern-graph edge: the
+    largest coordinate of a step of ``pattern.steps``."""
+    return Fraction(max(abs(x) for row in pattern.steps for d, _ in row for x in d), pattern.scale())
 
 
 def hex_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
     """The auxiliary graph of the planar pipeline, with class tags.
 
-    Vertices: ((1/2)L + {0, v0, v1}) within the box.  Edges (a, a+s_i) and
-    (a+s_i, a+s_{i+1}) for every a in (1/2)L of an expanded box, so that the
-    result is exactly the induced subgraph of the infinite pattern graph.
-    All points are integer tuples at ``pattern.scale()``.  Raises ValueError
-    above MAX_CAYLEY_VERTICES vertices.
+    Vertices: ((1/2)L + {0, v0, v1}) within the box.  Each vertex is joined
+    to the box points its coset's ``pattern.steps`` reach, so the result is
+    exactly the induced subgraph of the infinite pattern graph.  All points
+    are integer tuples at ``pattern.scale()``.  Raises ValueError above
+    MAX_CAYLEY_VERTICES vertices.
     """
     radius = Fraction(radius)
-    scale = pattern.scale()
-    step_ext = hex_step_extent(pattern)
     _check_size(_hex_vertex_count(pattern, radius), MAX_CAYLEY_VERTICES, "pattern")
-    pts, tags = _hex_vertices(pattern, radius)
+    pts, cosets = _hex_vertices(pattern, radius)
     bit = {p: 1 << i for i, p in enumerate(pts)}
-    adj = dict.fromkeys(pts, 0)
-    for a in planar_coset_in_box(*pattern.half_basis_scaled, (0, 0), (radius + step_ext) * scale):
-        ring = [tuple(map(add, a, si)) for si in pattern.s_scaled]
-        for t1, t2 in zip([a] * 6 + ring, ring + ring[1:] + ring[:1]):
-            if t1 in bit and t2 in bit:
-                adj[t1] |= bit[t2]
-                adj[t2] |= bit[t1]
-    return GeometricGraph(
-        scale,
-        pts,
-        [adj[p] for p in pts],
-        box_radius=radius,
-        step_extent=step_ext,
-        tags=[tags[p] for p in pts],
-    )
+    adj = []
+    for p in pts:
+        m = 0
+        for d, _ in pattern.steps[cosets[p]]:
+            m |= bit.get((p[0] + d[0], p[1] + d[1]), 0)
+        adj.append(m)
+    tags = ["ABB"[cosets[p]] for p in pts]
+    return GeometricGraph(pattern.scale(), pts, adj, radius, hex_step_extent(pattern), tags)
 
 
 def _hex_vertex_count(pattern: HexagonPattern, radius: Fraction) -> int:
     """len(_hex_vertices(pattern, radius)[0]), without enumerating: the three
     cosets are disjoint (the pattern checks it), so their counts add up."""
+    p, q = pattern.half_basis_scaled
     bound = radius * pattern.scale()
-    offsets = ((0, 0),) + pattern.class_b_offsets_scaled
-    return sum(count_planar_coset_in_box(*pattern.half_basis_scaled, o, bound) for o in offsets)
+    return sum(count_planar_coset_in_box(p, q, o, bound) for o in pattern.coset_offsets_scaled)
 
 
 def _hex_vertices(pattern: HexagonPattern, radius: Fraction):
     """Scaled vertex tuples of ((1/2)L + {0, v0, v1}) in the box, sorted,
-    with their class tags."""
+    with their cosets, numbered as in ``pattern.steps``."""
     bound = radius * pattern.scale()
-    tags = {}
-    for off, tg in zip(((0, 0),) + pattern.class_b_offsets_scaled, "ABB"):
+    cosets = {}
+    for c, off in enumerate(pattern.coset_offsets_scaled):
         for p in planar_coset_in_box(*pattern.half_basis_scaled, off, bound):
-            tags[p] = tg
-    return sorted(tags), tags
+            cosets[p] = c
+    return sorted(cosets), cosets
 
 
 def hex_unit_distance_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
@@ -296,10 +288,10 @@ def hex_unit_distance_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
     raises ValueError above MAX_UNIT_DISTANCE_VERTICES vertices."""
     radius = Fraction(radius)
     _check_size(_hex_vertex_count(pattern, radius))
-    pts, tags = _hex_vertices(pattern, radius)
+    pts, cosets = _hex_vertices(pattern, radius)
     ext = pattern.cell.vertex_extent()
     g = build_unit_distance_graph(pattern.scale(), pts, pattern.gauge, box_radius=radius, step_extent=ext)
-    g.tags = [tags[p] for p in g.points]
+    g.tags = ["ABB"[cosets[p]] for p in g.points]
     return g
 
 

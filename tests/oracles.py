@@ -2,13 +2,15 @@
 exact Fraction coset enumerator, the full-tie-set closest-point search, the
 Fraction gauge functional lists, the Fraction cell vertices and boundary
 catalog, the box Cayley graphs on the
-half dual lattices, the avoiding-set decomposition into cliques with
+half dual lattices, the ring-sweep hexagon pattern graph and the box-based
+hexagon certificate, the avoiding-set decomposition into cliques with
 disjoint neighborhoods, the per-mask neighborhood count, the rescanning
 min-degree greedy, the pairwise independence check, the exhaustive
 chromatic number, Vec views of the integer kernels, and a fault injected
 into the D_n closed-form reference table."""
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
@@ -16,16 +18,33 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from voronorm.coloring import boundary_catalog
-from voronorm.constructions import GaugeNorm, an_vertices_scaled, dn_vertices_scaled
+from voronorm.constructions import (
+    GaugeNorm,
+    HexagonPattern,
+    an_vertices_scaled,
+    dn_vertices_scaled,
+    hexagon_pattern,
+)
 import voronorm.density as density
-from voronorm.density import MarginViolation
+from voronorm.density import (
+    HEX_EXPECTED_DELTAS,
+    CertEntry,
+    CrossCheckMismatch,
+    UnknownComponentType,
+    _certificate,
+    _classify_component,
+    hexagon_expected_bound,
+)
 from voronorm.geometry import (
+    DegenerateCell,
     Vec,
     an_half_dual_scale,
     dn_half_dual_scale,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
     from_scaled,
+    planar_coset_in_box,
+    reduce_planar_basis,
     scaled_ints,
     to_scaled,
 )
@@ -292,6 +311,155 @@ def graph_distance_2_pairs(g, interior_k: int = 2):
             if w in interior and w < u:
                 continue
             yield u, w, _bits(g.adj[u] & g.adj[w])
+
+
+def hexagon_oracle_patterns() -> list:
+    """The patterns the hexagon oracles are compared on: 55 random
+    Gauss-reduced bases with coordinates p/q, |p| <= 6 and q in 1..3
+    (skipping the rectangular and boundary cases that
+    ``reduce_planar_basis`` rejects), then the mirrored basis 3,0,1,-3 and
+    the fractional basis 1/2,0,1/6,1/2."""
+    rnd = random.Random(27)
+    raws = []
+    while len(raws) < 55:
+        raw = [F(rnd.randint(-6, 6), rnd.randint(1, 3)) for _ in range(4)]
+        try:
+            reduce_planar_basis(Vec(raw[:2]), Vec(raw[2:]))
+        except DegenerateCell:
+            continue
+        raws.append(raw)
+    raws += [(3, 0, 1, -3), (F(1, 2), 0, F(1, 6), F(1, 2))]
+    return [hexagon_pattern(reduce_planar_basis(Vec(r[:2]), Vec(r[2:]))) for r in raws]
+
+
+def ring_sweep_step_extent(pattern: HexagonPattern) -> F:
+    """Max per-coordinate displacement over the edges (a, a + s_i) and
+    (a + s_i, a + s_{i+1}): the largest coordinate of the s_i and of the
+    s_{i+1} - s_i."""
+    s = pattern.s_scaled
+    disp = list(s) + [tuple(b - a for a, b in zip(s[i], s[(i + 1) % 6])) for i in range(6)]
+    return F(max(abs(c) for d in disp for c in d), pattern.scale())
+
+
+def pattern_cosets(pattern: HexagonPattern, radius) -> dict:
+    """Coset (0 for (1/2)L, 1 and 2 for the translates by v0 and v1) of
+    every pattern point within the box, keyed by its scaled tuple."""
+    bound = F(radius) * pattern.scale()
+    cosets = {}
+    for c, off in enumerate(pattern.coset_offsets_scaled):
+        for p in planar_coset_in_box(*pattern.half_basis_scaled, off, bound):
+            cosets[p] = c
+    return cosets
+
+
+def ring_sweep_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
+    """The hexagon pattern graph from its definition: the edges (a, a + s_i)
+    and (a + s_i, a + s_{i+1}) for every a in (1/2)L of the box enlarged by
+    one step extent, kept where both ends lie in the box."""
+    radius = F(radius)
+    scale = pattern.scale()
+    step_ext = ring_sweep_step_extent(pattern)
+    cosets = pattern_cosets(pattern, radius)
+    pts = sorted(cosets)
+    bit = {p: 1 << i for i, p in enumerate(pts)}
+    adj = dict.fromkeys(pts, 0)
+    for a in planar_coset_in_box(*pattern.half_basis_scaled, (0, 0), (radius + step_ext) * scale):
+        ring = [tuple(map(add, a, si)) for si in pattern.s_scaled]
+        for t1, t2 in zip([a] * 6 + ring, ring + ring[1:] + ring[:1]):
+            if t1 in bit and t2 in bit:
+                adj[t1] |= bit[t2]
+                adj[t2] |= bit[t1]
+    tags = ["ABB"[cosets[p]] for p in pts]
+    return GeometricGraph(scale, pts, [adj[p] for p in pts], box_radius=radius, step_extent=step_ext, tags=tags)
+
+
+class MarginViolation(ValueError):
+    """A vertex set reaches too close to the box boundary."""
+
+
+def connected_avoiding_subsets(g: GeometricGraph, gauge: GaugeNorm, base: int, max_size: int):
+    """Connected subsets of the box graph g containing ``base`` whose
+    members are pairwise not at gauge distance 1; members must stay within
+    the 2-step margin."""
+    is_unit = gauge.unit_checker(g.scale)
+
+    def unit(i, j):
+        return is_unit(tuple(a - b for a, b in zip(g.points[i], g.points[j])))
+
+    results = []
+    interior2 = g.interior_bound_scaled(2)
+
+    def ok_margin(i):
+        return all(abs(c) <= interior2 for c in g.points[i])
+
+    def grow(current: tuple):
+        results.append(current)
+        if len(current) == max_size:
+            return
+        cand = 0
+        for v in current:
+            cand |= g.adj[v]
+        for w in _bits(cand):
+            if w in current:
+                continue
+            if not ok_margin(w):
+                continue
+            if any(unit(w, v) for v in current):
+                continue
+            grow(tuple(sorted(current + (w,))))
+
+    if ok_margin(base):
+        grow((base,))
+    # grow() revisits the same subset through different orders; dedupe
+    return sorted(set(results))
+
+
+def box_hexagon_certificate(pattern: HexagonPattern):
+    """The hexagon certificate on a finite stand-in for the pattern graph:
+    the ring-sweep graph in the box of radius 7 step extents, searched
+    around one representative per coset that lies 5 steps deep (the origin,
+    and per class-B coset the point least by (max |coordinate|, point)),
+    with every grown member re-checked against the 2-step margin."""
+    radius = 7 * ring_sweep_step_extent(pattern)
+    g = ring_sweep_pattern_graph(pattern, radius)
+    cosets = pattern_cosets(pattern, radius)
+    bound5 = g.interior_bound_scaled(5)
+    zero = g.index.get((0, 0))
+    if zero is None or not all(abs(c) <= bound5 for c in g.points[zero]):
+        raise MarginViolation("origin not deep enough in the box")
+    bases = [zero]
+    for off in pattern.coset_offsets_scaled[1:]:
+        deep = planar_coset_in_box(*pattern.half_basis_scaled, off, bound5)
+        if not deep:
+            raise MarginViolation("no deep-interior class-B vertex")
+        bases.append(g.index[min(deep, key=lambda p: (max(map(abs, p)), p))])
+
+    found: dict = {}
+    b_mask = g.class_mask("B")
+    for base in bases:
+        for subset in connected_avoiding_subsets(g, pattern.gauge, base, 4):
+            if len(subset) >= 4:
+                raise UnknownComponentType(f"avoiding connected subset of size {len(subset)}")
+            kind = _classify_component(pattern, [(g.points[i], cosets[g.points[i]]) for i in subset])
+            m = 0
+            for c in subset:
+                m |= g.adj[c] | (1 << c)
+            nb = (m & b_mask).bit_count()
+            delta = F(len(subset), nb)
+            prev = found.setdefault(kind, (len(subset), nb, delta))
+            if prev != (len(subset), nb, delta):
+                raise CrossCheckMismatch(f"type {kind}: densities {prev[2]} vs {delta} within one pattern")
+    missing = sorted(set(HEX_EXPECTED_DELTAS) - set(found))
+    if missing:
+        raise UnknownComponentType(f"component types never realized: {missing}")
+    entries = []
+    for kind, (size, nb, delta) in sorted(found.items()):
+        expected = HEX_EXPECTED_DELTAS[kind]
+        if delta != expected:
+            raise CrossCheckMismatch(f"type {kind}: density {delta}, expected {expected}")
+        entries.append(CertEntry(kind, size, nb, delta, expected))
+    notes = ["class-B density weight 2/3 applied (B is twice as dense as A)"]
+    return _certificate("hexagon", 2, "class-B", entries, hexagon_expected_bound(), F(2, 3), notes)
 
 
 class NotAvoiding(ValueError):

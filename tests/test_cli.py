@@ -11,7 +11,7 @@ import pytest
 from voronorm import cli, density, independence, reports
 from voronorm.cli import main
 from voronorm.coloring import coset_coloring, verify_coloring
-from voronorm.constructions import CertificateError, GaugeNorm, gauge_an, gauge_dn
+from voronorm.constructions import CertificateError, GaugeNorm, HexagonPattern, gauge_an, gauge_dn
 from voronorm.graphs import check_property_d, cube_graph
 from oracles import an_cayley_graph, corrupt_dn_singleton_reference, dn_cayley_graph
 
@@ -566,6 +566,30 @@ def _hex_ab_density_expected_below(monkeypatch):
     monkeypatch.setitem(density.HEX_EXPECTED_DELTAS, "AB", F(1, 5))
 
 
+def _corrupt_hex_steps(edit):
+    """A patch that derives the pattern's step table as usual, then edits it."""
+
+    def patch(monkeypatch):
+        derive = HexagonPattern.steps.func
+        monkeypatch.setattr(HexagonPattern, "steps", property(lambda pattern: edit(derive(pattern))))
+
+    return patch
+
+
+def _drop_class_b_step(table):
+    return table[0], table[1][1:], table[2]
+
+
+def _move_s0_to_other_coset(table):
+    (d, k), *rest = table[0]
+    return ((d, 3 - k), *rest), table[1], table[2]
+
+
+def _move_s0_into_class_a(table):
+    (d, _), *rest = table[0]
+    return ((d, 0), *rest), table[1], table[2]
+
+
 @pytest.mark.parametrize(
     "patch, argv, message",
     [
@@ -580,13 +604,35 @@ def _hex_ab_density_expected_below(monkeypatch):
             ["bound", "hexagon", "--basis", "3,0,1,3"],
             "type AB: density 2/7, expected 1/5",
         ),
+        (
+            _corrupt_hex_steps(_drop_class_b_step),
+            ["bound", "hexagon", "--basis", "3,0,1,3"],
+            "pattern step (6, 4) from coset 0 to coset 1 has no reverse step",
+        ),
+        (
+            _corrupt_hex_steps(_move_s0_to_other_coset),
+            ["bound", "hexagon", "--basis", "3,0,1,3"],
+            "pattern step (12, -4) from coset 0 to coset 1 has no reverse step",
+        ),
+        (
+            _corrupt_hex_steps(_move_s0_into_class_a),
+            ["bound", "hexagon", "--basis", "3,0,1,3"],
+            "s[0] lies in neither class-B coset",
+        ),
     ],
-    ids=["an-bound-violated", "dn-reference-mismatch", "hexagon-type-mismatch"],
+    ids=[
+        "an-bound-violated",
+        "dn-reference-mismatch",
+        "hexagon-type-mismatch",
+        "hexagon-step-dropped",
+        "hexagon-step-moved",
+        "hexagon-step-into-class-a",
+    ],
 )
 def test_failed_certificate_exits_1_without_report(tmp_path, capsys, monkeypatch, patch, argv, message):
-    # a D_n closed-form or hexagon per-type disagreement fails like an A_n
-    # one: exit 1, one stderr line and no report, not a report with the
-    # disagreement in its notes or entries
+    # a D_n closed-form or hexagon per-type disagreement, or a broken
+    # hexagon step table, fails like an A_n one: exit 1, one stderr line and
+    # no report, not a report with the disagreement in its notes or entries
     patch(monkeypatch)
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 1

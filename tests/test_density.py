@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voronorm import geometry, graphs
 from voronorm.constructions import an_vertices_scaled, dn_vertices_scaled, gauge_an, hexagon_pattern
 import voronorm.density as density
 from voronorm.density import (
@@ -13,6 +14,9 @@ from voronorm.density import (
     ChainClique,
     CrossCheckMismatch,
     HEX_EXPECTED_DELTAS,
+    UnknownComponentType,
+    _avoiding_subsets,
+    _classify_component,
     an_brute_neighborhood_counts,
     an_neighborhood_size_formula,
     dn_brute_neighborhood_counts,
@@ -30,16 +34,22 @@ from voronorm.geometry import (
     enumerate_dn_half_dual_scaled,
     reduce_planar_basis,
 )
-from voronorm.graphs import hex_pattern_graph
+from voronorm.graphs import GeometricGraph, hex_pattern_graph
 from voronorm.independence import max_independent_set
+from voronorm.reports import certificate_dict
 from oracles import (
     NotAvoiding,
     an_cayley_graph,
+    box_hexagon_certificate,
     corrupt_dn_singleton_reference,
     counts_for_subset,
     decompose_avoiding_set,
     graph_distance_2_pairs,
+    hexagon_oracle_patterns,
     is_interior,
+    pattern_cosets,
+    ring_sweep_pattern_graph,
+    ring_sweep_step_extent,
     vertex,
     zero_vec,
 )
@@ -321,26 +331,20 @@ def test_dn_reference_mismatch_raises(monkeypatch):
 
 
 def test_classify_rejects_foreign_shapes():
-    from voronorm.density import UnknownComponentType, _classify_component
-    from voronorm.graphs import hex_pattern_graph
-
-    pat = hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3])))
-    g = hex_pattern_graph(pat, 6)
-    a_verts = [i for i in range(g.n) if g.tags[i] == "A"][:2]
+    pat = _hexagon_3013()
+    a_pair = [((0, 0), 0), (pat.half_basis_scaled[0], 0)]
     with pytest.raises(UnknownComponentType):
-        _classify_component(g, pat, a_verts)  # an A-A pair is outside the taxonomy
+        _classify_component(pat, a_pair)  # an A-A pair is outside the taxonomy
 
 
 def test_component_search_matches_brute_force_enumeration():
-    """Oracle for the connected-avoiding-subset search: enumerate all
-    subsets of deep-interior vertices of size <= 3 directly."""
-    from itertools import combinations as combos
-
-    from voronorm.density import _classify_component, _connected_avoiding_subsets
-    from voronorm.graphs import hex_pattern_graph, hex_step_extent
-
-    pat = hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3])))
-    g = hex_pattern_graph(pat, 7 * hex_step_extent(pat))
+    """Oracle for the connected-avoiding-subset search on the infinite
+    graph: enumerate all subsets of size <= 3 of the deep-interior vertices
+    of the ring-sweep box graph directly."""
+    pat = _hexagon_3013()
+    radius = 7 * ring_sweep_step_extent(pat)
+    g = ring_sweep_pattern_graph(pat, radius)
+    cosets = pattern_cosets(pat, radius)
     is_unit = pat.gauge.unit_checker(g.scale)
     bound2 = g.interior_bound_scaled(2)
     deep = [i for i in range(g.n) if all(abs(c) <= bound2 for c in g.points[i])]
@@ -348,7 +352,7 @@ def test_component_search_matches_brute_force_enumeration():
     def avoiding(sub):
         return not any(
             is_unit(tuple(a - b for a, b in zip(g.points[i], g.points[j])))
-            for i, j in combos(sub, 2)
+            for i, j in combinations(sub, 2)
         )
 
     def connected(sub):
@@ -367,21 +371,37 @@ def test_component_search_matches_brute_force_enumeration():
             frontier = nxt
         return seen == inside
 
-    brute = {}
+    brute = []
     for size in (1, 2, 3):
-        for sub in combos(deep, size):
+        for sub in combinations(deep, size):
             if connected(list(sub)) and avoiding(sub):
-                kind = _classify_component(g, pat, list(sub))
-                brute.setdefault(kind, 0)
-                brute[kind] += 1
-    assert set(brute) == set(HEX_EXPECTED_DELTAS)
-    # the canonical search finds the same type set around its base vertices
-    base = vertex(g, Vec([0, 0]))
-    found = set()
-    for sub in _connected_avoiding_subsets(g, pat.gauge, base, 3):
-        found.add(_classify_component(g, pat, list(sub)))
-    assert found <= set(HEX_EXPECTED_DELTAS)
-    assert {"A", "AB", "ABB", "BAB"} <= found  # every type containing an A vertex
+                brute.append(tuple(sorted((g.points[i], cosets[g.points[i]]) for i in sub)))
+    assert {_classify_component(pat, members) for members in brute} == set(HEX_EXPECTED_DELTAS)
+    # the search finds exactly the subsets through each of its base points;
+    # every such subset lies within two steps of its base, inside the margin
+    for base in zip(pat.coset_offsets_scaled, range(3)):
+        assert _avoiding_subsets(pat, base, 3) == sorted(m for m in brute if base in m)
+
+
+def test_certificate_matches_box_oracle():
+    # the certificate grown on the infinite pattern graph is the one the
+    # radius-7 box graph gives, field for field in its report
+    for pat in hexagon_oracle_patterns():
+        want = certificate_dict(box_hexagon_certificate(pat))
+        assert certificate_dict(verify_hexagon_bound(pat)) == want, pat.basis
+
+
+def test_hexagon_certificate_builds_no_graph(monkeypatch):
+    pat = _hexagon_3013()
+    want = certificate_dict(box_hexagon_certificate(pat))
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the certificate built a box")
+
+    monkeypatch.setattr(GeometricGraph, "__init__", refuse)
+    monkeypatch.setattr(geometry, "planar_coset_in_box", refuse)
+    monkeypatch.setattr(graphs, "planar_coset_in_box", refuse)
+    assert certificate_dict(verify_hexagon_bound(_hexagon_3013())) == want
 
 
 # ---------------------------------------------------------------------------

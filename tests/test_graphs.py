@@ -36,6 +36,7 @@ from voronorm.graphs import (
     cube_graph,
     dn_property_d,
     hex_pattern_graph,
+    hex_step_extent,
 )
 from voronorm.reports import witness_edge_list
 from oracles import (
@@ -43,7 +44,9 @@ from oracles import (
     build_cayley_graph,
     dn_cayley_graph,
     graph_distance_2_pairs,
+    hexagon_oracle_patterns,
     is_interior,
+    ring_sweep_pattern_graph,
     vertex,
     zero_vec,
 )
@@ -246,6 +249,17 @@ def test_interior_requires_metadata():
 
 # ---------------------------------------------------------------------------
 # hexagon pattern graph
+
+
+def test_hex_pattern_graph_matches_ring_sweep_oracle():
+    # the graph read off the step table is the one swept from the rings
+    # a + s_i of an enlarged box, at the radii the tests and the commands use
+    for pat in hexagon_oracle_patterns():
+        ext = hex_step_extent(pat)
+        for radius in (6, 3 * ext, 7 * ext):
+            g, want = hex_pattern_graph(pat, radius), ring_sweep_pattern_graph(pat, radius)
+            got = (g.points, g.adj, g.tags, g.step_extent)
+            assert got == (want.points, want.adj, want.tags, want.step_extent), (pat.basis, radius)
 
 
 def test_hex_pattern_interior_neighborhoods():
