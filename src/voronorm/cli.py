@@ -53,11 +53,13 @@ def _parse_basis(s: str):
     return Vec(parts[:2]), Vec(parts[2:])
 
 
-def _emit(args, payload: dict, csv_text: str = None) -> None:
+def _emit(args, payload: dict, to_csv=None) -> None:
+    """Write the payload in the chosen format; ``to_csv`` builds the csv
+    text, called only for ``--format csv`` (without it, csv is the text)."""
     if args.format == "json":
         text = reports.to_json(payload)
-    elif args.format == "csv":
-        text = csv_text if csv_text is not None else reports.to_text(payload)
+    elif args.format == "csv" and to_csv is not None:
+        text = to_csv()
     else:
         text = reports.to_text(payload)
     if args.out:
@@ -75,14 +77,14 @@ def _pattern_from_args(args):
 def cmd_bound(args) -> int:
     if args.family == "cube":
         cert = cube_certificate(args.dim)
-        payload, csv_text = reports.cube_certificate_dict(cert), None
+        payload, to_csv = reports.cube_certificate_dict(cert), None
     else:
         if args.family == "hexagon":
             cert = verify_hexagon_bound(_pattern_from_args(args))
         else:
             cert = (verify_an_bound if args.family == "an" else verify_dn_bound)(args.dim)
-        payload, csv_text = reports.certificate_dict(cert), reports.certificate_csv(cert)
-    _emit(args, payload, csv_text)
+        payload, to_csv = reports.certificate_dict(cert), functools.partial(reports.certificate_csv, cert)
+    _emit(args, payload, to_csv)
     return EXIT_OK if cert.matches_expected else EXIT_MISMATCH
 
 
@@ -115,7 +117,7 @@ def cmd_ratio(args) -> int:
         seq = ratio_sequence_an(args.dim, args.radii, args.budget)
     else:
         seq = cube_certificate(args.dim, args.budget).ratio_sequence()
-    _emit(args, reports.ratio_sequence_dict(seq), reports.ratio_sequence_csv(seq))
+    _emit(args, reports.ratio_sequence_dict(seq), functools.partial(reports.ratio_sequence_csv, seq))
     return EXIT_BUDGET if seq.any_timed_out else EXIT_OK
 
 

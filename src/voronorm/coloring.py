@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Optional, Sequence
@@ -30,7 +29,6 @@ from .geometry import DimensionMismatch, Vec, from_scaled, lcm_denominator, scal
 from .graphs import GeometricGraph, _bits
 
 
-@dataclass(frozen=True)
 class CosetColoring:
     """The 2^n-coloring by cosets of (1/2)Lambda / Lambda.
 
@@ -41,12 +39,10 @@ class CosetColoring:
     the cube, Lambda = 2Z^n, ``lattice`` is Z^n and ``basis`` is 2I, so a
     point's coordinates are those of its half."""
 
-    cell: PolytopeData
-    basis: tuple = field(init=False)
-
-    def __post_init__(self):
-        k = 2 if self.family == "cube" else 1
-        object.__setattr__(self, "basis", tuple(tuple(k * c for c in b) for b in self.lattice.int_basis))
+    def __init__(self, cell: PolytopeData):
+        self.cell = cell
+        k = 2 if cell.family == "cube" else 1
+        self.basis = tuple(tuple(k * c for c in b) for b in cell.lattice.int_basis)
 
     # views of the cell and the basis
     family = property(lambda self: self.cell.family)
@@ -142,21 +138,21 @@ def color(coloring: CosetColoring, x: Vec) -> int:
 # Properness verification
 
 
-@dataclass
 class ColoringViolation:
-    x: Vec
-    y: Vec
-    color: int
+    def __init__(self, x: Vec, y: Vec, color: int):
+        self.x, self.y, self.color = x, y, color
+
+    def __eq__(self, other):
+        return type(other) is ColoringViolation and vars(self) == vars(other)
 
 
-@dataclass
 class ColoringReport:
-    family: str
-    dim: int
-    color_count: int
-    sampled_pairs: int
-    catalog_pairs: int
-    violations: list
+    def __init__(self, family: str, dim: int, color_count: int, sampled_pairs: int, catalog_pairs: int, violations):
+        self.family, self.dim, self.color_count = family, dim, color_count
+        self.sampled_pairs, self.catalog_pairs, self.violations = sampled_pairs, catalog_pairs, violations
+
+    def __eq__(self, other):
+        return type(other) is ColoringReport and vars(self) == vars(other)
 
     @property
     def holds(self) -> bool:
@@ -356,13 +352,11 @@ def verify_chromatic_number(g: GeometricGraph, indices: Iterable[int], k: int) -
     return feasible(k)
 
 
-@dataclass
 class WitnessResult:
-    found: bool
-    k: int
-    vertex_indices: list = field(default_factory=list)
-    vertex_count: int = 0
-    verified: bool = False
+    def __init__(self, found: bool, k: int, vertex_indices=None, vertex_count: int = 0, verified: bool = False):
+        self.found, self.k = found, k
+        self.vertex_indices = [] if vertex_indices is None else vertex_indices
+        self.vertex_count, self.verified = vertex_count, verified
 
 
 def chromatic_witness_search(
@@ -419,12 +413,9 @@ def chromatic_witness_search(
 # Chromatic report
 
 
-@dataclass
 class ChromaticReport:
-    family: str
-    dim: int
-    upper: int
-    lower: int
+    def __init__(self, family: str, dim: int, upper: int, lower: int):
+        self.family, self.dim, self.upper, self.lower = family, dim, upper, lower
 
     @property
     def conclusion(self) -> str:

@@ -12,7 +12,6 @@ described once by the steps from each of its three cosets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
@@ -63,7 +62,6 @@ def _sup_form(d) -> int:
     return max(-min(d), max(d))
 
 
-@dataclass(frozen=True)
 class GaugeNorm:
     """Polytope norm as a finite max over integer rows on one level.
 
@@ -78,10 +76,8 @@ class GaugeNorm:
     functional lists are its oracle in the tests.
     """
 
-    rows: tuple
-    form: Callable
-    level: int = 1
-    require_zero_sum: bool = False
+    def __init__(self, rows: tuple, form: Callable, level: int = 1, require_zero_sum: bool = False):
+        self.rows, self.form, self.level, self.require_zero_sum = rows, form, level, require_zero_sum
 
     def _check_scaled_domain(self, y) -> None:
         if self.require_zero_sum and sum(y) != 0:
@@ -192,16 +188,12 @@ def cube_vertices_scaled(n: int) -> list:
     return list(product((-1, 1), repeat=n))
 
 
-@dataclass(frozen=True)
 class PolytopeData:
     """A lattice Voronoi cell: tiling lattice, gauge and vertices, the
     vertices as integer tuples at ``scale``."""
 
-    family: str
-    lattice: Lattice
-    gauge: GaugeNorm
-    scale: int
-    vertices: tuple
+    def __init__(self, family: str, lattice: Lattice, gauge: GaugeNorm, scale: int, vertices: tuple):
+        self.family, self.lattice, self.gauge, self.scale, self.vertices = family, lattice, gauge, scale, vertices
 
     def vertex_extent(self) -> Fraction:
         """Max per-coordinate extent of the cell (attained at a vertex)."""
@@ -242,7 +234,6 @@ def polytope_cube(n: int) -> PolytopeData:
 # Hexagon pattern
 
 
-@dataclass(frozen=True)
 class HexagonPattern:
     """The labeled hexagon data of the planar pipeline.
 
@@ -251,11 +242,8 @@ class HexagonPattern:
     s: the six interior points s[i] = (v[i-1] + v[i+1]) / 2.
     """
 
-    basis: ReducedPlanarBasis
-    face: tuple
-    v: tuple
-    s: tuple
-    gauge: GaugeNorm
+    def __init__(self, basis: ReducedPlanarBasis, face: tuple, v: tuple, s: tuple, gauge: GaugeNorm):
+        self.basis, self.face, self.v, self.s, self.gauge = basis, face, v, s, gauge
 
     @property
     def lattice(self) -> PlanarLattice:
@@ -291,10 +279,13 @@ class HexagonPattern:
         """The six interior points s[i] as integer tuples at ``scale()``."""
         return tuple(to_scaled(p, self.scale()) for p in self.s)
 
-    @cached_property
-    def half_lattice(self) -> PlanarLattice:
-        """The class-A lattice (1/2)L."""
-        return PlanarLattice(*self.a_generators())
+    def _half_coset_key(self, u) -> tuple:
+        """The Cramer numerators of the integer point u at ``scale()`` over
+        ``half_basis_scaled``, modulo its determinant: two points lie in the
+        same coset of (1/2)L exactly when their keys agree."""
+        (p0, p1), (q0, q1) = self.half_basis_scaled
+        det = p0 * q1 - p1 * q0
+        return (u[0] * q1 - u[1] * q0) % det, (p0 * u[1] - p1 * u[0]) % det
 
     @cached_property
     def steps(self) -> tuple:
@@ -304,9 +295,8 @@ class HexagonPattern:
         at ``scale()``.  A point of (1/2)L has the steps s_i; a class-B point
         y has -s_i and s_{i+-1} - s_i for each i with y - s_i in (1/2)L.
         k is None for a step into no coset, which ``_validate`` refuses."""
-        half, offsets = self.half_lattice, (Vec([0, 0]),) + self.class_b_offsets()
-        at = [next((c for c, o in enumerate(offsets) if half.contains(p - o)), None) for p in self.s]
-        s = self.s_scaled
+        s, keys = self.s_scaled, [self._half_coset_key(o) for o in self.coset_offsets_scaled]
+        at = [keys.index(k) if k in keys else None for k in map(self._half_coset_key, s)]
         table = [list(zip(s, at))]
         for c in (1, 2):
             row = []
@@ -336,9 +326,7 @@ class HexagonPattern:
             if self.gauge.value_scaled(*scaled_ints(self.s[i])) >= 1:
                 raise CertificateError(f"s[{i}] not interior")
         self.cell.check_vertices_on_boundary()
-        w0, w1 = self.class_b_offsets()
-        half = self.half_lattice
-        if half.contains(w0) or half.contains(w1) or half.contains(w0 - w1):
+        if len(set(map(self._half_coset_key, self.coset_offsets_scaled))) < 3:
             raise CertificateError("class-B cosets not disjoint from (1/2)L")
         for i, (_, k) in enumerate(self.steps[0]):
             if k not in (1, 2):

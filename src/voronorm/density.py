@@ -20,7 +20,6 @@ tests.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import sub
@@ -47,13 +46,10 @@ class UnknownComponentType(CertificateError):
 # Certificates
 
 
-@dataclass
 class CertEntry:
-    label: str
-    size: int
-    neighborhood: int
-    density: Fraction
-    expected_density: Optional[Fraction] = None
+    def __init__(self, label: str, size: int, neighborhood: int, density: Fraction, expected_density=None):
+        self.label, self.size, self.neighborhood = label, size, neighborhood
+        self.density, self.expected_density = density, expected_density
 
     @property
     def matches(self) -> Optional[bool]:
@@ -62,17 +58,16 @@ class CertEntry:
         return self.density == self.expected_density
 
 
-@dataclass
 class DensityCertificate:
-    family: str
-    dim: int
-    neighborhood_kind: str  # "full" or "class-B"
-    entries: list
-    max_density: Fraction
-    assembled_bound: Fraction
-    expected_bound: Fraction
-    maximizers: list
-    notes: list = field(default_factory=list)
+    def __init__(
+        self, family, dim, neighborhood_kind, entries, max_density, assembled_bound, expected_bound, maximizers,
+        notes=None,
+    ):
+        self.family, self.dim = family, dim
+        self.neighborhood_kind = neighborhood_kind  # "full" or "class-B"
+        self.entries, self.max_density, self.assembled_bound = entries, max_density, assembled_bound
+        self.expected_bound, self.maximizers = expected_bound, maximizers
+        self.notes = [] if notes is None else notes
 
     @property
     def matches_expected(self) -> bool:
@@ -98,18 +93,15 @@ def _certificate(family: str, dim: int, kind: str, entries: list, expected: Frac
 # A_n chain cliques
 
 
-@dataclass(frozen=True)
 class ChainClique:
     """Canonical clique of the A_n auxiliary graph: the origin together with
-    the halved projections of the prefix 0/1 vectors of the given weights."""
+    the halved projections of the prefix 0/1 vectors of the given weights,
+    strictly increasing values in 1..n."""
 
-    n: int
-    weights: tuple  # strictly increasing values in 1..n
-
-    def __post_init__(self):
-        w = self.weights
-        if any(not (1 <= a <= self.n) for a in w) or list(w) != sorted(set(w)):
-            raise ValueError(f"bad weights {w} for n={self.n}")
+    def __init__(self, n: int, weights: tuple):
+        if any(not (1 <= a <= n) for a in weights) or list(weights) != sorted(set(weights)):
+            raise ValueError(f"bad weights {weights} for n={n}")
+        self.n, self.weights = n, weights
 
     @property
     def size(self) -> int:

@@ -10,7 +10,6 @@ used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
@@ -125,19 +124,18 @@ def _round_half_up(x: Fraction) -> int:
 # Lattice families
 
 
-@dataclass(frozen=True)
 class _IntegerLattice:
     """Base of Z^n, A_n and D_n: integer points (``scale`` 1) spanned by the
     cached ``int_basis``.  A subclass gives the basis, its membership rule
     ``_admits`` on the coordinate sum and the decoder ``nearest_scaled``."""
 
-    n: int
     min_n = 1
     scale = 1
 
-    def __post_init__(self):
-        if self.n < self.min_n:
+    def __init__(self, n: int):
+        if n < self.min_n:
             raise ValueError(f"n >= {self.min_n} required")
+        self.n = n
 
     @property
     def ambient_dim(self) -> int:
@@ -310,25 +308,22 @@ def count_planar_coset_in_box(p: Sequence[int], q: Sequence[int], offset: Sequen
     return sum(max(0, hi - lo + 1) for _, lo, hi in _planar_rows(p, q, offset, bound))
 
 
-@dataclass(frozen=True)
 class PlanarLattice:
     """Rank-2 lattice in R^2 spanned by b0, b1.
 
     ``scale`` is the common denominator of the basis; ``int_basis`` holds
     the basis vectors at that scale."""
 
-    b0: Vec
-    b1: Vec
     family = "planar"
 
-    def __post_init__(self):
-        if self.b0.dim != 2 or self.b1.dim != 2:
+    def __init__(self, b0: Vec, b1: Vec):
+        if b0.dim != 2 or b1.dim != 2:
             raise DimensionMismatch("planar basis vectors must have dim 2")
-        if self.b0[0] * self.b1[1] - self.b0[1] * self.b1[0] == 0:
+        if b0[0] * b1[1] - b0[1] * b1[0] == 0:
             raise DegenerateCell("planar basis is linearly dependent")
-        scale = lcm_denominator([self.b0, self.b1])
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "int_basis", (to_scaled(self.b0, scale), to_scaled(self.b1, scale)))
+        self.b0, self.b1 = b0, b1
+        self.scale = lcm_denominator([b0, b1])
+        self.int_basis = (to_scaled(b0, self.scale), to_scaled(b1, self.scale))
 
     @property
     def ambient_dim(self) -> int:
@@ -405,7 +400,6 @@ Lattice = Union[ZnLattice, AnLattice, DnLattice, PlanarLattice]
 # Planar basis reduction
 
 
-@dataclass(frozen=True)
 class ReducedPlanarBasis:
     """Gauss-reduced, sign-normalized basis of a strictly hexagonal lattice.
 
@@ -413,9 +407,8 @@ class ReducedPlanarBasis:
     The vectors +-b0, +-b1, +-b2 support the six faces of the Voronoi cell.
     """
 
-    b0: Vec
-    b1: Vec
-    b2: Vec
+    def __init__(self, b0: Vec, b1: Vec, b2: Vec):
+        self.b0, self.b1, self.b2 = b0, b1, b2
 
     def lattice(self) -> PlanarLattice:
         return PlanarLattice(self.b0, self.b1)

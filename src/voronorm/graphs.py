@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import Callable, Iterable, Optional, Sequence
@@ -309,20 +308,18 @@ def two_step_candidates(g: GeometricGraph, u: int) -> int:
     return reach
 
 
-@dataclass
 class PropertyDViolation:
-    u: Vec
-    w: Vec
-    graph_distance: int
-    gauge_value: Fraction
+    def __init__(self, u: Vec, w: Vec, graph_distance: int, gauge_value: Fraction):
+        self.u, self.w, self.graph_distance, self.gauge_value = u, w, graph_distance, gauge_value
+
+    def __eq__(self, other):
+        return type(other) is PropertyDViolation and vars(self) == vars(other)
 
 
-@dataclass
 class PropertyDReport:
-    mode: str
-    checked_pairs: int
-    interior_vertices: int
-    violations: list
+    def __init__(self, mode: str, checked_pairs: int, interior_vertices: int, violations: list):
+        self.mode, self.checked_pairs = mode, checked_pairs
+        self.interior_vertices, self.violations = interior_vertices, violations
 
     @property
     def holds(self) -> bool:

@@ -25,7 +25,6 @@ under them.  A graph without generators gets the plain search tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -37,14 +36,14 @@ from .density import ChainClique
 DEFAULT_NODE_BUDGET = 20_000_000
 
 
-@dataclass
 class MisResult:
-    alpha: int  # best independent set size found (exact when proven)
-    witness: list
-    vertex_count: int
-    proven: bool
-    upper_bound: int
-    nodes: int  # search nodes popped from the stack (0 when the root bounds meet)
+    """``alpha`` is the best independent set size found (exact when proven),
+    ``nodes`` the search nodes popped from the stack (0 when the root bounds
+    meet)."""
+
+    def __init__(self, alpha: int, witness: list, vertex_count: int, proven: bool, upper_bound: int, nodes: int):
+        self.alpha, self.witness, self.vertex_count = alpha, witness, vertex_count
+        self.proven, self.upper_bound, self.nodes = proven, upper_bound, nodes
 
     @property
     def ratio(self) -> Fraction:
@@ -324,25 +323,20 @@ def _solve_mask(adj, full: int, budget: int, group=()):
 # Ratio sequences
 
 
-@dataclass
 class RatioEntry:
-    radius: Fraction
-    vertex_count: int
-    alpha: int
-    proven: bool
-    upper_bound: int
+    def __init__(self, radius: Fraction, vertex_count: int, alpha: int, proven: bool, upper_bound: int):
+        self.radius, self.vertex_count, self.alpha = radius, vertex_count, alpha
+        self.proven, self.upper_bound = proven, upper_bound
 
     @property
     def ratio(self) -> Fraction:
         return Fraction(self.alpha, self.vertex_count)
 
 
-@dataclass
 class RatioSequence:
-    family: str
-    dim: int
-    target_bound: Fraction
-    entries: list = field(default_factory=list)
+    def __init__(self, family: str, dim: int, target_bound: Fraction, entries=None):
+        self.family, self.dim, self.target_bound = family, dim, target_bound
+        self.entries = [] if entries is None else entries
 
     @property
     def any_timed_out(self) -> bool:
@@ -360,16 +354,10 @@ def ratio_sequence_an(n: int, radii, node_budget: Optional[int] = None) -> Ratio
     return seq
 
 
-@dataclass
 class CubeCertificate:
-    dim: int
-    vertex_count: int
-    complete: bool
-    alpha: int
-    ratio: Fraction
-    expected_bound: Fraction
-    proven: bool
-    upper_bound: int
+    def __init__(self, dim, vertex_count, complete, alpha, ratio, expected_bound, proven, upper_bound):
+        self.dim, self.vertex_count, self.complete, self.alpha = dim, vertex_count, complete, alpha
+        self.ratio, self.expected_bound, self.proven, self.upper_bound = ratio, expected_bound, proven, upper_bound
 
     @property
     def matches_expected(self) -> bool:
@@ -434,26 +422,19 @@ def reference_independent_set_size(n_max: int) -> int:
     return n_max // 2 + n_max + 2
 
 
-@dataclass
 class ConstrainedRun:
-    k: int
-    alpha: int
-    max_positive: int
-    structural_cap: int
+    def __init__(self, k: int, alpha: int, max_positive: int, structural_cap: int):
+        self.k, self.alpha, self.max_positive, self.structural_cap = k, alpha, max_positive, structural_cap
 
     @property
     def within_cap(self) -> bool:
         return self.alpha <= self.structural_cap
 
 
-@dataclass
 class CounterexampleReport:
-    n_max: int
-    vertex_count: int
-    alpha: int
-    proven: bool
-    reference_size: int
-    constrained: list
+    def __init__(self, n_max: int, vertex_count: int, alpha: int, proven: bool, reference_size: int, constrained: list):
+        self.n_max, self.vertex_count, self.alpha = n_max, vertex_count, alpha
+        self.proven, self.reference_size, self.constrained = proven, reference_size, constrained
 
     @property
     def ratio(self) -> Fraction:

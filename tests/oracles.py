@@ -1,8 +1,8 @@
 """Reference helpers shared by the tests: brute-force lattice boxes, the
 exact Fraction coset enumerator, the full-tie-set closest-point search, the
 Fraction gauge functional lists, the Fraction cell vertices and boundary
-catalog, the box Cayley graphs on the
-half dual lattices, the ring-sweep hexagon pattern graph and the box-based
+catalog, the box Cayley graphs on the half dual lattices, the Fraction
+hexagon step table, the ring-sweep hexagon pattern graph and the box-based
 hexagon certificate, the avoiding-set decomposition into cliques with
 disjoint neighborhoods, the per-mask neighborhood count, the rescanning
 min-degree greedy, the pairwise independence check, the exhaustive
@@ -37,6 +37,7 @@ from voronorm.density import (
 )
 from voronorm.geometry import (
     DegenerateCell,
+    PlanarLattice,
     Vec,
     an_half_dual_scale,
     dn_half_dual_scale,
@@ -330,6 +331,23 @@ def hexagon_oracle_patterns() -> list:
         raws.append(raw)
     raws += [(3, 0, 1, -3), (F(1, 2), 0, F(1, 6), F(1, 2))]
     return [hexagon_pattern(reduce_planar_basis(Vec(r[:2]), Vec(r[2:]))) for r in raws]
+
+
+def fraction_hexagon_steps(pattern: HexagonPattern) -> tuple:
+    """``HexagonPattern.steps`` on Fraction vectors: the coset of each s_i
+    is the first offset o of 0, v0, v1 with s_i - o in the lattice (1/2)L,
+    tested by ``PlanarLattice.contains``."""
+    half, offsets = PlanarLattice(*pattern.a_generators()), (zero_vec(2),) + pattern.class_b_offsets()
+    at = [next((c for c, o in enumerate(offsets) if half.contains(p - o)), None) for p in pattern.s]
+    s, scale = pattern.s, pattern.scale()
+    table = [[(to_scaled(p, scale), at[i]) for i, p in enumerate(s)]]
+    for c in (1, 2):
+        row = []
+        for i in [i for i in range(6) if at[i] == c]:
+            row.append((to_scaled(-s[i], scale), 0))
+            row += [(to_scaled(s[j] - s[i], scale), at[j]) for j in ((i - 1) % 6, (i + 1) % 6)]
+        table.append(row)
+    return tuple(tuple(dict.fromkeys(row)) for row in table)
 
 
 def ring_sweep_step_extent(pattern: HexagonPattern) -> F:

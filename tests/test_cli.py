@@ -106,6 +106,20 @@ def test_ratio_csv_format(tmp_path):
     assert lines[1].startswith("1/1,8,1,1/8,")
 
 
+@pytest.mark.parametrize(
+    "argv, builder",
+    [(["bound", "an", "--dim", "3"], "certificate_csv"), (["ratio", "cube", "--dim", "3"], "ratio_sequence_csv")],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_csv_is_built_only_for_csv_format(tmp_path, monkeypatch, argv, builder, fmt):
+    def refuse(*_):
+        raise RuntimeError(f"{builder} called for --format {fmt}")
+
+    monkeypatch.setattr(reports, builder, refuse)
+    code, raw = run_cli(argv + ["--format", fmt], tmp_path)
+    assert code == 0 and raw
+
+
 def test_ratio_counterexample(tmp_path):
     code, raw = run_cli(["ratio", "counterexample", "--n", "8"], tmp_path)
     assert code == 0

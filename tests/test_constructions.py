@@ -1,15 +1,16 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction as F
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from voronorm.constructions import (
     CertificateError,
+    HexagonPattern,
     InputOffHyperplane,
+    PolytopeData,
     an_vertices_scaled,
     cube_vertices_scaled,
     dn_vertices_scaled,
@@ -25,6 +26,7 @@ from voronorm.constructions import (
 )
 from voronorm.geometry import (
     AnLattice,
+    DegenerateCell,
     DnLattice,
     PlanarLattice,
     Vec,
@@ -37,6 +39,7 @@ from voronorm.coloring import _CELLS
 from oracles import (
     box_points,
     closest_points,
+    fraction_hexagon_steps,
     functional_value,
     functionals_an,
     functionals_dn,
@@ -346,7 +349,7 @@ def _move_vertices(data, moves):
     the common denominator of the factors."""
     q = math.lcm(*(f.denominator for f in moves.values()))
     vertices = tuple(tuple(int(c * moves.get(i, 1) * q) for c in v) for i, v in enumerate(data.vertices))
-    return dataclasses.replace(data, scale=data.scale * q, vertices=vertices)
+    return PolytopeData(data.family, data.lattice, data.gauge, data.scale * q, vertices)
 
 
 def _not_on_boundary(data, i):
@@ -404,7 +407,7 @@ def test_check_vertices_on_boundary_rejects_vertex_on_one_face_beyond_another(ma
     if isinstance(old, int):
         old, new = data.vertices[old], tuple(2 * a - b for a, b in zip(data.vertices[old], data.vertices[new]))
     i = data.vertices.index(old)
-    bad = dataclasses.replace(data, vertices=data.vertices[:i] + (new,) + data.vertices[i + 1 :])
+    bad = PolytopeData(data.family, data.lattice, data.gauge, data.scale, data.vertices[:i] + (new,) + data.vertices[i + 1 :])
     t = bad.gauge.level * bad.scale
     dots = [sum(map(mul, a, new)) for a in bad.gauge.rows]
     assert t in dots and max(dots) > t
@@ -472,9 +475,32 @@ def test_hexagon_pattern_rejects_mislabeled_points(field):
     # or s[i] = (v[i-1] + v[i+1]) / 2, a certificate guard
     pat = hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3])))
     points = getattr(pat, field)
-    bad = dataclasses.replace(pat, **{field: points[1:] + points[:1]})
+    fields = {"basis": pat.basis, "face": pat.face, "v": pat.v, "s": pat.s, "gauge": pat.gauge}
+    bad = HexagonPattern(**{**fields, field: points[1:] + points[:1]})
     with pytest.raises(CertificateError):
         bad._validate()
+
+
+@pytest.mark.parametrize("raw", ["3,0,1,3", "4,0,1,4", "5,0,2,5", "7,0,3,8"])
+def test_steps_match_fraction_oracle(raw):
+    b = [F(c) for c in raw.split(",")]
+    pat = hexagon_pattern(reduce_planar_basis(Vec(b[:2]), Vec(b[2:])))
+    assert pat.steps == fraction_hexagon_steps(pat)
+
+
+_RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.tuples(_RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL))
+def test_steps_match_fraction_oracle_on_random_bases(raw):
+    # the integer coset keys against PlanarLattice.contains on Fractions,
+    # on reduced bases of every shape and denominator
+    try:
+        pat = hexagon_pattern(reduce_planar_basis(Vec(raw[:2]), Vec(raw[2:])))
+    except DegenerateCell:
+        assume(False)
+    assert pat.steps == fraction_hexagon_steps(pat)
 
 
 def test_hexagon_pattern_cell():

@@ -1,4 +1,5 @@
-"""Package-wide properties: the command loads no numpy, no module guards
+"""Package-wide properties: the command loads no numpy, no
+``dataclasses`` and no ``inspect``, no module guards
 anything with an ``assert`` (``python -O`` strips them) or an
 ``AssertionError``, the integer families build no ``Vec``, and every
 shipped function, class and method has a caller in the package."""
@@ -10,22 +11,55 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import voronorm
-from voronorm.coloring import coset_coloring, verify_coloring
+from voronorm.coloring import ColoringReport, ColoringViolation, coset_coloring, verify_coloring
 from voronorm.density import verify_an_bound, verify_dn_bound
 from voronorm.geometry import Vec
-from voronorm.graphs import an_property_d, dn_property_d
+from voronorm.graphs import PropertyDViolation, an_property_d, dn_property_d
 from voronorm.independence import cube_certificate
 
 PACKAGE = Path(voronorm.__file__).parent
 
 
-def test_cli_import_does_not_load_numpy():
+def _loaded_after_cli_import(expr):
+    """The output of printing expr, of the set ``loaded`` of module names,
+    in a fresh interpreter after ``import voronorm.cli``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
-    code = "import sys, voronorm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    code = f"import sys, voronorm.cli; loaded = set(sys.modules); print({expr})"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_numpy():
+    assert _loaded_after_cli_import("sorted(m for m in loaded if m.split('.')[0] == 'numpy')") == "[]"
+
+
+def test_import_loads_no_dataclasses():
+    # every command pays its imports before it starts: importing dataclasses
+    # pulls in inspect, ast, dis and tokenize, and each decorated class
+    # compiles its generated methods
+    assert _loaded_after_cli_import("sorted(loaded & {'dataclasses', 'inspect'})") == "[]"
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (ColoringViolation, (Vec([0, 1]), Vec([1, 1]), 3)),
+        (ColoringReport, ("an", 2, 8, 25, 30, [])),
+        (PropertyDViolation, (Vec([0, 1]), Vec([1, 1]), 2, Fraction(1, 2))),
+    ],
+)
+def test_compared_records_compare_by_value(cls, fields):
+    # the oracle tests compare these records with ==, which must read every
+    # field: equal fields compare equal, and one changed field does not
+    assert cls(*fields) == cls(*fields)
+    for i in range(len(fields)):
+        changed = list(fields)
+        changed[i] = object()
+        assert cls(*changed) != cls(*fields)
 
 
 def _assertions(tree):
