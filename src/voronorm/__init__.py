@@ -34,7 +34,6 @@ from .graphs import (
     an_unit_distance_graph,
     build_unit_distance_graph,
     check_property_d,
-    cube_graph,
     dn_property_d,
     hex_pattern_graph,
     hex_unit_distance_graph,

@@ -116,7 +116,7 @@ def cmd_ratio(args) -> int:
     if args.family == "an":
         seq = ratio_sequence_an(args.dim, args.radii, args.budget)
     else:
-        seq = cube_certificate(args.dim, args.budget).ratio_sequence()
+        seq = cube_certificate(args.dim).ratio_sequence()
     _emit(args, reports.ratio_sequence_dict(seq), functools.partial(reports.ratio_sequence_csv, seq))
     return EXIT_BUDGET if seq.any_timed_out else EXIT_OK
 

@@ -33,7 +33,6 @@ from .constructions import (
     gauge_an,
     gauge_dn,
     polytope_an,
-    polytope_cube,
     row_values,
 )
 from .geometry import (
@@ -135,8 +134,10 @@ def _bits(mask: int) -> list:
 # ---------------------------------------------------------------------------
 # Edge scans
 
-# Largest vertex count a unit-distance graph may have: its adjacency can be
-# complete (the cube), and 2^14 bitmasks of 2^14 bits take 32 MiB.
+# Largest vertex count a unit-distance graph may have: 2^14 bitmasks of
+# 2^14 bits would take 32 MiB were the adjacency complete.  The cube
+# certificate builds no graph (it checks the complete graph by orbits) but
+# keeps this cap on its 2^n points as its accepted input range.
 MAX_UNIT_DISTANCE_VERTICES = 1 << 14
 
 # Largest box of an A_n / D_n Cayley graph: 2^16 points admit A_5 and D_5
@@ -223,15 +224,6 @@ def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
     maps = (lambda p: (p[1], p[0]) + p[2:], lambda p: p[1:] + p[:1], lambda p: tuple(-c for c in p))
     g.symmetries = [[g.index[f(p)] for p in g.points] for f in maps]
     return g
-
-
-def cube_graph(n: int) -> GeometricGraph:
-    """The 0/1 cube under the sup norm; complete by construction."""
-    from itertools import product as _product
-
-    _check_size(2**n)
-    data = polytope_cube(n)
-    return build_unit_distance_graph(1, _product((0, 1), repeat=n), data.gauge)
 
 
 def hex_step_extent(pattern: HexagonPattern) -> Fraction:

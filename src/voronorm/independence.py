@@ -26,11 +26,12 @@ under them.  A graph without generators gets the plain search tree.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional
 
-from .constructions import CertificateError
+from .constructions import CertificateError, gauge_sup
 from .geometry import an_half_dual_scale
-from .graphs import GeometricGraph, _bits, _check_size, an_unit_distance_graph, cube_graph
+from .graphs import GeometricGraph, _bits, _check_size, an_unit_distance_graph
 from .density import ChainClique
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -369,12 +370,43 @@ class CubeCertificate:
         return RatioSequence("cube", self.dim, self.expected_bound, [entry])
 
 
-def cube_certificate(n: int, node_budget: Optional[int] = None) -> CubeCertificate:
-    """The cube bound 1/2^n via the complete graph on {0,1}^n (so alpha = 1)."""
-    g = cube_graph(n)
-    complete = all(g.degree(i) == g.n - 1 for i in range(g.n))
-    res = max_independent_set(g, node_budget)
-    return CubeCertificate(n, g.n, complete, res.alpha, res.ratio, Fraction(1, 2**n), res.proven, res.upper_bound)
+def cube_certificate(n: int) -> CubeCertificate:
+    """The cube bound 1/2^n: the unit-distance graph on {0,1}^n under the
+    sup norm is complete, so alpha = 1, checked by orbits of the signed
+    permutations instead of on the 2^n-vertex graph.
+
+    A difference of two distinct 0/1 points lies in {-1,0,1}^n minus 0 and
+    is a signed permutation of exactly one d_k = (1^k, 0^(n-k)).  The gauge
+    rows are checked to map onto themselves under generators of that group
+    (the sign change of coordinate 0, the n-cycle and the swap (0 1)), so
+    the max over the rows is constant on each orbit, and each d_k is checked
+    to reach the level through the rows, as the graph build reads them.
+    Every pair is then adjacent: one vertex is a maximum independent set and
+    one clique covers the graph.  Raises ValueError above
+    MAX_UNIT_DISTANCE_VERTICES points and CertificateError if a check fails.
+    """
+    _check_size(2**n)
+    gauge = gauge_sup(n)
+    rows = set(gauge.rows)
+    generators = [
+        ("the sign change of coordinate 0", lambda a: (-a[0],) + a[1:]),
+        ("the n-cycle", lambda a: a[1:] + a[:1]),
+    ]
+    if n >= 2:
+        generators.append(("the swap (0 1)", lambda a: (a[1], a[0]) + a[2:]))
+    for name, g in generators:
+        for a in gauge.rows:
+            if g(a) not in rows:
+                raise CertificateError(f"{name} maps gauge row {a} to {g(a)}, which is not a row")
+    # a.d_k is the k-th prefix sum of a
+    sums = [list(accumulate(a)) for a in gauge.rows]
+    for k in range(1, n + 1):
+        value = max(s[k - 1] for s in sums)
+        if value != gauge.level:
+            d = ", ".join(["1"] * k + ["0"] * (n - k))
+            raise CertificateError(f"cube difference ({d}) has gauge {Fraction(value, gauge.level)}, not 1")
+    bound = Fraction(1, 2**n)
+    return CubeCertificate(n, 2**n, True, 1, bound, bound, True, 1)
 
 
 def an_tiling_witness(g: GeometricGraph, n: int) -> list:

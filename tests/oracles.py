@@ -1,7 +1,8 @@
 """Reference helpers shared by the tests: brute-force lattice boxes, the
 exact Fraction coset enumerator, the full-tie-set closest-point search, the
 Fraction gauge functional lists, the Fraction cell vertices and boundary
-catalog, the box Cayley graphs on the half dual lattices, the Fraction
+catalog, the box Cayley graphs on the half dual lattices, the cube's
+complete unit-distance graph built by the edge scan, the Fraction
 hexagon step table, the ring-sweep hexagon pattern graph and the box-based
 hexagon certificate, the avoiding-set decomposition into cliques with
 disjoint neighborhoods, the per-mask neighborhood count, the rescanning
@@ -23,6 +24,7 @@ from voronorm.constructions import (
     HexagonPattern,
     an_vertices_scaled,
     dn_vertices_scaled,
+    gauge_sup,
     hexagon_pattern,
 )
 import voronorm.density as density
@@ -49,7 +51,7 @@ from voronorm.geometry import (
     scaled_ints,
     to_scaled,
 )
-from voronorm.graphs import GeometricGraph, _bits, two_step_candidates
+from voronorm.graphs import GeometricGraph, _bits, build_unit_distance_graph, two_step_candidates
 
 
 def coset_in_box(b0: Vec, b1: Vec, offset: Vec, radius: F) -> list:
@@ -295,6 +297,13 @@ def dn_cayley_graph(n: int, radius) -> GeometricGraph:
     """Box Cayley graph on (1/2)D_n^# generated by (1/2)V_P."""
     pts = enumerate_dn_half_dual_scaled(n, F(radius))
     return build_cayley_graph(dn_half_dual_scale(n), pts, dn_vertices_scaled(n), radius)
+
+
+def cube_graph(n: int) -> GeometricGraph:
+    """The unit-distance graph on the 0/1 cube under the sup norm, built by
+    the edge scan: the brute-force oracle of ``cube_certificate``, which
+    checks that this graph is complete without building it."""
+    return build_unit_distance_graph(1, product((0, 1), repeat=n), gauge_sup(n))
 
 
 def is_interior(g: GeometricGraph, i: int, k: int = 1) -> bool:

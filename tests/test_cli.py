@@ -8,12 +8,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from voronorm import cli, density, independence, reports
+from voronorm import cli, density, graphs, independence, reports
 from voronorm.cli import main
 from voronorm.coloring import coset_coloring, verify_coloring
 from voronorm.constructions import CertificateError, GaugeNorm, HexagonPattern, gauge_an, gauge_dn
-from voronorm.graphs import check_property_d, cube_graph
-from oracles import an_cayley_graph, corrupt_dn_singleton_reference, dn_cayley_graph
+from voronorm.graphs import an_unit_distance_graph, check_property_d
+from oracles import an_cayley_graph, corrupt_dn_singleton_reference, cube_graph, dn_cayley_graph
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -426,14 +426,16 @@ def test_broken_gauge_fails_the_coloring_certificate(tmp_path, capsys, monkeypat
 
 
 def test_dependent_mis_witness_fails_the_certificate(tmp_path, capsys, monkeypatch):
-    # a solver whose witness holds two adjacent vertices of the complete
-    # graph K_4; the re-check must raise (not assert, which python -O
-    # strips) and the CLI must exit 1 with a one-line message and no report
+    # a solver whose witness holds two adjacent vertices, 0 and 1, of the
+    # complete graph K_4 and of the A_2 box at radius 1; the re-check must
+    # raise (not assert, which python -O strips) and the CLI must exit 1
+    # with a one-line message and no report
     monkeypatch.setattr(independence, "_solve_mask", lambda adj, full, budget, group=(): (2, 0b11, True, 2, 0))
     with pytest.raises(CertificateError):
         independence.max_independent_set(cube_graph(2))
+    assert an_unit_distance_graph(2, 1).adj[0] >> 1 & 1
     out = tmp_path / "out.json"
-    code = main(["ratio", "cube", "--dim", "2", "--out", str(out)])
+    code = main(["ratio", "an", "--dim", "2", "--radii", "1", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: certificate check failed") and err.count("\n") == 1
@@ -604,6 +606,32 @@ def _move_s0_into_class_a(table):
     return ((d, 0), *rest), table[1], table[2]
 
 
+def _edit_cube_rows(edit):
+    """A patch that builds the sup gauge as usual, then edits its rows."""
+
+    def patch(monkeypatch):
+        sup = independence.gauge_sup
+
+        def edited(n):
+            gauge = sup(n)
+            gauge.rows = edit(gauge.rows)
+            return gauge
+
+        monkeypatch.setattr(independence, "gauge_sup", edited)
+
+    return patch
+
+
+def _drop_minus_e0(rows):
+    return tuple(a for a in rows if a[0] != -1)
+
+
+def _double_e0(rows):
+    # only +-e_0 have a nonzero first entry; at dimension 1 the doubled
+    # rows are still closed under every generator
+    return tuple((2 * a[0],) + a[1:] for a in rows)
+
+
 @pytest.mark.parametrize(
     "patch, argv, message",
     [
@@ -633,6 +661,12 @@ def _move_s0_into_class_a(table):
             ["bound", "hexagon", "--basis", "3,0,1,3"],
             "s[0] lies in neither class-B coset",
         ),
+        (
+            _edit_cube_rows(_drop_minus_e0),
+            ["bound", "cube", "--dim", "3"],
+            "the sign change of coordinate 0 maps gauge row (1, 0, 0) to (-1, 0, 0), which is not a row",
+        ),
+        (_edit_cube_rows(_double_e0), ["bound", "cube", "--dim", "1"], "cube difference (1) has gauge 2, not 1"),
     ],
     ids=[
         "an-bound-violated",
@@ -641,17 +675,38 @@ def _move_s0_into_class_a(table):
         "hexagon-step-dropped",
         "hexagon-step-moved",
         "hexagon-step-into-class-a",
+        "cube-row-dropped",
+        "cube-row-scaled",
     ],
 )
 def test_failed_certificate_exits_1_without_report(tmp_path, capsys, monkeypatch, patch, argv, message):
-    # a D_n closed-form or hexagon per-type disagreement, or a broken
-    # hexagon step table, fails like an A_n one: exit 1, one stderr line and
-    # no report, not a report with the disagreement in its notes or entries
+    # a D_n closed-form or hexagon per-type disagreement, a broken hexagon
+    # step table, or cube gauge rows that are not closed or not on the
+    # level, fails like an A_n one: exit 1, one stderr line and no report,
+    # not a report with the disagreement in its notes or entries
     patch(monkeypatch)
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: certificate check failed: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "ratio"])
+def test_cube_certificate_builds_no_graph(tmp_path, monkeypatch, command):
+    # the cube's complete graph is checked by orbits of the signed
+    # permutations, so neither a graph nor its edge scan is built
+    def refuse(*args, **kwargs):
+        raise RuntimeError("graph built on the cube path")
+
+    monkeypatch.setattr(graphs.GeometricGraph, "__init__", refuse)
+    monkeypatch.setattr(graphs, "_unit_edges", refuse)
+    code, raw = run_cli([command, "cube", "--dim", "10"], tmp_path)
+    assert code == 0
+    doc = json.loads(raw)
+    if command == "bound":
+        assert (doc["complete_graph"], doc["alpha"], doc["assembled_bound"]) == (True, 1, "1/1024")
+    else:
+        assert [(e["alpha"], e["proven"], e["upper_bound"]) for e in doc["entries"]] == [(1, True, 1)]
 
 
 def test_an_formula_mismatch_past_dim_6_exits_1(tmp_path, capsys, monkeypatch):

@@ -33,7 +33,6 @@ from voronorm.graphs import (
     an_unit_distance_graph,
     build_unit_distance_graph,
     check_property_d,
-    cube_graph,
     dn_property_d,
     hex_pattern_graph,
     hex_step_extent,
@@ -42,6 +41,7 @@ from voronorm.reports import witness_edge_list
 from oracles import (
     an_cayley_graph,
     build_cayley_graph,
+    cube_graph,
     dn_cayley_graph,
     graph_distance_2_pairs,
     hexagon_oracle_patterns,

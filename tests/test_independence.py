@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from voronorm import independence
 from voronorm.constructions import CertificateError
-from voronorm.graphs import GeometricGraph, _bits, an_unit_distance_graph, cube_graph
+from voronorm.graphs import GeometricGraph, _bits, an_unit_distance_graph
 from voronorm.independence import (
     DEFAULT_NODE_BUDGET,
     MAX_GROUP_ENTRIES,
+    CubeCertificate,
     _close_group,
     _greedy_independent,
     _solve_mask,
@@ -26,7 +27,7 @@ from voronorm.independence import (
     ratio_sequence_an,
     reference_independent_set_size,
 )
-from oracles import greedy_independent_rescan, is_independent_pairwise
+from oracles import cube_graph, greedy_independent_rescan, is_independent_pairwise
 
 
 def _graph_from_edges(n, edges):
@@ -400,6 +401,17 @@ def test_cube_certificate():
         assert cert.complete
         assert cert.alpha == 1
         assert cert.matches_expected
+
+
+def test_cube_certificate_matches_graph_oracle():
+    # the orbit certificate gives every field the built graph, its degree
+    # check and the MIS search give
+    for n in range(1, 11):
+        g = cube_graph(n)
+        complete = all(g.degree(i) == g.n - 1 for i in range(g.n))
+        res = max_independent_set(g)
+        oracle = CubeCertificate(n, g.n, complete, res.alpha, res.ratio, F(1, 2**n), res.proven, res.upper_bound)
+        assert vars(cube_certificate(n)) == vars(oracle), n
 
 
 def test_ratio_sequences():

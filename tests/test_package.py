@@ -118,7 +118,7 @@ def test_bench_tracer_installs(tmp_path):
         "from tracer import Tracer\n"
         "t = Tracer()\n"
         "t.install()\n"
-        f"code = cli.main(['bound', 'cube', '--dim', '2', '--out', {str(tmp_path / 'out.json')!r}])\n"
+        f"code = cli.main(['ratio', 'an', '--dim', '2', '--radii', '1', '--out', {str(tmp_path / 'out.json')!r}])\n"
         "m = t.metrics()\n"
         "print(code, m['cli.main_s'] > 0, m['independence.mis_calls'], m['trace.spans'] > 0)\n"
     )
