@@ -10,6 +10,13 @@ deterministic, sequential, and budgeted by node count, so results are
 reproducible across runs and thread settings; every witness is re-checked by
 an independent validity pass.
 
+When the cover overshoots the prune threshold by exactly one clique, a set
+beating the best must take one vertex from every clique; unit propagation
+over the cliques (MaxSAT-style inference, Li and Quan, AAAI 2010) prunes the
+node when it empties one.  A pruned node holds no set beating the best, so
+the best-updates, and with them alpha, the witness and the proof, are those
+of the search without it, reached in no more nodes.
+
 Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Program.
 2011) removes the symmetric copies of subtrees.  A graph may carry
 generators of a group of automorphisms (the A_n boxes carry three of their
@@ -72,26 +79,55 @@ def _checked_witness(g: GeometricGraph, alpha: int, mask: int, what: str) -> lis
     return witness
 
 
-def _clique_cover_bound(adj, cand: int, stop: int) -> int:
-    """Number of cliques in a greedy partition of cand into maximally grown
-    cliques, which bounds alpha from above.
+def _clique_cover(adj, cand: int, stop: int) -> list:
+    """A greedy partition of cand into maximally grown cliques, as masks;
+    the number of cliques bounds alpha from above.
 
-    Counting stops once it exceeds stop, so the result is at most stop + 1
-    and is at most stop exactly when the full count is; a negative stop
-    returns 0 at once.
+    Covering stops once it has stop + 1 cliques, so the length is at most
+    stop + 1 and is at most stop exactly when the full count is; a negative
+    stop returns no clique.
     """
-    count = 0
+    cliques = []
     remaining = cand
-    while remaining and count <= stop:
-        count += 1
+    while remaining and len(cliques) <= stop:
+        clique = 0
         common = remaining
         while common:
             b = common & -common
-            v = b.bit_length() - 1
+            clique |= b
             remaining ^= b
             # common lies inside remaining, and b leaves both (no self-loops)
-            common &= adj[v]
-    return count
+            common &= adj[b.bit_length() - 1]
+        cliques.append(clique)
+    return cliques
+
+
+def _no_transversal(adj, cliques, cand: int) -> bool:
+    """Whether unit propagation shows that no independent set of cand takes
+    a vertex from every clique (Li and Quan, AAAI 2010).
+
+    A clique left with one allowed vertex forces that vertex, whose
+    neighbours are then no longer allowed; this repeats until nothing is
+    forced anew.  True when some clique is left with no allowed vertex.
+    The outcome does not depend on the order of the forcings.
+    """
+    allowed, forced = cand, 0
+    while True:
+        units = 0
+        for clique in cliques:
+            c = clique & allowed
+            if not c:
+                return True
+            if not c & (c - 1):
+                units |= c
+        units &= ~forced
+        if not units:
+            return False
+        forced |= units
+        while units:
+            b = units & -units
+            units ^= b
+            allowed &= ~adj[b.bit_length() - 1]
 
 
 def _greedy_independent(adj, cand: int) -> int:
@@ -269,7 +305,7 @@ def _solve_mask(adj, full: int, budget: int, group=()):
     """
     greedy = _greedy_independent(adj, full)
     best_mask, best = greedy, greedy.bit_count()
-    root_bound = _clique_cover_bound(adj, full, full.bit_count())
+    root_bound = len(_clique_cover(adj, full, full.bit_count()))
     if best == root_bound:
         return best, best_mask, True, best, 0
     nodes = 0
@@ -281,10 +317,12 @@ def _solve_mask(adj, full: int, budget: int, group=()):
         cand, taken, dirty, group = stack.pop()
         cand, taken = _take_simplicial(adj, cand, taken, dirty)
         size = taken.bit_count()
-        # prune when size + cover <= best; the count stops once it passes
-        # the limit, and a negative limit (size above best) never prunes
+        # prune when size + cover <= best, or when the cover overshoots by
+        # one and no independent set meets all its cliques; the cover stops
+        # once it passes limit + 1, and a negative limit never prunes
         limit = best - size
-        if _clique_cover_bound(adj, cand, limit) <= limit:
+        cliques = _clique_cover(adj, cand, limit + 1)
+        if len(cliques) <= limit or len(cliques) == limit + 1 and _no_transversal(adj, cliques, cand):
             continue
         if not cand:
             best_mask, best = taken, size

@@ -112,17 +112,19 @@ def test_is_independent_set_matches_pairwise_oracle(graph, data):
 
 
 def _cover_full(adj, cand):
-    count = 0
+    cliques = []
     remaining = cand
     while remaining:
-        count += 1
+        clique = 0
         common = remaining
         while common:
             b = common & -common
             v = b.bit_length() - 1
+            clique |= b
             remaining ^= b
             common = common & adj[v] & remaining
-    return count
+        cliques.append(clique)
+    return cliques
 
 
 def _take_simplicial_full_scan(adj, cand, taken):
@@ -149,10 +151,29 @@ def _take_simplicial_full_scan(adj, cand, taken):
     return cand, taken
 
 
-def _solve_mask_full_scan(adj, full, budget):
+def _no_transversal_full_scan(adj, cliques, cand):
+    # forces one lone vertex at a time, pass after pass over every clique,
+    # until a clique is left empty or a pass forces nothing new
+    allowed, forced = cand, 0
+    changed = True
+    while changed:
+        changed = False
+        for clique in cliques:
+            c = clique & allowed
+            if not c:
+                return True
+            if c.bit_count() == 1 and not c & forced:
+                forced |= c
+                allowed &= ~adj[c.bit_length() - 1]
+                changed = True
+    return False
+
+
+def _solve_mask_full_scan(adj, full, budget, propagate=True):
+    # propagate=False is the plain search tree, with no slack-one pruning
     greedy = greedy_independent_rescan(adj, full)
     best_mask, best = greedy, greedy.bit_count()
-    root_bound = _cover_full(adj, full)
+    root_bound = len(_cover_full(adj, full))
     if best == root_bound:
         return best, best_mask, True, best, 0
     nodes = 0
@@ -163,7 +184,10 @@ def _solve_mask_full_scan(adj, full, budget):
             return best, best_mask, best == root_bound, root_bound, nodes
         cand, taken = _take_simplicial_full_scan(adj, *stack.pop())
         size = taken.bit_count()
-        if size + _cover_full(adj, cand) <= best:
+        cover = _cover_full(adj, cand)
+        if size + len(cover) <= best:
+            continue
+        if propagate and size + len(cover) == best + 1 and _no_transversal_full_scan(adj, cover, cand):
             continue
         if not cand:
             best_mask, best = taken, size
@@ -235,20 +259,44 @@ def test_timed_out_search_at_the_root_bound_is_proven():
     assert witness.bit_count() == 4 and all(not adj[v] & witness for v in _bits(witness))
 
 
-@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 8129), (3, F(3, 4), 20, 1185)])
+@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 3985), (3, F(3, 4), 20, 741)])
 def test_solver_node_counts_are_pinned(n, radius, alpha, nodes):
     # node counts are deterministic; without a group the search tree is
-    # the plain one
+    # the plain one, pruned by slack-one propagation
     g = an_unit_distance_graph(n, radius)
     found, _, proven, _, count = _solve_mask(g.adj, (1 << g.n) - 1, DEFAULT_NODE_BUDGET)
     assert (found, proven, count) == (alpha, True, nodes)
 
 
-@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 1887), (3, F(3, 4), 20, 115)])
+@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 8129), (3, F(3, 4), 20, 1185)])
+def test_plain_tree_node_counts_are_pinned(n, radius, alpha, nodes):
+    # the search tree with no slack-one propagation, on the oracle
+    found, _, proven, _, count = _plain_oracle(n, radius)
+    assert (found, proven, count) == (alpha, True, nodes)
+
+
+@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 875), (3, F(3, 4), 20, 89)])
 def test_orbital_node_counts_are_pinned(n, radius, alpha, nodes):
     # max_independent_set branches on orbits of the box's point group
     res = max_independent_set(an_unit_distance_graph(n, radius))
     assert (res.alpha, res.proven, res.nodes) == (alpha, True, nodes)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+@given(graph=_sparse_graphs(), budget=st.sampled_from([None, 1, 3, 10]))
+def test_propagation_keeps_the_plain_search_result(graph, budget):
+    # a pruned node holds no set above the best, so the best-updates are
+    # those of the plain tree, each at the same node or earlier: the same
+    # result in no more nodes, and under a budget an alpha at least as large
+    # (and a search that now ends within the budget is proven at its alpha)
+    adj, full = graph
+    budget = DEFAULT_NODE_BUDGET if budget is None else budget
+    alpha, mask, proven, bound, nodes = _solve_mask(adj, full, budget)
+    plain = _solve_mask_full_scan(adj, full, budget, propagate=False)
+    if budget == DEFAULT_NODE_BUDGET:
+        assert (alpha, mask, proven, bound) == plain[:4] and nodes <= plain[4]
+    else:
+        assert alpha >= plain[0] and proven >= plain[2] and bound <= plain[3]
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +360,17 @@ _BOXES = [(2, F(1)), (2, F(5, 4)), (2, F(3, 2)), (3, F(1, 2)), (3, F(2, 3)), (3,
 def _box(n, radius):
     g = an_unit_distance_graph(n, radius)
     return g, _solve_mask(g.adj, (1 << g.n) - 1, DEFAULT_NODE_BUDGET)[0]
+
+
+@lru_cache(maxsize=None)
+def _plain_oracle(n, radius):
+    g = an_unit_distance_graph(n, radius)
+    return _solve_mask_full_scan(g.adj, (1 << g.n) - 1, DEFAULT_NODE_BUDGET, propagate=False)
+
+
+@pytest.mark.parametrize("box", _BOXES)
+def test_propagation_keeps_alpha_on_an_boxes(box):
+    assert _box(*box)[1] == _plain_oracle(*box)[0]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=30)
