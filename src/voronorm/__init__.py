@@ -33,10 +33,9 @@ from .graphs import (
     an_property_d,
     an_unit_distance_graph,
     build_unit_distance_graph,
-    check_property_d,
     dn_property_d,
-    hex_pattern_graph,
     hex_unit_distance_graph,
+    hexagon_property_d,
 )
 from .density import (
     BoundViolated,

@@ -18,14 +18,7 @@ from .coloring import chromatic_witness_search, coset_coloring, verify_coloring
 from .constructions import CertificateError, hexagon_pattern
 from .density import MAX_CHAIN_DIM, verify_an_bound, verify_dn_bound, verify_hexagon_bound
 from .geometry import DegenerateCell, Vec, reduce_planar_basis
-from .graphs import (
-    an_property_d,
-    check_property_d,
-    dn_property_d,
-    hex_pattern_graph,
-    hex_step_extent,
-    hex_unit_distance_graph,
-)
+from .graphs import an_property_d, dn_property_d, hex_step_extent, hex_unit_distance_graph, hexagon_property_d
 from .independence import counterexample_density_gap, cube_certificate, ratio_sequence_an
 from . import reports
 
@@ -100,7 +93,7 @@ def cmd_property_d(args) -> int:
     else:
         pattern = _pattern_from_args(args)
         radius = 7 * hex_step_extent(pattern) if radius is None else radius
-        rep, dim = check_property_d(hex_pattern_graph(pattern, radius), pattern.gauge, args.mode), 2
+        rep, dim = hexagon_property_d(pattern, radius, args.mode), 2
     if rep.interior_vertices == 0:
         # no pair was checked, so "holds" would be vacuous
         raise ValueError(f"radius {radius} leaves no interior vertex to check")
@@ -232,7 +225,7 @@ def _validate(args) -> None:
         if any(r <= 0 for r in args.radii):
             _usage_error(f"--radii must all be positive, got {','.join(map(str, args.radii))}")
     if args.func is cmd_property_d and fam != "hexagon" and args.mode == "weak":
-        _usage_error(f"--mode weak needs the hexagon's class tags; use --mode strong for {fam}")
+        _usage_error(f"--mode weak reads the hexagon's class-B cosets; use --mode strong for {fam}")
     if args.func in (cmd_property_d, cmd_witness) and args.radius is not None and args.radius <= 0:
         _usage_error(f"--radius must be positive, got {args.radius}")
     if args.func is cmd_witness and args.k < 1:

@@ -195,10 +195,6 @@ class PolytopeData:
     def __init__(self, family: str, lattice: Lattice, gauge: GaugeNorm, scale: int, vertices: tuple):
         self.family, self.lattice, self.gauge, self.scale, self.vertices = family, lattice, gauge, scale, vertices
 
-    def vertex_extent(self) -> Fraction:
-        """Max per-coordinate extent of the cell (attained at a vertex)."""
-        return Fraction(max(abs(c) for v in self.vertices for c in v), self.scale)
-
     def check_vertices_on_boundary(self) -> None:
         """Check exactly that every vertex has gauge 1, by the gauge's own
         ``unit_checker``; the first failing vertex is named."""

@@ -1,27 +1,28 @@
-"""Finite geometric graphs: box-restricted unit-distance graphs and the
-hexagon pattern graph, and Property D (graph distance 2 forces gauge
-distance 1) on them and on the Cayley graphs of the half dual lattices.
-The pattern graph's edges are read off ``HexagonPattern.steps`` (a ring
-sweep over an enlarged box is its oracle in the tests).
+"""Finite geometric graphs: box-restricted unit-distance graphs, and
+Property D (graph distance 2 forces gauge distance 1) on the periodic
+auxiliary graphs of the proofs.
 
 Vertices are stored as scaled integer tuples (one denominator per graph,
 the family's scale) and adjacency as per-vertex bitmasks, so every distance
 test is pure integer arithmetic.  Unit-distance edges come from one bitset
 kernel on the gauge's integer rows and level; a pair-by-pair scan is its
-oracle in the tests.  The A_n / D_n Cayley graphs are never built: their
-Property D check tests each distinct distance-2 difference once and counts
-pairs on the interior points (the built graph is its oracle in the tests).
+oracle in the tests.  One Property D kernel checks all three families on
+their periodic graphs, given by classes of points and the steps out of
+each class, without building a graph: the A_n / D_n Cayley graphs are one
+class stepped by the generators, and the hexagon pattern graph is the
+three cosets stepped by ``HexagonPattern.steps``.  It tests each distinct
+distance-2 difference once per class and counts pairs on the interior
+points; the check on the built box graph is its oracle in the tests.
 Unit-distance graphs are capped at MAX_UNIT_DISTANCE_VERTICES vertices and
-the Cayley boxes and the hexagon pattern graph at MAX_CAYLEY_VERTICES,
-checked before anything is allocated.
+the Property D boxes at MAX_CAYLEY_VERTICES, checked before anything is
+allocated.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .constructions import (
@@ -53,12 +54,11 @@ class GeometricGraph:
     """Finite vertex list + bitset adjacency.
 
     ``points`` are scaled integers sorted lexicographically; ``scale`` is the
-    common denominator; ``box_radius`` and ``step_extent`` carry the margin
-    metadata (a vertex has its full k-step neighborhood present whenever all
-    its coordinates are within box_radius - k*step_extent).  ``symmetries``
-    are vertex-index lists (vertex i maps to vertex symmetries[k][i]) that
-    generate a group of automorphisms; the MIS search checks each one and
-    branches on its orbits.
+    common denominator; ``box_radius`` is the radius of the box the points
+    were taken from, when they were.  ``symmetries`` are vertex-index lists
+    (vertex i maps to vertex symmetries[k][i]) that generate a group of
+    automorphisms; the MIS search checks each one and branches on its
+    orbits.
     """
 
     def __init__(
@@ -67,16 +67,12 @@ class GeometricGraph:
         points: Sequence[tuple],
         adj: Sequence[int],
         box_radius: Optional[Fraction] = None,
-        step_extent: Optional[Fraction] = None,
-        tags: Optional[Sequence[str]] = None,
         symmetries: Sequence[Sequence[int]] = (),
     ):
         self.scale = scale
         self.points = list(points)
         self.adj = list(adj)
         self.box_radius = box_radius
-        self.step_extent = step_extent
-        self.tags = list(tags) if tags is not None else None
         self.symmetries = [list(s) for s in symmetries]
         self.index = {p: i for i, p in enumerate(self.points)}
 
@@ -90,9 +86,6 @@ class GeometricGraph:
     def degree(self, i: int) -> int:
         return self.adj[i].bit_count()
 
-    def neighbors(self, i: int) -> list:
-        return _bits(self.adj[i])
-
     def edge_count(self) -> int:
         return sum(self.degree(i) for i in range(self.n)) // 2
 
@@ -101,25 +94,6 @@ class GeometricGraph:
             for j in _bits(self.adj[i]):
                 if j > i:
                     yield i, j
-
-    def interior_bound_scaled(self, k: int) -> int:
-        """The k-step margin at ``scale``, floored: integers compare to it exactly."""
-        if self.box_radius is None or self.step_extent is None:
-            raise ValueError("graph carries no box metadata")
-        return math.floor((self.box_radius - k * self.step_extent) * self.scale)
-
-    def interior_indices(self, k: int = 1) -> list:
-        bound = self.interior_bound_scaled(k)
-        return [i for i, p in enumerate(self.points) if all(abs(c) <= bound for c in p)]
-
-    def class_mask(self, tag: str) -> int:
-        if self.tags is None:
-            raise ValueError("graph carries no class tags")
-        m = 0
-        for i, t in enumerate(self.tags):
-            if t == tag:
-                m |= 1 << i
-        return m
 
 
 def _bits(mask: int) -> list:
@@ -140,8 +114,8 @@ def _bits(mask: int) -> list:
 # keeps this cap on its 2^n points as its accepted input range.
 MAX_UNIT_DISTANCE_VERTICES = 1 << 14
 
-# Largest box of an A_n / D_n Cayley graph: 2^16 points admit A_5 and D_5
-# at radius 3/2 (29,917 and 24,583) and refuse A_6 and D_6 (196,645 and
+# Largest box of a Property D check: 2^16 points admit A_5 and D_5 at
+# radius 3/2 (29,917 and 24,583) and refuse A_6 and D_6 (196,645 and
 # 164,305).  The hexagon pattern graph has degree at most 6 and shares the
 # cap.
 MAX_CAYLEY_VERTICES = 1 << 16
@@ -185,24 +159,15 @@ def build_unit_distance_graph(
     points: Iterable[tuple],
     gauge: GaugeNorm,
     box_radius: Optional[Fraction] = None,
-    step_extent: Optional[Fraction] = None,
 ) -> GeometricGraph:
     """Graph on the given scaled integer points (coordinates times
     ``scale``) with edges at gauge distance exactly 1.
 
-    ``step_extent`` should be the per-coordinate extent of the unit ball
-    (max |v_i| over the cell's vertices) when margin metadata is needed.
     Raises ValueError above MAX_UNIT_DISTANCE_VERTICES distinct points.
     """
     pts = sorted(set(points))
     _check_size(len(pts))
-    return GeometricGraph(
-        scale,
-        pts,
-        _unit_edges(pts, gauge.rows, gauge.level * scale),
-        box_radius=box_radius,
-        step_extent=step_extent,
-    )
+    return GeometricGraph(scale, pts, _unit_edges(pts, gauge.rows, gauge.level * scale), box_radius=box_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +178,8 @@ def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
     """Box-restricted subgraph of the unit-distance graph on (1/2)A_n^#."""
     radius = Fraction(radius)
     _check_size(count_an_half_dual_scaled(n, radius))
-    data = polytope_an(n)
     pts = enumerate_an_half_dual_scaled(n, radius)
-    g = build_unit_distance_graph(
-        an_half_dual_scale(n), pts, data.gauge, box_radius=radius, step_extent=data.vertex_extent()
-    )
+    g = build_unit_distance_graph(an_half_dual_scale(n), pts, polytope_an(n).gauge, box_radius=radius)
     # generators of the point group S_{n+1} x {+-1}: the swap of coordinates
     # 0 and 1, the (n+1)-cycle and negation; each maps the box, the lattice
     # and the gauge onto themselves
@@ -232,46 +194,20 @@ def hex_step_extent(pattern: HexagonPattern) -> Fraction:
     return Fraction(max(abs(x) for row in pattern.steps for d, _ in row for x in d), pattern.scale())
 
 
-def hex_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
-    """The auxiliary graph of the planar pipeline, with class tags.
-
-    Vertices: ((1/2)L + {0, v0, v1}) within the box.  Each vertex is joined
-    to the box points its coset's ``pattern.steps`` reach, so the result is
-    exactly the induced subgraph of the infinite pattern graph.  All points
-    are integer tuples at ``pattern.scale()``.  Raises ValueError above
-    MAX_CAYLEY_VERTICES vertices.
-    """
-    radius = Fraction(radius)
-    _check_size(_hex_vertex_count(pattern, radius), MAX_CAYLEY_VERTICES, "pattern")
-    pts, cosets = _hex_vertices(pattern, radius)
-    bit = {p: 1 << i for i, p in enumerate(pts)}
-    adj = []
-    for p in pts:
-        m = 0
-        for d, _ in pattern.steps[cosets[p]]:
-            m |= bit.get((p[0] + d[0], p[1] + d[1]), 0)
-        adj.append(m)
-    tags = ["ABB"[cosets[p]] for p in pts]
-    return GeometricGraph(pattern.scale(), pts, adj, radius, hex_step_extent(pattern), tags)
-
-
 def _hex_vertex_count(pattern: HexagonPattern, radius: Fraction) -> int:
-    """len(_hex_vertices(pattern, radius)[0]), without enumerating: the three
-    cosets are disjoint (the pattern checks it), so their counts add up."""
+    """The number of pattern points ((1/2)L + {0, v0, v1}) in the box,
+    without enumerating: the three cosets are disjoint (the pattern checks
+    it), so their counts add up."""
     p, q = pattern.half_basis_scaled
     bound = radius * pattern.scale()
     return sum(count_planar_coset_in_box(p, q, o, bound) for o in pattern.coset_offsets_scaled)
 
 
-def _hex_vertices(pattern: HexagonPattern, radius: Fraction):
-    """Scaled vertex tuples of ((1/2)L + {0, v0, v1}) in the box, sorted,
-    with their cosets, numbered as in ``pattern.steps``."""
-    bound = radius * pattern.scale()
-    cosets = {}
-    for c, off in enumerate(pattern.coset_offsets_scaled):
-        for p in planar_coset_in_box(*pattern.half_basis_scaled, off, bound):
-            cosets[p] = c
-    return sorted(cosets), cosets
+def _hex_boxes(pattern: HexagonPattern) -> list:
+    """Per coset of ``pattern.steps``, the lister of its scaled points with
+    every coordinate within r."""
+    (p, q), scale = pattern.half_basis_scaled, pattern.scale()
+    return [lambda r, o=o: planar_coset_in_box(p, q, o, r * scale) for o in pattern.coset_offsets_scaled]
 
 
 def hex_unit_distance_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
@@ -279,25 +215,12 @@ def hex_unit_distance_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
     raises ValueError above MAX_UNIT_DISTANCE_VERTICES vertices."""
     radius = Fraction(radius)
     _check_size(_hex_vertex_count(pattern, radius))
-    pts, cosets = _hex_vertices(pattern, radius)
-    ext = pattern.cell.vertex_extent()
-    g = build_unit_distance_graph(pattern.scale(), pts, pattern.gauge, box_radius=radius, step_extent=ext)
-    g.tags = ["ABB"[cosets[p]] for p in g.points]
-    return g
+    pts = [u for box in _hex_boxes(pattern) for u in box(radius)]
+    return build_unit_distance_graph(pattern.scale(), pts, pattern.gauge, box_radius=radius)
 
 
 # ---------------------------------------------------------------------------
-# Distance-2 machinery and Property D
-
-
-def two_step_candidates(g: GeometricGraph, u: int) -> int:
-    """Bitmask of vertices at graph distance exactly 2 from u."""
-    reach = 0
-    for v in g.neighbors(u):
-        reach |= g.adj[v]
-    reach &= ~g.adj[u]
-    reach &= ~(1 << u)
-    return reach
+# Property D
 
 
 class PropertyDViolation:
@@ -316,42 +239,6 @@ class PropertyDReport:
     @property
     def holds(self) -> bool:
         return not self.violations
-
-
-def check_property_d(g: GeometricGraph, gauge: GaugeNorm, mode: str = "strong") -> PropertyDReport:
-    """Distance-2 pairs must be at gauge distance exactly 1.
-
-    strong: every pair at graph distance 2 (at least one endpoint interior).
-    weak: only pairs sharing a common neighbor tagged B.
-    Violations are data, not errors.
-    """
-    if mode not in ("strong", "weak"):
-        raise ValueError(f"unknown mode {mode!r}")
-    is_unit = gauge.unit_checker(g.scale)
-    b_mask = g.class_mask("B") if mode == "weak" else None
-    interior = set(g.interior_indices(2))
-    checked = 0
-    violations = []
-    for u in sorted(interior):
-        if mode == "strong":
-            cand = two_step_candidates(g, u)
-        else:
-            reach = 0
-            for z in _bits(g.adj[u] & b_mask):
-                reach |= g.adj[z]
-            cand = reach & ~g.adj[u] & ~(1 << u)
-        pu = g.points[u]
-        for w in _bits(cand):
-            if w in interior and w < u:
-                continue
-            checked += 1
-            d = tuple(a - b for a, b in zip(pu, g.points[w]))
-            if not is_unit(d):
-                violations.append(
-                    PropertyDViolation(g.coords(u), g.coords(w), 2, gauge.value_scaled(d, g.scale))
-                )
-    violations.sort(key=lambda v: (v.u, v.w))
-    return PropertyDReport(mode, checked, len(interior), violations)
 
 
 def an_property_d(n: int, radius) -> PropertyDReport:
@@ -378,6 +265,17 @@ def dn_property_d(n: int, radius) -> PropertyDReport:
     )
 
 
+def hexagon_property_d(pattern: HexagonPattern, radius, mode: str = "strong") -> PropertyDReport:
+    """Property D of the hexagon pattern graph in the box: the cosets
+    (1/2)L, v0 + (1/2)L and v1 + (1/2)L stepped by ``pattern.steps``; weak
+    reads only the 2-walks through a class-B coset.  Raises ValueError
+    above MAX_CAYLEY_VERTICES pattern points in the box, counted per coset
+    before any is enumerated."""
+    radius = Fraction(radius)
+    _check_size(_hex_vertex_count(pattern, radius), MAX_CAYLEY_VERTICES, "pattern")
+    return periodic_property_d(pattern.scale(), pattern.steps, _hex_boxes(pattern), pattern.gauge, radius, mode)
+
+
 def linear_key(xs, ys) -> Callable:
     """The key sum_i p_i (2r + 1)^i of an integer tuple p, with r the largest
     |x_i| over xs plus the largest |y_i| over ys: linear, and one-to-one on
@@ -388,45 +286,67 @@ def linear_key(xs, ys) -> Callable:
 
 
 def _cayley_property_d(scale: int, generators, gauge: GaugeNorm, radius: Fraction, lattice_box) -> PropertyDReport:
-    """check_property_d(g, gauge, "strong") for g the Cayley graph (i ~ j iff
-    p_i - p_j is a generator) on the lattice points with every coordinate
-    within radius, without building g.
-
-    lattice_box(r) lists the scaled lattice points with every coordinate
-    within r, sorted.  The group is abelian, so a vertex u within
-    radius - 2*ext (ext the generators' largest coordinate) has both steps
-    of every 2-walk in the box and exactly u - D2 at graph distance 2,
-    D2 = (S+S) minus S and 0: each d in D2 is tested once.  Raises
-    ValueError if the generators are not closed under negation and
-    CertificateError if one is not a lattice point (the box would then miss
-    some u - d).
-    """
+    """Strong Property D of the Cayley graph (i ~ j iff p_i - p_j is a
+    generator) on the lattice points with every coordinate within radius:
+    one class, whose steps are the generators.  lattice_box(r) lists the
+    scaled lattice points with every coordinate within r.  Raises
+    CertificateError if a generator is not a lattice point (the box would
+    then miss some u - d)."""
     gens = set(generators)
-    if any(tuple(-c for c in g) not in gens for g in gens):
-        raise ValueError("generator set not symmetric")
-    ext = Fraction(max(abs(c) for g in gens for c in g), scale)
-    off = sorted(gens.difference(lattice_box(ext)))
+    off = sorted(gens.difference(lattice_box(Fraction(max(abs(c) for g in gens for c in g), scale))))
     if off:
         raise CertificateError(f"generator {off[0]} is not a point of the lattice")
-    d2 = sorted(d for d in {tuple(map(add, a, b)) for a in gens for b in gens} - gens if any(d))
-    is_unit = gauge.unit_checker(scale)
-    failing = [d for d in d2 if not is_unit(d)]
+    return periodic_property_d(scale, (tuple((g, 0) for g in gens),), (lattice_box,), gauge, radius, "strong")
+
+
+def periodic_property_d(scale: int, steps, boxes, gauge: GaugeNorm, radius: Fraction, mode: str) -> PropertyDReport:
+    """Distance-2 pairs must be at gauge distance exactly 1, on the graph
+    whose vertices are the scaled points of the classes c (boxes[c](r)
+    lists those with every coordinate within r) and which joins a point p
+    of class c to p + d, of class k, for each (d, k) in steps[c]; restricted
+    to the box of radius, without building it.  Violations are data, not
+    errors.
+
+    strong: every pair at graph distance 2 with at least one endpoint u
+    interior, i.e. within radius - 2*ext (ext the steps' largest
+    coordinate), so that every 2-walk from u stays in the box.  weak: only
+    the pairs joined by a 2-walk through a point of a class other than 0.
+    The graph is periodic, so an interior u of class c has exactly u - D2[c]
+    at graph distance 2, and each d in D2[c] is tested once.  Raises
+    CertificateError if a step has no reverse step.
+    """
+    if mode not in ("strong", "weak"):
+        raise ValueError(f"unknown mode {mode!r}")
+    zero = (0,) * len(steps[0][0][0])
+    out_of = [set(row) for row in steps]
+    d2 = []
+    for c, row in enumerate(steps):
+        back = [(tuple(-x for x in d), k) for d, k in row]
+        for (d, k), (nd, _) in zip(row, back):
+            if (nd, c) not in out_of[k]:
+                raise CertificateError(f"step {d} from class {c} to class {k} has no reverse step")
+        # u - w for each w = u + d + e reached by a 2-walk, less u's neighbours and u
+        walks = {tuple(map(sub, nd, e)) for nd, k in back if mode == "strong" or k for e, _ in steps[k]}
+        d2.append(sorted(walks - {nd for nd, _ in back} - {zero}))
+    ext = Fraction(max(abs(x) for row in steps for d, _ in row for x in d), scale)
     inner = radius - 2 * ext
-    interior = lattice_box(inner) if inner >= 0 else []
+    interior = [box(inner) if inner >= 0 else [] for box in boxes]
     # the key is one-to-one on every u and u - d, so u - d is interior iff
     # key(u) - key(d) is an interior key
-    key = linear_key(interior, d2)
-    keys = [key(u) for u in interior]
-    inside = set(keys)
-    # as in check_property_d, a pair of two interior points is checked from
-    # its larger end only: u - d < u iff d is positive in tuple order
-    zero = (0,) * len(d2[0])
-    positive = [key(d) for d in d2 if d > zero]
-    checked = len(interior) * len(d2) - sum(len(inside.intersection([k - dk for k in keys])) for dk in positive)
-    found = []
-    for d in failing:
-        dk, value = key(d), gauge.value_scaled(d, scale)
-        found += [(u, tuple(map(sub, u, d)), value) for u, k in zip(interior, keys) if d < zero or k - dk not in inside]
+    key = linear_key([u for pts in interior for u in pts], [zero] + [d for ds in d2 for d in ds])
+    keys = [[key(u) for u in pts] for pts in interior]
+    inside = set().union(*keys)
+    is_unit = gauge.unit_checker(scale)
+    checked, found = 0, []
+    for pts, ks, ds in zip(interior, keys, d2):
+        # a pair of two interior points is checked from its larger end
+        # only: u - d < u iff d is positive in tuple order
+        checked += len(pts) * len(ds)
+        checked -= sum(len(inside.intersection([k - dk for k in ks])) for dk in [key(d) for d in ds if d > zero])
+        for d in ds:
+            if not is_unit(d):
+                dk, value = key(d), gauge.value_scaled(d, scale)
+                found += [(u, tuple(map(sub, u, d)), value) for u, k in zip(pts, ks) if d < zero or k - dk not in inside]
     found.sort()
     violations = [PropertyDViolation(from_scaled(u, scale), from_scaled(w, scale), 2, v) for u, w, v in found]
-    return PropertyDReport("strong", checked, len(interior), violations)
+    return PropertyDReport(mode, checked, sum(map(len, interior)), violations)

@@ -1,10 +1,12 @@
 """Reference helpers shared by the tests: brute-force lattice boxes, the
 exact Fraction coset enumerator, the full-tie-set closest-point search, the
 Fraction gauge functional lists, the Fraction cell vertices and boundary
-catalog, the box Cayley graphs on the half dual lattices, the cube's
-complete unit-distance graph built by the edge scan, the Fraction
-hexagon step table, the ring-sweep hexagon pattern graph and the box-based
-hexagon certificate, the avoiding-set decomposition into cliques with
+catalog, the box graphs' margin metadata (step extents, interior
+vertices, class-B masks), the box Cayley graphs on the half dual lattices,
+the hexagon pattern graph on a box and the Property D check on a built
+graph, the cube's complete unit-distance graph built by the edge scan, the
+Fraction hexagon step table, the ring-sweep hexagon pattern graph and the
+box-based hexagon certificate, the avoiding-set decomposition into cliques with
 disjoint neighborhoods, the per-mask neighborhood count, the rescanning
 min-degree greedy, the pairwise independence check, the exhaustive
 chromatic number, Vec views of the integer kernels, and a fault injected
@@ -51,7 +53,13 @@ from voronorm.geometry import (
     scaled_ints,
     to_scaled,
 )
-from voronorm.graphs import GeometricGraph, _bits, build_unit_distance_graph, two_step_candidates
+from voronorm.graphs import (
+    GeometricGraph,
+    PropertyDReport,
+    PropertyDViolation,
+    _bits,
+    build_unit_distance_graph,
+)
 
 
 def coset_in_box(b0: Vec, b1: Vec, offset: Vec, radius: F) -> list:
@@ -262,6 +270,55 @@ def catalog_points(coloring) -> list:
     return [from_scaled(b, scale) for b in steps]
 
 
+def vertex_extent(data) -> F:
+    """Max per-coordinate extent of the cell of a ``PolytopeData``
+    (attained at a vertex)."""
+    return F(max(abs(c) for v in data.vertices for c in v), data.scale)
+
+
+def neighbors(g: GeometricGraph, i: int) -> list:
+    """The neighbours of vertex i, ascending."""
+    return _bits(g.adj[i])
+
+
+def interior_bound_scaled(g: GeometricGraph, k: int, ext: F) -> int:
+    """The k-step margin of g's box at ``g.scale``, floored, for steps of
+    per-coordinate extent at most ext: a vertex whose coordinates are all
+    within it has its full k-step neighbourhood in the box."""
+    if g.box_radius is None:
+        raise ValueError("graph carries no box metadata")
+    return math.floor((g.box_radius - k * ext) * g.scale)
+
+
+def interior_indices(g: GeometricGraph, k: int, ext: F) -> list:
+    """The vertices with their full k-step neighbourhood in g's box."""
+    bound = interior_bound_scaled(g, k, ext)
+    return [i for i, p in enumerate(g.points) if all(abs(c) <= bound for c in p)]
+
+
+def is_interior(g: GeometricGraph, i: int, k: int, ext: F) -> bool:
+    """Whether vertex i has its full k-step neighborhood in g's box."""
+    bound = interior_bound_scaled(g, k, ext)
+    return all(abs(c) <= bound for c in g.points[i])
+
+
+def class_mask(g: GeometricGraph, pattern: HexagonPattern, tag: str = "B") -> int:
+    """Bitmask of the vertices of the hexagon box graph g in class ``tag``:
+    "A" for (1/2)L, "B" for the cosets v0 + (1/2)L and v1 + (1/2)L."""
+    cosets = pattern_cosets(pattern, g.box_radius)
+    return sum(1 << i for i, p in enumerate(g.points) if "ABB"[cosets[p]] == tag)
+
+
+def cayley_step_extent(family: str, n: int) -> F:
+    """The largest coordinate of the generators (1/2)V_P of the A_n or D_n
+    Cayley graph: the margin step of its box."""
+    if family == "an":
+        scale, gens = an_half_dual_scale(n), an_vertices_scaled(n)
+    else:
+        scale, gens = dn_half_dual_scale(n), dn_vertices_scaled(n)
+    return F(max(abs(c) for g in gens for c in g), scale)
+
+
 def build_cayley_graph(scale: int, points, generators, box_radius) -> GeometricGraph:
     """Cayley graph on scaled integer points: i ~ j iff p_i - p_j is a
     generator.  The generator set must be closed under negation."""
@@ -282,8 +339,7 @@ def build_cayley_graph(scale: int, points, generators, box_radius) -> GeometricG
             if j is not None:
                 m |= 1 << j
         adj.append(m)
-    ext = max(F(abs(c), scale) for g in gens for c in g)
-    return GeometricGraph(scale, pts, adj, box_radius=F(box_radius), step_extent=ext)
+    return GeometricGraph(scale, pts, adj, box_radius=F(box_radius))
 
 
 def an_cayley_graph(n: int, radius) -> GeometricGraph:
@@ -306,16 +362,54 @@ def cube_graph(n: int) -> GeometricGraph:
     return build_unit_distance_graph(1, product((0, 1), repeat=n), gauge_sup(n))
 
 
-def is_interior(g: GeometricGraph, i: int, k: int = 1) -> bool:
-    """Whether vertex i has its full k-step neighborhood in g's box."""
-    bound = g.interior_bound_scaled(k)
-    return all(abs(c) <= bound for c in g.points[i])
+def two_step_candidates(g: GeometricGraph, u: int) -> int:
+    """Bitmask of vertices at graph distance exactly 2 from u."""
+    reach = 0
+    for v in neighbors(g, u):
+        reach |= g.adj[v]
+    reach &= ~g.adj[u]
+    reach &= ~(1 << u)
+    return reach
 
 
-def graph_distance_2_pairs(g, interior_k: int = 2):
+def check_property_d(g: GeometricGraph, gauge: GaugeNorm, ext: F, mode: str = "strong", b_mask: int = 0) -> PropertyDReport:
+    """Property D on the built box graph g, whose steps have per-coordinate
+    extent at most ext: the oracle of the shipped kernel.
+
+    strong: every pair at graph distance 2 (at least one endpoint interior).
+    weak: only pairs sharing a common neighbor in b_mask (the class-B
+    vertices).  Violations are data, not errors.
+    """
+    is_unit = gauge.unit_checker(g.scale)
+    interior = set(interior_indices(g, 2, ext))
+    checked = 0
+    violations = []
+    for u in sorted(interior):
+        if mode == "strong":
+            cand = two_step_candidates(g, u)
+        else:
+            reach = 0
+            for z in _bits(g.adj[u] & b_mask):
+                reach |= g.adj[z]
+            cand = reach & ~g.adj[u] & ~(1 << u)
+        pu = g.points[u]
+        for w in _bits(cand):
+            if w in interior and w < u:
+                continue
+            checked += 1
+            d = tuple(a - b for a, b in zip(pu, g.points[w]))
+            if not is_unit(d):
+                violations.append(
+                    PropertyDViolation(g.coords(u), g.coords(w), 2, gauge.value_scaled(d, g.scale))
+                )
+    violations.sort(key=lambda v: (v.u, v.w))
+    return PropertyDReport(mode, checked, len(interior), violations)
+
+
+def graph_distance_2_pairs(g, ext: F, interior_k: int = 2):
     """All unordered pairs at graph distance 2 with at least one interior
     endpoint, with their common neighbor sets; deterministic order."""
-    interior = set(g.interior_indices(interior_k))
+    interior = set(interior_indices(g, interior_k, ext))
     for u in sorted(interior):
         for w in _bits(two_step_candidates(g, u)):
             if w in interior and w < u:
@@ -368,6 +462,23 @@ def ring_sweep_step_extent(pattern: HexagonPattern) -> F:
     return F(max(abs(c) for d in disp for c in d), pattern.scale())
 
 
+def hex_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
+    """The hexagon pattern graph in the box: each point of
+    ((1/2)L + {0, v0, v1}) is joined to the box points its coset's
+    ``pattern.steps`` reach, so the result is exactly the induced subgraph
+    of the infinite pattern graph, on integer tuples at ``pattern.scale()``."""
+    cosets = pattern_cosets(pattern, radius)
+    pts = sorted(cosets)
+    bit = {p: 1 << i for i, p in enumerate(pts)}
+    adj = []
+    for p in pts:
+        m = 0
+        for d, _ in pattern.steps[cosets[p]]:
+            m |= bit.get((p[0] + d[0], p[1] + d[1]), 0)
+        adj.append(m)
+    return GeometricGraph(pattern.scale(), pts, adj, box_radius=F(radius))
+
+
 def pattern_cosets(pattern: HexagonPattern, radius) -> dict:
     """Coset (0 for (1/2)L, 1 and 2 for the translates by v0 and v1) of
     every pattern point within the box, keyed by its scaled tuple."""
@@ -396,25 +507,24 @@ def ring_sweep_pattern_graph(pattern: HexagonPattern, radius) -> GeometricGraph:
             if t1 in bit and t2 in bit:
                 adj[t1] |= bit[t2]
                 adj[t2] |= bit[t1]
-    tags = ["ABB"[cosets[p]] for p in pts]
-    return GeometricGraph(scale, pts, [adj[p] for p in pts], box_radius=radius, step_extent=step_ext, tags=tags)
+    return GeometricGraph(scale, pts, [adj[p] for p in pts], box_radius=radius)
 
 
 class MarginViolation(ValueError):
     """A vertex set reaches too close to the box boundary."""
 
 
-def connected_avoiding_subsets(g: GeometricGraph, gauge: GaugeNorm, base: int, max_size: int):
+def connected_avoiding_subsets(g: GeometricGraph, gauge: GaugeNorm, base: int, max_size: int, ext: F):
     """Connected subsets of the box graph g containing ``base`` whose
     members are pairwise not at gauge distance 1; members must stay within
-    the 2-step margin."""
+    the 2-step margin (steps of extent ext)."""
     is_unit = gauge.unit_checker(g.scale)
 
     def unit(i, j):
         return is_unit(tuple(a - b for a, b in zip(g.points[i], g.points[j])))
 
     results = []
-    interior2 = g.interior_bound_scaled(2)
+    interior2 = interior_bound_scaled(g, 2, ext)
 
     def ok_margin(i):
         return all(abs(c) <= interior2 for c in g.points[i])
@@ -447,10 +557,11 @@ def box_hexagon_certificate(pattern: HexagonPattern):
     around one representative per coset that lies 5 steps deep (the origin,
     and per class-B coset the point least by (max |coordinate|, point)),
     with every grown member re-checked against the 2-step margin."""
-    radius = 7 * ring_sweep_step_extent(pattern)
+    ext = ring_sweep_step_extent(pattern)
+    radius = 7 * ext
     g = ring_sweep_pattern_graph(pattern, radius)
     cosets = pattern_cosets(pattern, radius)
-    bound5 = g.interior_bound_scaled(5)
+    bound5 = interior_bound_scaled(g, 5, ext)
     zero = g.index.get((0, 0))
     if zero is None or not all(abs(c) <= bound5 for c in g.points[zero]):
         raise MarginViolation("origin not deep enough in the box")
@@ -462,9 +573,9 @@ def box_hexagon_certificate(pattern: HexagonPattern):
         bases.append(g.index[min(deep, key=lambda p: (max(map(abs, p)), p))])
 
     found: dict = {}
-    b_mask = g.class_mask("B")
+    b_mask = class_mask(g, pattern)
     for base in bases:
-        for subset in connected_avoiding_subsets(g, pattern.gauge, base, 4):
+        for subset in connected_avoiding_subsets(g, pattern.gauge, base, 4, ext):
             if len(subset) >= 4:
                 raise UnknownComponentType(f"avoiding connected subset of size {len(subset)}")
             kind = _classify_component(pattern, [(g.points[i], cosets[g.points[i]]) for i in subset])
@@ -504,18 +615,20 @@ def decompose_avoiding_set(
     g: GeometricGraph,
     gauge: GaugeNorm,
     members: Iterable[int],
-    neighborhood_kind: str = "full",
+    ext: F,
+    b_mask: Optional[int] = None,
 ) -> Decomposition:
     """Split a distance-1-avoiding vertex set into connected components of
-    the auxiliary graph and check the disjoint-neighborhood property.
+    the auxiliary graph, whose steps have extent ext, and check the
+    disjoint-neighborhood property.
 
     Raises NotAvoiding when two members are at gauge distance exactly 1.
-    neighborhood_kind "full" also checks that every component is a clique;
-    "class-B" restricts neighborhood counting to B-tagged vertices.
+    With no b_mask it also checks that every component is a clique; with
+    one it counts neighborhoods within b_mask (the class-B vertices).
     """
     members = sorted(set(members))
     for c in members:
-        if not is_interior(g, c, 2):
+        if not is_interior(g, c, 2, ext):
             raise MarginViolation(f"vertex {g.coords(c)} too close to the boundary")
     for i, j in combinations(members, 2):
         d = tuple(a - b for a, b in zip(g.points[i], g.points[j]))
@@ -540,12 +653,11 @@ def decompose_avoiding_set(
         seen |= comp
         components.append(_bits(comp))
     all_cliques: Optional[bool] = None
-    if neighborhood_kind == "full":
+    if b_mask is None:
         all_cliques = all(
             all(g.adj[i] & (1 << j) for i, j in combinations(comp, 2))
             for comp in components
         )
-    b_mask = g.class_mask("B") if neighborhood_kind == "class-B" else None
     hoods = []
     for comp in components:
         m = 0

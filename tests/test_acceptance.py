@@ -25,10 +25,9 @@ from voronorm.density import (
 from voronorm.geometry import Vec, reduce_planar_basis
 from voronorm.graphs import (
     an_property_d,
-    check_property_d,
     dn_property_d,
-    hex_pattern_graph,
     hex_unit_distance_graph,
+    hexagon_property_d,
 )
 from voronorm.independence import (
     an_tiling_witness,
@@ -154,10 +153,9 @@ def test_criterion_5_property_d():
         strong_violation_seen = False
         for raw in HEX_BASES:
             pat = _pattern(raw)
-            g = hex_pattern_graph(pat, 6)
-            weak = check_property_d(g, pat.gauge, "weak")
+            weak = hexagon_property_d(pat, 6, "weak")
             assert weak.holds and weak.checked_pairs > 0, raw
-            strong = check_property_d(g, pat.gauge, "strong")
+            strong = hexagon_property_d(pat, 6, "strong")
             assert not strong.holds, raw
             s_type = {tuple(2 * s) for s in pat.s}
             diffs = {tuple(v.u - v.w) for v in strong.violations}

@@ -11,9 +11,17 @@ import pytest
 from voronorm import cli, density, graphs, independence, reports
 from voronorm.cli import main
 from voronorm.coloring import coset_coloring, verify_coloring
-from voronorm.constructions import CertificateError, GaugeNorm, HexagonPattern, gauge_an, gauge_dn
-from voronorm.graphs import an_unit_distance_graph, check_property_d
-from oracles import an_cayley_graph, corrupt_dn_singleton_reference, cube_graph, dn_cayley_graph
+from voronorm.constructions import CertificateError, GaugeNorm, HexagonPattern, an_vertices_scaled, gauge_an, gauge_dn
+from voronorm.geometry import planar_coset_in_box
+from voronorm.graphs import an_unit_distance_graph
+from oracles import (
+    an_cayley_graph,
+    cayley_step_extent,
+    check_property_d,
+    corrupt_dn_singleton_reference,
+    cube_graph,
+    dn_cayley_graph,
+)
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -79,9 +87,9 @@ def test_property_d_json_matches_oracle_cayley_graph(tmp_path, family, dim):
     code, raw = run_cli(["property-d", family, "--dim", str(dim)], tmp_path)
     assert code == 0
     if family == "an":
-        rep = check_property_d(an_cayley_graph(dim, F(3, 2)), gauge_an(dim), "strong")
+        rep = check_property_d(an_cayley_graph(dim, F(3, 2)), gauge_an(dim), cayley_step_extent(family, dim))
     else:
-        rep = check_property_d(dn_cayley_graph(dim, F(3, 2)), gauge_dn(dim), "strong")
+        rep = check_property_d(dn_cayley_graph(dim, F(3, 2)), gauge_dn(dim), cayley_step_extent(family, dim))
     assert raw == reports.to_json(reports.property_d_dict(rep, family, dim)).encode("utf-8")
 
 
@@ -243,6 +251,11 @@ README_REPORTS = [
         "property-d hexagon --basis 3,0,1,3 --mode weak",
         "5e6e1cf38e0e1c1079b484ccd71f8fdadb9c21317134007d6a5636e9611db09a",
     ),
+    # the README's hexagon Property D command in its other mode
+    (
+        "property-d hexagon --basis 3,0,1,3 --mode strong",
+        "62a2d5c0c6db01dfd32ddd0f1c4dae999a82034734ee34696387b35eee1cdd19",
+    ),
     ("ratio an --dim 2 --radii 1,5/4,3/2,7/4", "9031c899b84a4483c1e36ea3a41fbf21986f50b678cadf84e72570ed435b242e"),
     ("ratio cube --dim 3", "d613b3419c60020d8d49fe38c3f6502fa313786689f691b872bc155fe8fbe011"),
     ("ratio counterexample --n 30", "eedb9b03da04a13fd8dc3bd6dec3c23e70e5dacea9e12a239944bcef86522e9c"),
@@ -273,6 +286,10 @@ HEXAGON_7038_REPORTS = [
     (
         "property-d hexagon --basis 7,0,3,8 --mode strong",
         "274d11faea1566305c8b876a9b43e0458ae1ca557bec40043bce252b740b2339",
+    ),
+    (
+        "property-d hexagon --basis 7,0,3,8 --mode weak",
+        "d8f28b0cd4363cddbbcfdfb845aa8739da9af4d7a701b34ea371a6949ea78003",
     ),
     (
         "color hexagon --basis 7,0,3,8 --samples 2000 --seed 3",
@@ -720,9 +737,43 @@ def test_an_formula_mismatch_past_dim_6_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_asymmetric_generators_fail_the_certificate(tmp_path, capsys, monkeypatch):
+    # a generator set not closed under negation is a program fault, not a
+    # usage error: exit 1, one stderr line and no report
+    monkeypatch.setattr(graphs, "an_vertices_scaled", lambda n: an_vertices_scaled(n)[1:])
+    out = tmp_path / "out.json"
+    assert main(["property-d", "an", "--dim", "2", "--out", str(out)]) == 1
+    message = "step (2, -1, -1) from class 0 to class 0 has no reverse step"
+    assert capsys.readouterr().err == f"error: certificate check failed: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_property_d_hexagon_builds_no_graph(tmp_path, monkeypatch, mode):
+    # the pattern graph is checked by its steps per coset: no graph is
+    # built, and only the interior of each coset is listed
+    def refuse(*args, **kwargs):
+        raise RuntimeError("graph built on the property-d path")
+
+    bounds = []
+
+    def listing(p, q, offset, bound):
+        bounds.append(bound)
+        return planar_coset_in_box(p, q, offset, bound)
+
+    monkeypatch.setattr(graphs.GeometricGraph, "__init__", refuse)
+    monkeypatch.setattr(graphs, "_unit_edges", refuse)
+    monkeypatch.setattr(graphs, "planar_coset_in_box", listing)
+    code, raw = run_cli(["property-d", "hexagon", "--basis", "3,0,1,3", "--mode", mode, "--radius", "6"], tmp_path)
+    assert code == 0 and json.loads(raw)["interior_vertices"] > 0
+    # three cosets, each listed within 6 - 2 step extents (at scale 12)
+    assert len(bounds) == 3 and all(b < 6 * 12 for b in bounds)
+
+
 @pytest.mark.parametrize("family", ["an", "dn"])
 def test_property_d_weak_mode_needs_hexagon(tmp_path, capsys, family):
-    # only the hexagon pattern graph carries the class tags weak mode reads
+    # weak mode reads the 2-walks through the hexagon's class-B cosets,
+    # which the Cayley graphs do not have
     out = tmp_path / "out.json"
     t0 = time.monotonic()
     with pytest.raises(SystemExit) as exc:

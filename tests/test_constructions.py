@@ -49,6 +49,7 @@ from oracles import (
     vertices_an,
     vertices_cube,
     vertices_dn,
+    vertex_extent,
     zero_vec,
 )
 
@@ -329,7 +330,7 @@ def test_gauge_agrees_with_voronoi_membership():
 def test_polytope_data_builders():
     for data in (polytope_an(3), polytope_dn(4), polytope_cube(3)):
         data.check_vertices_on_boundary()
-        assert data.vertex_extent() <= 1
+        assert vertex_extent(data) <= 1
         # the integer check agrees with the Fraction gauge on every vertex
         assert all(data.gauge.value(from_scaled(v, data.scale)) == 1 for v in data.vertices)
 
@@ -507,7 +508,7 @@ def test_hexagon_pattern_cell():
     pat = hexagon_pattern(reduce_planar_basis(Vec([F(3, 2), 0]), Vec([F(1, 2), F(3, 2)])))
     assert pat.cell.scale == pat.scale()
     assert [from_scaled(v, pat.cell.scale) for v in pat.cell.vertices] == list(pat.v)
-    assert pat.cell.vertex_extent() == max(max(map(abs, v)) for v in pat.v)
+    assert vertex_extent(pat.cell) == max(max(map(abs, v)) for v in pat.v)
 
 
 def test_hexagon_b_cosets_decomposition():

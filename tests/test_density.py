@@ -34,19 +34,24 @@ from voronorm.geometry import (
     enumerate_dn_half_dual_scaled,
     reduce_planar_basis,
 )
-from voronorm.graphs import GeometricGraph, hex_pattern_graph
+from voronorm.graphs import GeometricGraph, hex_step_extent
 from voronorm.independence import max_independent_set
 from voronorm.reports import certificate_dict
 from oracles import (
     NotAvoiding,
     an_cayley_graph,
     box_hexagon_certificate,
+    cayley_step_extent,
+    class_mask,
     corrupt_dn_singleton_reference,
     counts_for_subset,
     decompose_avoiding_set,
     graph_distance_2_pairs,
+    hex_pattern_graph,
     hexagon_oracle_patterns,
+    interior_bound_scaled,
     is_interior,
+    neighbors,
     pattern_cosets,
     ring_sweep_pattern_graph,
     ring_sweep_step_extent,
@@ -342,11 +347,12 @@ def test_component_search_matches_brute_force_enumeration():
     graph: enumerate all subsets of size <= 3 of the deep-interior vertices
     of the ring-sweep box graph directly."""
     pat = _hexagon_3013()
-    radius = 7 * ring_sweep_step_extent(pat)
+    ext = ring_sweep_step_extent(pat)
+    radius = 7 * ext
     g = ring_sweep_pattern_graph(pat, radius)
     cosets = pattern_cosets(pat, radius)
     is_unit = pat.gauge.unit_checker(g.scale)
-    bound2 = g.interior_bound_scaled(2)
+    bound2 = interior_bound_scaled(g, 2, ext)
     deep = [i for i in range(g.n) if all(abs(c) <= bound2 for c in g.points[i])]
 
     def avoiding(sub):
@@ -364,7 +370,7 @@ def test_component_search_matches_brute_force_enumeration():
         while frontier:
             nxt = []
             for v in frontier:
-                for u in g.neighbors(v):
+                for u in neighbors(g, v):
                     if u in inside and u not in seen:
                         seen.add(u)
                         nxt.append(u)
@@ -408,13 +414,16 @@ def test_hexagon_certificate_builds_no_graph(monkeypatch):
 # avoiding-set decomposition
 
 
+AN2_EXT = cayley_step_extent("an", 2)
+
+
 def _an2_graph():
     return an_cayley_graph(2, F(3, 2))
 
 
 def test_decompose_singleton():
     g = _an2_graph()
-    dec = decompose_avoiding_set(g, gauge_an(2), [vertex(g, zero_vec(3))])
+    dec = decompose_avoiding_set(g, gauge_an(2), [vertex(g, zero_vec(3))], AN2_EXT)
     assert len(dec.components) == 1
     assert dec.all_cliques
     assert dec.neighborhoods_disjoint
@@ -427,12 +436,12 @@ def test_decompose_rejects_distance_one_pair():
     # a vertex at graph distance 2 from 0 sits at gauge distance exactly 1
     two = [
         w
-        for u, w, _ in graph_distance_2_pairs(g)
-        if u == i0 and is_interior(g, w, 2)
+        for u, w, _ in graph_distance_2_pairs(g, AN2_EXT)
+        if u == i0 and is_interior(g, w, 2, AN2_EXT)
     ]
     assert two
     with pytest.raises(NotAvoiding):
-        decompose_avoiding_set(g, gauge, [i0, two[0]])
+        decompose_avoiding_set(g, gauge, [i0, two[0]], AN2_EXT)
 
 
 def test_decompose_mis_witness_into_disjoint_cliques():
@@ -442,8 +451,8 @@ def test_decompose_mis_witness_into_disjoint_cliques():
     res = max_independent_set(gu)
     gc = an_cayley_graph(2, F(3, 2))
     members = [vertex(gc, gu.coords(i)) for i in res.witness]
-    members = [m for m in members if m is not None and is_interior(gc, m, 2)]
-    dec = decompose_avoiding_set(gc, gauge_an(2), members)
+    members = [m for m in members if m is not None and is_interior(gc, m, 2, AN2_EXT)]
+    dec = decompose_avoiding_set(gc, gauge_an(2), members, AN2_EXT)
     assert dec.all_cliques
     assert dec.neighborhoods_disjoint
 
@@ -454,6 +463,6 @@ def test_decompose_hexagon_class_b_neighborhoods():
     i0 = vertex(g, zero_vec(2))
     is0 = vertex(g, pat.s[0])
     is3 = vertex(g, pat.s[3])
-    dec = decompose_avoiding_set(g, pat.gauge, [i0, is0, is3], neighborhood_kind="class-B")
+    dec = decompose_avoiding_set(g, pat.gauge, [i0, is0, is3], hex_step_extent(pat), class_mask(g, pat))
     assert len(dec.components) == 1  # the BAB component
     assert dec.neighborhoods_disjoint

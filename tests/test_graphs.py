@@ -32,21 +32,28 @@ from voronorm.graphs import (
     an_property_d,
     an_unit_distance_graph,
     build_unit_distance_graph,
-    check_property_d,
     dn_property_d,
-    hex_pattern_graph,
     hex_step_extent,
+    hexagon_property_d,
+    periodic_property_d,
 )
 from voronorm.reports import witness_edge_list
 from oracles import (
     an_cayley_graph,
     build_cayley_graph,
+    cayley_step_extent,
+    check_property_d,
+    class_mask,
     cube_graph,
     dn_cayley_graph,
     graph_distance_2_pairs,
+    hex_pattern_graph,
     hexagon_oracle_patterns,
+    interior_indices,
     is_interior,
+    neighbors,
     ring_sweep_pattern_graph,
+    ring_sweep_step_extent,
     vertex,
     zero_vec,
 )
@@ -141,17 +148,17 @@ def test_unit_edges_match_naive_scan(name, data):
 
 def test_an_cayley_interior_degree():
     g = an_cayley_graph(2, F(3, 2))
-    for i in g.interior_indices(1):
+    for i in interior_indices(g, 1, cayley_step_extent("an", 2)):
         assert g.degree(i) == 6
     g3 = an_cayley_graph(3, F(3, 2))
     expected = 2**4 - 2
-    for i in g3.interior_indices(1):
+    for i in interior_indices(g3, 1, cayley_step_extent("an", 3)):
         assert g3.degree(i) == expected
 
 
 def test_dn_cayley_interior_degree():
     g = dn_cayley_graph(4, F(3, 2))
-    for i in g.interior_indices(1):
+    for i in interior_indices(g, 1, cayley_step_extent("dn", 4)):
         assert g.degree(i) == 24
 
 
@@ -204,37 +211,37 @@ def test_cayley_build_matches_naive_pair_scan(build, enumerate_scaled, n):
     gens = an_vertices_scaled(n) if build is an_cayley_graph else dn_vertices_scaled(n)
     assert g.adj == _naive_cayley_adj(g.points, gens)
     for i in range(g.n):
-        assert all(g.adj[j] >> i & 1 for j in g.neighbors(i))
+        assert all(g.adj[j] >> i & 1 for j in neighbors(g, i))
 
 
 def test_cayley_edges_translation_invariant():
-    g = an_cayley_graph(2, F(3, 2))
+    g, ext = an_cayley_graph(2, F(3, 2)), cayley_step_extent("an", 2)
     rnd = random.Random(2)
     gens = an_vertices_scaled(2)
-    interior = g.interior_indices(2)
+    interior = interior_indices(g, 2, ext)
     for _ in range(40):
         i = rnd.choice(interior)
         t = rnd.choice(gens)
         j = g.index.get(tuple(a + b for a, b in zip(g.points[i], t)))
         assert j is not None
-        ni = {tuple(x - y for x, y in zip(g.points[k], g.points[i])) for k in g.neighbors(i)}
+        ni = {tuple(x - y for x, y in zip(g.points[k], g.points[i])) for k in neighbors(g, i)}
         nj = {
             tuple(x - y for x, y in zip(g.points[k], g.points[j]))
-            for k in g.neighbors(j)
-            if is_interior(g, k, 0)
+            for k in neighbors(g, j)
+            if is_interior(g, k, 0, ext)
         }
         # all displacement vectors around a fully interior vertex coincide
-        if is_interior(g, j, 1):
+        if is_interior(g, j, 1, ext):
             assert ni == nj
 
 
 def test_margin_soundness_cayley():
-    g = dn_cayley_graph(4, F(3, 2))
+    g, ext = dn_cayley_graph(4, F(3, 2)), cayley_step_extent("dn", 4)
     gens = dn_vertices_scaled(4)
-    for i in g.interior_indices(1)[:40]:
+    for i in interior_indices(g, 1, ext)[:40]:
         for t in gens:
             assert g.index.get(tuple(a + b for a, b in zip(g.points[i], t))) is not None
-    for i in g.interior_indices(2)[:10]:
+    for i in interior_indices(g, 2, ext)[:10]:
         for t in gens:
             for u in gens:
                 q = tuple(a + b + c for a, b, c in zip(g.points[i], t, u))
@@ -244,7 +251,7 @@ def test_margin_soundness_cayley():
 def test_interior_requires_metadata():
     g = cube_graph(2)
     with pytest.raises(ValueError):
-        g.interior_indices(1)
+        interior_indices(g, 1, F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +263,24 @@ def test_hex_pattern_graph_matches_ring_sweep_oracle():
     # a + s_i of an enlarged box, at the radii the tests and the commands use
     for pat in hexagon_oracle_patterns():
         ext = hex_step_extent(pat)
+        assert ext == ring_sweep_step_extent(pat), pat.basis
         for radius in (6, 3 * ext, 7 * ext):
             g, want = hex_pattern_graph(pat, radius), ring_sweep_pattern_graph(pat, radius)
-            got = (g.points, g.adj, g.tags, g.step_extent)
-            assert got == (want.points, want.adj, want.tags, want.step_extent), (pat.basis, radius)
+            got = (g.points, g.adj, g.box_radius)
+            assert got == (want.points, want.adj, want.box_radius), (pat.basis, radius)
 
 
 def test_hex_pattern_interior_neighborhoods():
     b = reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))
     pat = hexagon_pattern(b)
     g = hex_pattern_graph(pat, 6)
-    for i in g.interior_indices(1):
-        nbrs = g.neighbors(i)
-        assert len(nbrs) == 6
-        if g.tags[i] == "A":
-            assert all(g.tags[j] == "B" for j in nbrs)
+    a_mask = class_mask(g, pat, "A")
+    for i in interior_indices(g, 1, hex_step_extent(pat)):
+        assert g.degree(i) == 6
+        if a_mask >> i & 1:
+            assert g.adj[i] & a_mask == 0
         else:
-            in_a = [j for j in nbrs if g.tags[j] == "A"]
-            assert len(in_a) == 3
+            assert (g.adj[i] & a_mask).bit_count() == 3
 
 
 def test_hex_pattern_b_vertex_neighbors_identity():
@@ -281,7 +288,7 @@ def test_hex_pattern_b_vertex_neighbors_identity():
     pat = hexagon_pattern(b)
     g = hex_pattern_graph(pat, 6)
     i_s0 = vertex(g, pat.s[0])
-    got = {g.points[j] for j in g.neighbors(i_s0)}
+    got = {g.points[j] for j in neighbors(g, i_s0)}
     expected = {
         to_scaled(p, g.scale)
         for p in (
@@ -299,16 +306,16 @@ def test_hex_pattern_b_vertex_neighbors_identity():
 def test_hex_pattern_edges_translation_invariant():
     b = reduce_planar_basis(Vec([4, 0]), Vec([1, 4]))
     pat = hexagon_pattern(b)
-    g = hex_pattern_graph(pat, 6)
+    g, ext = hex_pattern_graph(pat, 6), hex_step_extent(pat)
     t = to_scaled(pat.basis.b0 / 2, g.scale)
     moved = 0
-    for i in g.interior_indices(2):
+    for i in interior_indices(g, 2, ext):
         j = g.index.get(tuple(a + b for a, b in zip(g.points[i], t)))
-        if j is None or not is_interior(g, j, 1):
+        if j is None or not is_interior(g, j, 1, ext):
             continue
         moved += 1
-        ni = {tuple(x - y for x, y in zip(g.points[k], g.points[i])) for k in g.neighbors(i)}
-        nj = {tuple(x - y for x, y in zip(g.points[k], g.points[j])) for k in g.neighbors(j)}
+        ni = {tuple(x - y for x, y in zip(g.points[k], g.points[i])) for k in neighbors(g, i)}
+        nj = {tuple(x - y for x, y in zip(g.points[k], g.points[j])) for k in neighbors(g, j)}
         assert ni == nj
     assert moved > 5
 
@@ -318,13 +325,14 @@ def test_hex_pattern_edges_translation_invariant():
 
 
 def _graph_from_points(points, gauge):
-    """Unit-distance graph on integer points (scale 1)."""
-    return build_unit_distance_graph(1, points, gauge, box_radius=F(10), step_extent=F(1))
+    """Unit-distance graph on integer points (scale 1), in the box of
+    radius 10."""
+    return build_unit_distance_graph(1, points, gauge, box_radius=F(10))
 
 
 def test_distance_2_pairs_path():
     g = _graph_from_points([(0,), (1,), (2,)], gauge_sup(1))
-    pairs = list(graph_distance_2_pairs(g, interior_k=0))
+    pairs = list(graph_distance_2_pairs(g, F(1), interior_k=0))
     assert len(pairs) == 1
     u, w, common = pairs[0]
     assert (g.points[u], g.points[w]) == ((0,), (2,))
@@ -333,7 +341,7 @@ def test_distance_2_pairs_path():
 
 def test_distance_2_pairs_triangle():
     g = _graph_from_points([(0, 0), (1, 0), (0, 1)], gauge_sup(2))
-    assert list(graph_distance_2_pairs(g, interior_k=0)) == []
+    assert list(graph_distance_2_pairs(g, F(1), interior_k=0)) == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -376,14 +384,20 @@ def _fields(rep):
     return rep.mode, rep.interior_vertices, rep.checked_pairs, rep.violations
 
 
-@pytest.mark.parametrize("family, n, radius", ORACLE_BOXES)
+# the oracle boxes and A_2..A_4, D_4 at radii 1/2 to 2; at 1/2 no A_n box
+# has a vertex whose 2-walks stay inside it
+CAYLEY_GRID = {(f, n, r) for f, n in (("an", 2), ("an", 3), ("an", 4), ("dn", 4)) for r in (F(1, 2), F(1), F(3, 2), F(2))}
+
+
+@pytest.mark.parametrize("family, n, radius", ORACLE_BOXES + sorted(CAYLEY_GRID - set(ORACLE_BOXES)))
 def test_property_d_matches_oracle_cayley_graph(family, n, radius):
     if family == "an":
         rep, g, gauge = an_property_d(n, radius), an_cayley_graph(n, radius), gauge_an(n)
     else:
         rep, g, gauge = dn_property_d(n, radius), dn_cayley_graph(n, radius), gauge_dn(n)
-    assert _fields(rep) == _fields(check_property_d(g, gauge, "strong"))
-    assert rep.holds and rep.checked_pairs > 0
+    ext = cayley_step_extent(family, n)
+    assert _fields(rep) == _fields(check_property_d(g, gauge, ext))
+    assert rep.holds and (rep.checked_pairs > 0) == (radius >= 2 * ext)
 
 
 # the sup gauge at the lattice's scale puts every distance-2 difference of
@@ -396,7 +410,7 @@ def test_property_d_violations_match_oracle_cayley_graph(family, n, radius):
     rep = _kernel(family, n, radius, gauge_sup(m))
     # the violations compare as (u, w, graph distance, gauge value), in order
     assert rep.violations
-    assert _fields(rep) == _fields(check_property_d(g, gauge_sup(m), "strong"))
+    assert _fields(rep) == _fields(check_property_d(g, gauge_sup(m), cayley_step_extent(family, n)))
 
 
 def test_property_d_rejects_generator_off_the_lattice():
@@ -407,16 +421,17 @@ def test_property_d_rejects_generator_off_the_lattice():
 
 
 def test_property_d_rejects_asymmetric_generators():
+    # a generator set not closed under negation is a program fault, not a
+    # usage error: the kernel finds a step with no reverse step
     gens = an_vertices_scaled(2)[1:]
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(CertificateError, match="has no reverse step"):
         _cayley_property_d(6, gens, gauge_an(2), F(3, 2), lambda r: enumerate_an_half_dual_scaled(2, r))
 
 
 def test_property_d_hexagon():
     b = reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))
     pat = hexagon_pattern(b)
-    g = hex_pattern_graph(pat, 6)
-    strong = check_property_d(g, pat.gauge, "strong")
+    strong = hexagon_property_d(pat, 6, "strong")
     assert not strong.holds
     # the classic violating pair: a+s_i against a+s_{i+3} = a-s_i
     expect = {tuple(2 * s) for s in pat.s}
@@ -424,15 +439,32 @@ def test_property_d_hexagon():
         tuple(v.w - v.u) for v in strong.violations
     }
     assert diffs & expect
-    weak = check_property_d(g, pat.gauge, "weak")
+    weak = hexagon_property_d(pat, 6, "weak")
     assert weak.holds
     assert weak.checked_pairs > 0
 
 
 def test_property_d_rejects_unknown_mode():
-    g = an_cayley_graph(2, F(3, 2))
-    with pytest.raises(ValueError):
-        check_property_d(g, gauge_an(2), "both")
+    steps = (tuple((g, 0) for g in an_vertices_scaled(2)),)
+    box = lambda r: enumerate_an_half_dual_scaled(2, r)
+    with pytest.raises(ValueError, match="unknown mode 'both'"):
+        periodic_property_d(6, steps, (box,), gauge_an(2), F(3, 2), "both")
+    with pytest.raises(ValueError, match="unknown mode 'both'"):
+        hexagon_property_d(hexagon_pattern(reduce_planar_basis(Vec([3, 0]), Vec([1, 3]))), 6, "both")
+
+
+# the shipped kernel on the hexagon pattern graph against the check on the
+# built box graph: every basis of the oracle list at the radii the tests
+# and the commands use, a radius with no interior point among them
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_hexagon_property_d_matches_oracle_box_graph(mode):
+    for pat in hexagon_oracle_patterns():
+        ext = hex_step_extent(pat)
+        for radius in (ext, 2 * ext, 3 * ext, 7 * ext, 6):
+            g = hex_pattern_graph(pat, radius)
+            want = check_property_d(g, pat.gauge, ext, mode, class_mask(g, pat))
+            assert _fields(hexagon_property_d(pat, radius, mode)) == _fields(want), (pat.basis, radius)
+
 
 
 # ---------------------------------------------------------------------------
