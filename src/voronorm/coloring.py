@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 from .constructions import CertificateError, GaugeNorm, HexagonPattern, PolytopeData
 from .constructions import polytope_an, polytope_cube, polytope_dn
 from .geometry import DimensionMismatch, Vec, from_scaled, lcm_denominator, scaled_ints, to_scaled
-from .graphs import GeometricGraph, _bits
+from .graphs import GeometricGraph, _bits, check_power_count
 
 
 class CosetColoring:
@@ -77,8 +77,8 @@ def coset_coloring(family: str, n: int = 0, pattern: Optional[HexagonPattern] = 
     if family not in _CELLS:
         raise ValueError(f"unknown family {family!r}")
     build, pairs = _CELLS[family]
-    if pairs(n) > MAX_CATALOG_PAIRS:
-        raise ValueError(f"coloring catalog of {pairs(n)} vertex-facet pairs exceeds the limit of {MAX_CATALOG_PAIRS}")
+    message = "coloring catalog of {count} vertex-facet pairs exceeds the limit of {limit}"
+    check_power_count(n, pairs, MAX_CATALOG_PAIRS, message)
     return CosetColoring(build(n))
 
 

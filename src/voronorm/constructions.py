@@ -5,7 +5,8 @@ level, evaluated only through one form on scaled integers: the max of the
 rows, in closed form for the A_n, D_n and cube gauges (the Fraction
 functional lists are the oracle in the tests), one integer
 vertex builder per family (the cell vertices on scaled integers, which are
-also the Cayley generators (1/2)V_P at twice the scale), and the hexagon
+also the Cayley generators (1/2)V_P at twice the scale), the generators of
+the A_n and cube point groups, written here only, and the hexagon
 vertex pattern used by the planar pipeline, with its pattern graph
 described once by the steps from each of its three cosets.
 """
@@ -224,6 +225,23 @@ def polytope_cube(n: int) -> PolytopeData:
     # the cube is the Voronoi cell of 2Z^n; the coloring lattice (1/2)*2Z^n
     # is Z^n itself
     return _polytope("cube", ZnLattice(n), gauge_sup(n), 1, cube_vertices_scaled(n))
+
+
+def point_group_generators(family: str, n: int) -> list:
+    """Generators of the point group of the family's cell, as (name, map)
+    pairs on integer tuples: for "an", S_{n+1} x {+-1} on (n+1)-tuples; for
+    "cube", the signed permutations on n-tuples.  Each map sends the
+    family's lattice, gauge rows and cell vertices onto themselves.  The
+    order is kept: a group closure cut at a cap depends on it, and a failed
+    check names the first generator that breaks it."""
+    swap = ("the swap (0 1)", lambda p: (p[1], p[0]) + p[2:])
+    if family == "an":
+        return [swap, ("the (n+1)-cycle", lambda p: p[1:] + p[:1]), ("negation", lambda p: tuple(-c for c in p))]
+    if family == "cube":
+        sign = ("the sign change of coordinate 0", lambda p: (-p[0],) + p[1:])
+        gens = [sign, ("the n-cycle", lambda p: p[1:] + p[:1])]
+        return gens + [swap] if n >= 2 else gens
+    raise ValueError(f"unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------

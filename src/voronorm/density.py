@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from .constructions import CertificateError, HexagonPattern, an_vertices_scaled, dn_vertices_scaled
 from .geometry import from_scaled
-from .graphs import MAX_CAYLEY_VERTICES, linear_key
+from .graphs import check_cayley_generators, linear_key
 
 
 class CrossCheckMismatch(CertificateError):
@@ -309,8 +309,7 @@ def verify_dn_bound(n: int) -> DensityCertificate:
     if n < 4:
         raise ValueError("n >= 4 required")
     # the count walks the Cayley graph on (1/2)D_n^# with 2^n + 2n generators
-    if 2**n + 2 * n > MAX_CAYLEY_VERTICES:
-        raise ValueError(f"D_{n} has {2**n + 2 * n} Cayley generators, over the limit of {MAX_CAYLEY_VERTICES}")
+    check_cayley_generators("dn", n)
     brute = dn_brute_neighborhood_counts(n)
     entries = []
     for extra in _dn_subsets():

@@ -13,9 +13,9 @@ class stepped by the generators, and the hexagon pattern graph is the
 three cosets stepped by ``HexagonPattern.steps``.  It tests each distinct
 distance-2 difference once per class and counts pairs on the interior
 points; the check on the built box graph is its oracle in the tests.
-Unit-distance graphs are capped at MAX_UNIT_DISTANCE_VERTICES vertices and
-the Property D boxes at MAX_CAYLEY_VERTICES, checked before anything is
-allocated.
+Unit-distance graphs are capped at MAX_UNIT_DISTANCE_VERTICES vertices, and
+the Property D boxes and generator lists at MAX_CAYLEY_VERTICES, counted
+before anything is allocated (a count of at least 2^n by its exponent first).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .constructions import (
     dn_vertices_scaled,
     gauge_an,
     gauge_dn,
-    polytope_an,
+    point_group_generators,
     row_values,
 )
 from .geometry import (
@@ -126,6 +126,36 @@ def _check_size(count: int, limit: int = MAX_UNIT_DISTANCE_VERTICES, kind: str =
         raise ValueError(f"{kind} graph of {count} vertices exceeds the limit of {limit}")
 
 
+# Largest n at which a cap on a count of at least 2^n computes the count; a
+# larger n is refused by its exponent (2^(10^8) has too many digits to print).
+MAX_COUNTED_EXPONENT = 1024
+
+
+def check_power_count(
+    n: int,
+    count: Callable[[int], int],
+    limit: int = MAX_UNIT_DISTANCE_VERTICES,
+    message: str = "unit-distance graph of {count} vertices exceeds the limit of {limit}",
+) -> None:
+    """Raise ValueError when count(n), a count of at least 2^n, exceeds
+    limit; message names the count as {count} and the limit as {limit}.
+    Above MAX_COUNTED_EXPONENT, 2^n alone exceeds every cap, so count is
+    not called and the message names the count as "at least 2^n"."""
+    if n > MAX_COUNTED_EXPONENT:
+        raise ValueError(message.format(count=f"at least 2^{n}", limit=limit))
+    if (c := count(n)) > limit:
+        raise ValueError(message.format(count=c, limit=limit))
+
+
+def check_cayley_generators(family: str, n: int) -> None:
+    """Refuse the Cayley graph on (1/2)A_n^# or (1/2)D_n^# when its
+    generators (1/2)V_P, 2^(n+1) - 2 for "an" and 2^n + 2n for "dn",
+    exceed MAX_CAYLEY_VERTICES; counted before any is built."""
+    name, count = ("A", lambda n: 2 ** (n + 1) - 2) if family == "an" else ("D", lambda n: 2**n + 2 * n)
+    message = f"{name}_{n} has {{count}} Cayley generators, over the limit of {{limit}}"
+    check_power_count(n, count, MAX_CAYLEY_VERTICES, message)
+
+
 def _unit_edges(points: Sequence[tuple], rows, t: int) -> list:
     """Adjacency bitmasks: j ~ i iff a.(p_i - p_j) <= t for every row a,
     with at least one equality.
@@ -179,12 +209,8 @@ def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
     radius = Fraction(radius)
     _check_size(count_an_half_dual_scaled(n, radius))
     pts = enumerate_an_half_dual_scaled(n, radius)
-    g = build_unit_distance_graph(an_half_dual_scale(n), pts, polytope_an(n).gauge, box_radius=radius)
-    # generators of the point group S_{n+1} x {+-1}: the swap of coordinates
-    # 0 and 1, the (n+1)-cycle and negation; each maps the box, the lattice
-    # and the gauge onto themselves
-    maps = (lambda p: (p[1], p[0]) + p[2:], lambda p: p[1:] + p[:1], lambda p: tuple(-c for c in p))
-    g.symmetries = [[g.index[f(p)] for p in g.points] for f in maps]
+    g = build_unit_distance_graph(an_half_dual_scale(n), pts, gauge_an(n), box_radius=radius)
+    g.symmetries = [[g.index[f(p)] for p in g.points] for _, f in point_group_generators("an", n)]
     return g
 
 
@@ -243,9 +269,11 @@ class PropertyDReport:
 
 def an_property_d(n: int, radius) -> PropertyDReport:
     """Strong Property D of the box Cayley graph on (1/2)A_n^# generated by
-    (1/2)V_P; raises ValueError above MAX_CAYLEY_VERTICES box points."""
+    (1/2)V_P; raises ValueError above MAX_CAYLEY_VERTICES box points or
+    generators."""
     radius = Fraction(radius)
     _check_size(count_an_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
+    check_cayley_generators("an", n)
     # the cell vertices at scale n+1 are (1/2)V_P at the lattice's scale 2(n+1)
     return _cayley_property_d(
         an_half_dual_scale(n), an_vertices_scaled(n), gauge_an(n), radius,
@@ -255,9 +283,11 @@ def an_property_d(n: int, radius) -> PropertyDReport:
 
 def dn_property_d(n: int, radius) -> PropertyDReport:
     """Strong Property D of the box Cayley graph on (1/2)D_n^# generated by
-    (1/2)V_P; raises ValueError above MAX_CAYLEY_VERTICES box points."""
+    (1/2)V_P; raises ValueError above MAX_CAYLEY_VERTICES box points or
+    generators."""
     radius = Fraction(radius)
     _check_size(count_dn_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
+    check_cayley_generators("dn", n)
     # the cell vertices at scale 2 are (1/2)V_P at the lattice's scale 4
     return _cayley_property_d(
         dn_half_dual_scale(n), dn_vertices_scaled(n), gauge_dn(n), radius,

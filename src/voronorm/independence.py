@@ -19,8 +19,10 @@ of the search without it, reached in no more nodes.
 
 Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Program.
 2011) removes the symmetric copies of subtrees.  A graph may carry
-generators of a group of automorphisms (the A_n boxes carry three of their
-point group S_{n+1} x {+-1}); each is checked to be a bijection and an
+generators of a group of automorphisms (the A_n boxes carry the three
+generators of their point group S_{n+1} x {+-1} that
+``constructions.point_group_generators`` lists, the one place the point
+groups are written); each is checked to be a bijection and an
 automorphism of the adjacency before the search, and a failed check raises
 CertificateError.  When the root bounds do not meet, the generators are
 closed breadth-first into at most MAX_GROUP_ENTRIES stored entries (a cut
@@ -36,9 +38,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional
 
-from .constructions import CertificateError, gauge_sup
+from .constructions import CertificateError, gauge_sup, point_group_generators
 from .geometry import an_half_dual_scale
-from .graphs import GeometricGraph, _bits, _check_size, an_unit_distance_graph
+from .graphs import GeometricGraph, _bits, _check_size, an_unit_distance_graph, check_power_count
 from .density import ChainClique
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -415,24 +417,20 @@ def cube_certificate(n: int) -> CubeCertificate:
 
     A difference of two distinct 0/1 points lies in {-1,0,1}^n minus 0 and
     is a signed permutation of exactly one d_k = (1^k, 0^(n-k)).  The gauge
-    rows are checked to map onto themselves under generators of that group
-    (the sign change of coordinate 0, the n-cycle and the swap (0 1)), so
+    rows are checked to map onto themselves under the generators of that
+    group that ``constructions.point_group_generators`` lists (the sign
+    change of coordinate 0, the n-cycle and the swap (0 1)), so
     the max over the rows is constant on each orbit, and each d_k is checked
     to reach the level through the rows, as the graph build reads them.
     Every pair is then adjacent: one vertex is a maximum independent set and
     one clique covers the graph.  Raises ValueError above
-    MAX_UNIT_DISTANCE_VERTICES points and CertificateError if a check fails.
+    MAX_UNIT_DISTANCE_VERTICES points, compared by exponents before 2^n is
+    computed, and CertificateError if a check fails.
     """
-    _check_size(2**n)
+    check_power_count(n, lambda n: 2**n)
     gauge = gauge_sup(n)
     rows = set(gauge.rows)
-    generators = [
-        ("the sign change of coordinate 0", lambda a: (-a[0],) + a[1:]),
-        ("the n-cycle", lambda a: a[1:] + a[:1]),
-    ]
-    if n >= 2:
-        generators.append(("the swap (0 1)", lambda a: (a[1], a[0]) + a[2:]))
-    for name, g in generators:
+    for name, g in point_group_generators("cube", n):
         for a in gauge.rows:
             if g(a) not in rows:
                 raise CertificateError(f"{name} maps gauge row {a} to {g(a)}, which is not a row")

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from voronorm import cli, density, graphs, independence, reports
+from voronorm import cli, constructions, density, graphs, independence, reports
 from voronorm.cli import main
 from voronorm.coloring import coset_coloring, verify_coloring
 from voronorm.constructions import CertificateError, GaugeNorm, HexagonPattern, an_vertices_scaled, gauge_an, gauge_dn
@@ -708,6 +708,20 @@ def test_failed_certificate_exits_1_without_report(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_cube_certificate_reads_the_point_group_layer(tmp_path, capsys, monkeypatch):
+    # the certificate checks its gauge rows under the generators that
+    # constructions.point_group_generators lists, so a generator patched
+    # into that list, which maps a row off the set, fails it by name
+    layer = constructions.point_group_generators
+    doubling = ("the doubling", lambda p: tuple(2 * c for c in p))
+    monkeypatch.setattr(independence, "point_group_generators", lambda family, n: layer(family, n) + [doubling])
+    out = tmp_path / "out.json"
+    assert main(["bound", "cube", "--dim", "3", "--out", str(out)]) == 1
+    message = "the doubling maps gauge row (1, 0, 0) to (2, 0, 0), which is not a row"
+    assert capsys.readouterr().err == f"error: certificate check failed: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["bound", "ratio"])
 def test_cube_certificate_builds_no_graph(tmp_path, monkeypatch, command):
     # the cube's complete graph is checked by orbits of the signed
@@ -842,11 +856,49 @@ def test_witness_below_the_first_ball_is_found(tmp_path, k):
             ["witness", "--basis", "3,0,1,3", "--k", "4", "--radius", "5000"],
             "unit-distance graph of 133346667 vertices exceeds the limit of 16384",
         ),
+        # the box of one point passes its cap, the generators do not
+        (
+            ["property-d", "an", "--dim", "22", "--radius", "1/1000"],
+            "A_22 has 8388606 Cayley generators, over the limit of 65536",
+        ),
+        (
+            ["property-d", "dn", "--dim", "24", "--radius", "1/1000"],
+            "D_24 has 16777264 Cayley generators, over the limit of 65536",
+        ),
+        # refused by the exponent alone, before 2^n is computed
+        (
+            ["bound", "cube", "--dim", "100000000"],
+            "unit-distance graph of at least 2^100000000 vertices exceeds the limit of 16384",
+        ),
+        (
+            ["bound", "cube", "--dim", "4000000000"],
+            "unit-distance graph of at least 2^4000000000 vertices exceeds the limit of 16384",
+        ),
+        (
+            ["ratio", "cube", "--dim", "100000000"],
+            "unit-distance graph of at least 2^100000000 vertices exceeds the limit of 16384",
+        ),
+        (
+            ["bound", "dn", "--dim", "100000000"],
+            "D_100000000 has at least 2^100000000 Cayley generators, over the limit of 65536",
+        ),
+        (
+            ["color", "an", "--dim", "100000000", "--seed", "1"],
+            "coloring catalog of at least 2^100000000 vertex-facet pairs exceeds the limit of 65536",
+        ),
+        (
+            ["color", "cube", "--dim", "100000000", "--seed", "1"],
+            "coloring catalog of at least 2^100000000 vertex-facet pairs exceeds the limit of 65536",
+        ),
     ],
 )
-def test_oversized_request_is_refused_before_allocating(tmp_path, capsys, argv, message):
+def test_oversized_request_is_refused_before_allocating(tmp_path, capsys, monkeypatch, argv, message):
     # each of these used to end in a MemoryError under a 2 GB address-space
-    # limit; now the size is computed first and the command exits 2
+    # limit, in Python's own message on a too-long integer, or in no answer
+    # at all; now the size is computed first and the command exits 2.  A
+    # cell or generator list built anyway fails at once instead of
+    # allocating gigabytes.
+    _refuse_cell_vertices(monkeypatch)
     out = tmp_path / "out.json"
     t0 = time.monotonic()
     code = main(argv + ["--out", str(out)])
@@ -855,6 +907,30 @@ def test_oversized_request_is_refused_before_allocating(tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _refuse_cell_vertices(monkeypatch):
+    """Make every builder of cell vertices or Cayley generators raise."""
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("cell vertices built past a size cap")
+
+    for module in (constructions, graphs, density):
+        for name in ("an_vertices_scaled", "dn_vertices_scaled", "cube_vertices_scaled", "polytope_an"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_ratio_an_builds_no_cell(tmp_path, monkeypatch):
+    # the box graph reads only the gauge: at A_22 a box of one point runs
+    # at once, where building the 2^23 - 2 cell vertices ran out of memory
+    _refuse_cell_vertices(monkeypatch)
+    t0 = time.monotonic()
+    code, raw = run_cli(["ratio", "an", "--dim", "22", "--radii", "1/1000"], tmp_path)
+    assert time.monotonic() - t0 < 1
+    assert code == 0
+    entries = json.loads(raw)["entries"]
+    assert [(e["vertices"], e["alpha"], e["proven"]) for e in entries] == [(1, 1, True)]
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from voronorm.constructions import (
     gauge_planar,
     gauge_sup,
     hexagon_pattern,
+    point_group_generators,
     polytope_an,
     polytope_cube,
     polytope_dn,
@@ -154,6 +155,56 @@ def test_vertices_closed_under_symmetry():
     vd = set(_cell_vertices(polytope_dn, 4))
     assert {Vec((v[1], v[0], v[2], v[3])) for v in vd} == vd
     assert {Vec((-v[0], -v[1], v[2], v[3])) for v in vd} == vd
+
+
+def _group_order(maps, points) -> int:
+    """The order of the group that maps generate, as permutations of the
+    finite set points (each map must send it onto itself), by breadth-first
+    closure."""
+    index = {p: i for i, p in enumerate(points)}
+    assert all({f(p) for p in points} == set(points) for f in maps)
+    gens = [[index[f(p)] for p in points] for f in maps]
+    seen = {tuple(range(len(points)))}
+    frontier = list(seen)
+    while frontier:
+        reached = []
+        for a in frontier:
+            for g in gens:
+                c = tuple([a[i] for i in g])
+                if c not in seen:
+                    seen.add(c)
+                    reached.append(c)
+        frontier = reached
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cube_generators_close_to_the_signed_permutations(n):
+    # on {+-e_i} the signed permutations act faithfully, 2^n n! of them
+    gens = point_group_generators("cube", n)
+    names = ["the sign change of coordinate 0", "the n-cycle", "the swap (0 1)"]
+    assert [name for name, _ in gens] == names[: 2 if n == 1 else 3]
+    maps = [f for _, f in gens]
+    units = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    assert _group_order(maps, units) == 2**n * math.factorial(n)
+    for points in (gauge_sup(n).rows, cube_vertices_scaled(n)):
+        assert all({f(p) for p in points} == set(points) for f in maps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_an_generators_close_to_the_point_group(n):
+    # S_{n+1} x {+-1} acts faithfully on the cell vertices, and maps the
+    # gauge rows onto themselves
+    gens = point_group_generators("an", n)
+    assert [name for name, _ in gens] == ["the swap (0 1)", "the (n+1)-cycle", "negation"]
+    maps = [f for _, f in gens]
+    assert _group_order(maps, an_vertices_scaled(n)) == 2 * math.factorial(n + 1)
+    assert all({f(a) for a in gauge_an(n).rows} == set(gauge_an(n).rows) for f in maps)
+
+
+def test_point_group_generators_reject_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'hexagon'"):
+        point_group_generators("hexagon", 2)
 
 
 def test_integer_vertex_builders_match_fraction_oracles():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from voronorm import independence
-from voronorm.constructions import CertificateError
+from voronorm.constructions import CertificateError, point_group_generators
 from voronorm.graphs import GeometricGraph, _bits, an_unit_distance_graph
 from voronorm.independence import (
     DEFAULT_NODE_BUDGET,
@@ -305,9 +305,10 @@ def test_propagation_keeps_the_plain_search_result(graph, budget):
 
 @pytest.mark.parametrize("n, radius", [(2, F(3, 2)), (3, F(3, 4)), (4, F(1, 2))])
 def test_an_symmetries_generate_the_point_group(n, radius):
-    # three generators, each an automorphism, closing to S_{n+1} x {+-1}
+    # the point-group layer's three generators, each an automorphism,
+    # closing to S_{n+1} x {+-1}
     g = an_unit_distance_graph(n, radius)
-    assert len(g.symmetries) == 3
+    assert g.symmetries == [[g.index[f(p)] for p in g.points] for _, f in point_group_generators("an", n)]
     for perm in g.symmetries:
         independence._check_automorphism(g.adj, perm)
     assert len(_close_group(g.symmetries, g.n)) + 1 == 2 * math.factorial(n + 1)
