@@ -486,9 +486,16 @@ def enumerate_an_half_dual_scaled(n: int, radius: RatLike) -> list:
 
 def count_an_half_dual_scaled(n: int, radius: RatLike) -> int:
     """len(enumerate_an_half_dual_scaled(n, radius)), counted without
-    enumerating: the zero-sum (n+1)-tuples over each residue's values."""
+    enumerating: the zero-sum (n+1)-tuples over each residue's values.
+
+    A residue with no value counts none and one with a single value v
+    counts one tuple exactly when v = 0, so a box much narrower than n
+    costs O(n), not one (n+1)-step pass per residue."""
     total = 0
     for vals in _an_residue_values(n, radius):
+        if len(vals) < 2:
+            total += vals == [0]
+            continue
         ways = {0: 1}
         for _ in range(n + 1):
             nxt: dict = {}

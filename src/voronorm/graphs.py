@@ -205,11 +205,18 @@ def build_unit_distance_graph(
 
 
 def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
-    """Box-restricted subgraph of the unit-distance graph on (1/2)A_n^#."""
+    """Box-restricted subgraph of the unit-distance graph on (1/2)A_n^#.
+
+    A box of fewer than two points has no pair, so no edge, and builds no
+    gauge (its n(n+1) rows are the cost of a narrow box at large n)."""
     radius = Fraction(radius)
     _check_size(count_an_half_dual_scaled(n, radius))
     pts = enumerate_an_half_dual_scaled(n, radius)
-    g = build_unit_distance_graph(an_half_dual_scale(n), pts, gauge_an(n), box_radius=radius)
+    scale = an_half_dual_scale(n)
+    if len(pts) < 2:
+        g = GeometricGraph(scale, pts, [0] * len(pts), box_radius=radius)
+    else:
+        g = build_unit_distance_graph(scale, pts, gauge_an(n), box_radius=radius)
     g.symmetries = [[g.index[f(p)] for p in g.points] for _, f in point_group_generators("an", n)]
     return g
 

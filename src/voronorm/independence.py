@@ -10,12 +10,20 @@ deterministic, sequential, and budgeted by node count, so results are
 reproducible across runs and thread settings; every witness is re-checked by
 an independent validity pass.
 
-When the cover overshoots the prune threshold by exactly one clique, a set
-beating the best must take one vertex from every clique; unit propagation
-over the cliques (MaxSAT-style inference, Li and Quan, AAAI 2010) prunes the
-node when it empties one.  A pruned node holds no set beating the best, so
-the best-updates, and with them alpha, the witness and the proof, are those
-of the search without it, reached in no more nodes.
+The slack of a node is the number of cliques by which its cover overshoots
+the prune threshold.  At slack one, a set beating the best must take one
+vertex from every clique; unit propagation over the cliques (MaxSAT-style
+inference, Li and Quan, AAAI 2010) prunes the node when it empties one.  At
+slack two such a set misses at most one clique, so the node is pruned when
+two disjoint sets of its cliques each admit no transversal (inconsistent
+subsets, Li, Fang and Xu, ICTAI 2013): the reason for the first clique that
+propagation in rounds empties, and the cliques outside it, when propagation
+over them empties one too.  The reason is that clique plus, for each of
+its dropped vertices, the clique of the vertex it is charged to, one forced
+in an earlier round, closed over every clique that joins (see _reason).
+A pruned node holds no set beating the best, so the best-updates, and with
+them alpha, the witness and the proof, are those of the search without
+it, reached in no more nodes.
 
 Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Program.
 2011) removes the symmetric copies of subtrees.  A graph may carry
@@ -40,7 +48,7 @@ from typing import Iterable, Optional
 
 from .constructions import CertificateError, gauge_sup, point_group_generators
 from .geometry import an_half_dual_scale
-from .graphs import GeometricGraph, _bits, _check_size, an_unit_distance_graph, check_power_count
+from .graphs import MAX_COUNTED_EXPONENT, GeometricGraph, _bits, _check_size, an_unit_distance_graph, check_power_count
 from .density import ChainClique
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -92,14 +100,13 @@ def _clique_cover(adj, cand: int, stop: int) -> list:
     cliques = []
     remaining = cand
     while remaining and len(cliques) <= stop:
-        clique = 0
-        common = remaining
+        clique, common = 0, remaining
         while common:
             b = common & -common
             clique |= b
-            remaining ^= b
-            # common lies inside remaining, and b leaves both (no self-loops)
+            # b leaves common (no self-loops)
             common &= adj[b.bit_length() - 1]
+        remaining ^= clique
         cliques.append(clique)
     return cliques
 
@@ -130,6 +137,71 @@ def _no_transversal(adj, cliques, cand: int) -> bool:
             b = units & -units
             units ^= b
             allowed &= ~adj[b.bit_length() - 1]
+
+
+def _conflict(adj, cliques, cand: int) -> int:
+    """A mask of clique indices, nonzero when unit propagation empties a
+    clique: no independent set of cand meets every clique it names.  0 when
+    propagation empties none.
+
+    Propagation runs in rounds.  Each round forces at once every clique not
+    yet forced that has exactly one allowed vertex, then drops the
+    neighbours of all the vertices it forced; the first clique found empty
+    starts the reason (see _reason).
+    """
+    allowed, forced, rounds = cand, 0, []
+    while True:
+        units = 0
+        for i, clique in enumerate(cliques):
+            c = clique & allowed
+            if not c:
+                return _reason(adj, cliques, i, rounds)
+            if not c & (c - 1):
+                units |= c
+        units &= ~forced
+        if not units:
+            return 0
+        forced |= units
+        x, dropped = units, 0
+        while x:
+            b = x & -x
+            x ^= b
+            dropped |= adj[b.bit_length() - 1]
+        dropped &= allowed
+        allowed ^= dropped
+        rounds.append((units, dropped))
+
+
+def _reason(adj, cliques, emptied: int, rounds) -> int:
+    """The reason for the clique of index emptied, left empty by the
+    propagation rounds (a list of (vertices forced, vertices dropped) per
+    round), as a mask of clique indices.
+
+    Each vertex of a reason clique that needs explaining (every vertex of
+    the emptied clique; every vertex but the forced one of any other) was
+    dropped by a round earlier than the clique's own.  It is charged to the
+    first vertex of that round, in clique order, adjacent to it, and that
+    vertex's clique joins the reason.  By induction over the rounds, an
+    independent set meeting every reason clique holds each of their forced
+    vertices, so it has no vertex left in the emptied clique.
+    """
+    reason, need = 1 << emptied, cliques[emptied]
+    # later rounds first: a clique joins in its own round, and its other
+    # vertices were dropped by earlier ones
+    for units, dropped in reversed(rounds):
+        x = need & dropped
+        if not x:
+            continue
+        for j, clique in enumerate(cliques):
+            b = clique & units
+            if b and (hit := x & adj[b.bit_length() - 1]):
+                x ^= hit
+                if not reason >> j & 1:
+                    reason |= 1 << j
+                    need |= clique ^ b
+                if not x:
+                    break
+    return reason
 
 
 def _greedy_independent(adj, cand: int) -> int:
@@ -319,13 +391,19 @@ def _solve_mask(adj, full: int, budget: int, group=()):
         cand, taken, dirty, group = stack.pop()
         cand, taken = _take_simplicial(adj, cand, taken, dirty)
         size = taken.bit_count()
-        # prune when size + cover <= best, or when the cover overshoots by
-        # one and no independent set meets all its cliques; the cover stops
-        # once it passes limit + 1, and a negative limit never prunes
+        # prune when size + cover <= best; when the cover overshoots by one
+        # and no independent set meets all its cliques; or when it overshoots
+        # by two and two disjoint sets of its cliques each admit no
+        # transversal, so every independent set misses two cliques.  The
+        # cover stops once it passes limit + 2
         limit = best - size
-        cliques = _clique_cover(adj, cand, limit + 1)
-        if len(cliques) <= limit or len(cliques) == limit + 1 and _no_transversal(adj, cliques, cand):
+        cliques = _clique_cover(adj, cand, limit + 2)
+        slack = len(cliques) - limit
+        if slack <= 0 or slack == 1 and _no_transversal(adj, cliques, cand):
             continue
+        if slack == 2 and (reason := _conflict(adj, cliques, cand)):
+            if _no_transversal(adj, [c for j, c in enumerate(cliques) if not reason >> j & 1], cand):
+                continue
         if not cand:
             best_mask, best = taken, size
             continue
@@ -386,7 +464,12 @@ class RatioSequence:
 
 def ratio_sequence_an(n: int, radii, node_budget: Optional[int] = None) -> RatioSequence:
     """Exact independence ratios of box subgraphs of the unit-distance graph
-    on (1/2)A_n^#, paired with the 1/2^n target."""
+    on (1/2)A_n^#, paired with the 1/2^n target.
+
+    Like every count of at least 2^n, the target is refused by its exponent
+    above MAX_COUNTED_EXPONENT (ValueError), before 2^n is computed."""
+    if n > MAX_COUNTED_EXPONENT:
+        raise ValueError(f"A_{n} target 1/2^{n} has a denominator over the limit of 2^{MAX_COUNTED_EXPONENT}")
     seq = RatioSequence("an", n, Fraction(1, 2**n))
     for r in radii:
         g = an_unit_distance_graph(n, Fraction(r))

@@ -865,6 +865,11 @@ def test_witness_below_the_first_ball_is_found(tmp_path, k):
             ["property-d", "dn", "--dim", "24", "--radius", "1/1000"],
             "D_24 has 16777264 Cayley generators, over the limit of 65536",
         ),
+        # the box is counted in O(n) when each residue holds at most one value
+        (
+            ["property-d", "an", "--dim", "100000", "--radius", "1/1000"],
+            "A_100000 has at least 2^100000 Cayley generators, over the limit of 65536",
+        ),
         # refused by the exponent alone, before 2^n is computed
         (
             ["bound", "cube", "--dim", "100000000"],
@@ -877,6 +882,10 @@ def test_witness_below_the_first_ball_is_found(tmp_path, k):
         (
             ["ratio", "cube", "--dim", "100000000"],
             "unit-distance graph of at least 2^100000000 vertices exceeds the limit of 16384",
+        ),
+        (
+            ["ratio", "an", "--dim", "20000", "--radii", "1/1000"],
+            "A_20000 target 1/2^20000 has a denominator over the limit of 2^1024",
         ),
         (
             ["bound", "dn", "--dim", "100000000"],
@@ -921,12 +930,15 @@ def _refuse_cell_vertices(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
 
 
-def test_ratio_an_builds_no_cell(tmp_path, monkeypatch):
+@pytest.mark.parametrize("dim", ["22", "1000"])
+def test_ratio_an_builds_no_cell(tmp_path, monkeypatch, dim):
     # the box graph reads only the gauge: at A_22 a box of one point runs
-    # at once, where building the 2^23 - 2 cell vertices ran out of memory
+    # at once, where building the 2^23 - 2 cell vertices ran out of memory;
+    # a box of one point builds no gauge either, whose 1001 * 1000 rows of
+    # 1001 entries at A_1000 took over 20 s or ran out of memory
     _refuse_cell_vertices(monkeypatch)
     t0 = time.monotonic()
-    code, raw = run_cli(["ratio", "an", "--dim", "22", "--radii", "1/1000"], tmp_path)
+    code, raw = run_cli(["ratio", "an", "--dim", dim, "--radii", "1/1000"], tmp_path)
     assert time.monotonic() - t0 < 1
     assert code == 0
     entries = json.loads(raw)["entries"]

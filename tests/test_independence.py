@@ -169,8 +169,43 @@ def _no_transversal_full_scan(adj, cliques, cand):
     return False
 
 
+def _conflict_full_scan(adj, cliques, cand):
+    # the forcing rounds first, each clique's round and vertex noted; then
+    # the reason grows clique by clique, each vertex to explain charged to
+    # the earliest forced vertex adjacent to it, by round and then clique
+    # index, among the rounds before its clique's own (every round, for the
+    # emptied clique)
+    allowed, forced_at, t = cand, {}, 0
+    while all(c & allowed for c in cliques):
+        units = [
+            (i, (c & allowed).bit_length() - 1)
+            for i, c in enumerate(cliques)
+            if (c & allowed).bit_count() == 1 and i not in forced_at
+        ]
+        if not units:
+            return 0
+        for i, v in units:
+            forced_at[i] = (t, v)
+        for _, v in units:
+            allowed &= ~adj[v]
+        t += 1
+    emptied = next(i for i, c in enumerate(cliques) if not c & allowed)
+    order = sorted((r, i, v) for i, (r, v) in forced_at.items())
+    reason, todo = {emptied}, [(emptied, t, None)]
+    while todo:
+        q, before, own = todo.pop()
+        for x in _bits(cliques[q]):
+            if x != own:
+                r, i, v = next((r, i, v) for r, i, v in order if r < before and adj[v] >> x & 1)
+                if i not in reason:
+                    reason.add(i)
+                    todo.append((i, r, v))
+    return sum(1 << i for i in reason)
+
+
 def _solve_mask_full_scan(adj, full, budget, propagate=True):
-    # propagate=False is the plain search tree, with no slack-one pruning
+    # propagate=False is the plain search tree, with no pruning by
+    # propagation at slack one or two
     greedy = greedy_independent_rescan(adj, full)
     best_mask, best = greedy, greedy.bit_count()
     root_bound = len(_cover_full(adj, full))
@@ -189,6 +224,11 @@ def _solve_mask_full_scan(adj, full, budget, propagate=True):
             continue
         if propagate and size + len(cover) == best + 1 and _no_transversal_full_scan(adj, cover, cand):
             continue
+        if propagate and size + len(cover) == best + 2:
+            reason = _conflict_full_scan(adj, cover, cand)
+            rest = [c for i, c in enumerate(cover) if not reason >> i & 1]
+            if reason and _no_transversal_full_scan(adj, rest, cand):
+                continue
         if not cand:
             best_mask, best = taken, size
             continue
@@ -259,10 +299,10 @@ def test_timed_out_search_at_the_root_bound_is_proven():
     assert witness.bit_count() == 4 and all(not adj[v] & witness for v in _bits(witness))
 
 
-@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 3985), (3, F(3, 4), 20, 741)])
+@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 2627), (3, F(3, 4), 20, 689)])
 def test_solver_node_counts_are_pinned(n, radius, alpha, nodes):
     # node counts are deterministic; without a group the search tree is
-    # the plain one, pruned by slack-one propagation
+    # the plain one, pruned by propagation at slack one and two
     g = an_unit_distance_graph(n, radius)
     found, _, proven, _, count = _solve_mask(g.adj, (1 << g.n) - 1, DEFAULT_NODE_BUDGET)
     assert (found, proven, count) == (alpha, True, nodes)
@@ -270,12 +310,12 @@ def test_solver_node_counts_are_pinned(n, radius, alpha, nodes):
 
 @pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 8129), (3, F(3, 4), 20, 1185)])
 def test_plain_tree_node_counts_are_pinned(n, radius, alpha, nodes):
-    # the search tree with no slack-one propagation, on the oracle
+    # the search tree with no propagation, on the oracle
     found, _, proven, _, count = _plain_oracle(n, radius)
     assert (found, proven, count) == (alpha, True, nodes)
 
 
-@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 875), (3, F(3, 4), 20, 89)])
+@pytest.mark.parametrize("n, radius, alpha, nodes", [(2, F(3, 2), 26, 547), (3, F(3, 4), 20, 89)])
 def test_orbital_node_counts_are_pinned(n, radius, alpha, nodes):
     # max_independent_set branches on orbits of the box's point group
     res = max_independent_set(an_unit_distance_graph(n, radius))
@@ -297,6 +337,49 @@ def test_propagation_keeps_the_plain_search_result(graph, budget):
         assert (alpha, mask, proven, bound) == plain[:4] and nodes <= plain[4]
     else:
         assert alpha >= plain[0] and proven >= plain[2] and bound <= plain[3]
+
+
+def _has_transversal(adj, cliques):
+    # exhaustive: one vertex from each clique in turn, none adjacent to an
+    # earlier pick
+    def extend(k, allowed):
+        return k == len(cliques) or any(extend(k + 1, allowed & ~adj[v]) for v in _bits(cliques[k] & allowed))
+
+    return extend(0, -1)
+
+
+def _check_reason(adj, cliques, cand, reason):
+    # no independent set meets all the reason's cliques; where the cliques
+    # outside it propagate to a conflict too, none meets all of those
+    inside = [c for i, c in enumerate(cliques) if reason >> i & 1]
+    outside = [c for i, c in enumerate(cliques) if not reason >> i & 1]
+    assert not _has_transversal(adj, inside)
+    if independence._no_transversal(adj, outside, cand):
+        assert not _has_transversal(adj, outside)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+@given(n=st.integers(1, 14), p=st.sampled_from([0.2, 0.3, 0.4, 0.5, 0.6]), seed=st.integers(0, 2**32 - 1))
+def test_slack_two_prunes_are_sound(n, p, seed):
+    # every reason _conflict returns, in the search and on the greedy cover
+    # of eight random candidate sets, checked by exhaustive search; the
+    # search prunes at slack two only where both checks of _check_reason
+    # hold.  One drawn seed, not one draw per pair, keeps examples cheap
+    rnd = random.Random(seed)
+    adj = _graph_from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rnd.random() < p]).adj
+    original = independence._conflict
+
+    def conflict(adj, cliques, cand):
+        reason = original(adj, cliques, cand)
+        if reason:
+            _check_reason(adj, cliques, cand, reason)
+        return reason
+
+    with mock.patch.object(independence, "_conflict", conflict):
+        _solve_mask(adj, (1 << n) - 1, DEFAULT_NODE_BUDGET)
+        for _ in range(8):
+            cand = rnd.getrandbits(n)
+            independence._conflict(adj, independence._clique_cover(adj, cand, n), cand)
 
 
 # ---------------------------------------------------------------------------
