@@ -6,13 +6,14 @@ The coloring assigns x to the coset of (1/2)L / L whose half-open translated
 cell contains x; ties between nearest cell centers are broken
 lexicographically, which turns the open-ball construction into a total
 function without breaking properness.  A color is computed on scaled
-integers: x is scaled to an integer tuple once, the lexicographically
-smallest point of L closest to 2x comes from the lattice's integer decoder,
-and its coset bits are the parities of its coordinates in the lattice's own
-basis, which each lattice reads off in closed form.  The properness check
-stays on integers from draw to decode: sampled points and unit steps are
-drawn as numerators over one denominator, and the boundary catalog is built
-on the cell's integer vertices.
+integers by one kernel per coloring: the lattice's unchecked decoder finds
+the least point of L closest to 2x, and its coset bits, the parities of
+its coordinates in the lattice's own basis, are folded in one pass.  The
+checks sit where points enter: ``color`` runs the decoder's check, the
+catalog steps are checked once, and sampled points lie in the lattice's
+space by construction.  Sampled coordinates are drawn from a table of
+numerators over one denominator, and the boundary catalog is built on the
+cell's integer vertices.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from .constructions import CertificateError, GaugeNorm, HexagonPattern, PolytopeData
 from .constructions import polytope_an, polytope_cube, polytope_dn
-from .geometry import DimensionMismatch, Vec, from_scaled, lcm_denominator, scaled_ints, to_scaled
+from .geometry import Vec, from_scaled, lcm_denominator, scaled_ints, to_scaled
 from .graphs import GeometricGraph, _bits, check_power_count
 
 
@@ -34,15 +35,20 @@ class CosetColoring:
 
     ``cell`` is the Voronoi cell of the tiling lattice Lambda, the unit ball
     of ``gauge``; ``basis`` spans Lambda, as integer columns at the
-    decoder's scale ``lattice.scale``, and the coset coordinates are taken
-    in it: ``lattice.coordinates`` reads them off a point of Lambda.  For
-    the cube, Lambda = 2Z^n, ``lattice`` is Z^n and ``basis`` is 2I, so a
-    point's coordinates are those of its half."""
+    decoder's scale ``lattice.scale``.  ``kernel(w, d)``, the unchecked
+    color of w/d, reads the coset bits of the point of Lambda closest to 2x.
+    For the cube, Lambda = 2Z^n, ``lattice`` is Z^n and ``basis`` is 2I: that
+    point is twice the point of Z^n closest to x, whose bits it reads."""
 
     def __init__(self, cell: PolytopeData):
         self.cell = cell
+        nearest, bits = cell.lattice._nearest, cell.lattice.coset_bits
         k = 2 if cell.family == "cube" else 1
         self.basis = tuple(tuple(k * c for c in b) for b in cell.lattice.int_basis)
+        if k == 2:
+            self.kernel = lambda w, d: bits(nearest(w, d))
+        else:  # 2x = w/(d/2) when d is even, as every point of the check is
+            self.kernel = lambda w, d: bits(nearest(w, d >> 1) if not d & 1 else nearest([2 * c for c in w], d))
 
     # views of the cell and the basis
     family = property(lambda self: self.cell.family)
@@ -82,56 +88,36 @@ def coset_coloring(family: str, n: int = 0, pattern: Optional[HexagonPattern] = 
     return CosetColoring(build(n))
 
 
-def _decode(coloring: CosetColoring, w: Sequence[int], d: int) -> tuple:
-    """The lexicographically smallest point of Lambda closest to 2x, x = w/d,
-    as integers at ``lattice.scale``."""
-    if coloring.family == "cube":
-        # the points of 2Z^n closest to 2x are twice those of Z^n closest to x
-        return tuple(2 * z for z in coloring.lattice.nearest_scaled(w, d))
-    return coloring.lattice.nearest_scaled([2 * c for c in w], d)
-
-
-def _basis_coords(coloring: CosetColoring, p: Sequence[int]) -> list:
-    """Basis coordinates of the point p of Lambda (integers at ``lattice.scale``)."""
-    if coloring.family == "cube":
-        p = [c // 2 for c in p]
-    return coloring.lattice.coordinates(p)
-
-
-def _parity_index(coords: list) -> int:
-    return sum((c & 1) << i for i, c in enumerate(coords))
-
-
 def nearest_half_cell_center(coloring: CosetColoring, x: Vec) -> Vec:
     """The (1/2)Lambda point whose half-open cell contains x.
 
     x lies in lambda + (1/2)P iff 2*lambda is among the Lambda points
     closest to 2x; the lexicographically smallest closest point makes the
     assignment total and deterministic."""
-    return from_scaled(_decode(coloring, *scaled_ints(x)), 2 * coloring.lattice.scale)
+    w, d = scaled_ints(x)
+    if coloring.family == "cube":
+        return from_scaled(coloring.lattice.nearest_scaled(w, d), 1)
+    return from_scaled(coloring.lattice.nearest_scaled([2 * c for c in w], d), 2 * coloring.lattice.scale)
 
 
 def coset_index(coloring: CosetColoring, lam: Vec) -> int:
     """Index of the coset of (1/2)Lambda / Lambda containing lam."""
-    scale, cols = coloring.lattice.scale, coloring.basis
-    if len(lam) != len(cols[0]):
-        raise DimensionMismatch(f"expected dim {len(cols[0])}, got {len(lam)}")
-    w, d = scaled_ints(lam)
-    target = [2 * scale * c for c in w]  # d * 2lam at the decoder's scale
-    coords = _basis_coords(coloring, [c // d for c in target])
-    if [d * sum(c * col[i] for c, col in zip(coords, cols)) for i in range(len(w))] != target:
+    z = lam if coloring.family == "cube" else lam * 2  # 2lam, read in ``lattice``
+    if not coloring.lattice.contains(z):
         raise ValueError(f"{lam} is not in (1/2)Lambda")
-    return _parity_index(coords)
+    return coloring.lattice.coset_bits(to_scaled(z, coloring.lattice.scale))
 
 
 def _color_scaled(coloring: CosetColoring, w: Sequence[int], d: int) -> int:
-    """``color`` of the point w/d, for integers w and d > 0."""
-    return _parity_index(_basis_coords(coloring, _decode(coloring, w, d)))
+    """``color`` of the point w/d, for integers w and d > 0, unchecked."""
+    return coloring.kernel(w, d)
 
 
 def color(coloring: CosetColoring, x: Vec) -> int:
     """Total coloring function: coset index of the nearest half-cell center."""
-    return _color_scaled(coloring, *scaled_ints(x))
+    w, d = scaled_ints(x)
+    coloring.lattice._check_point(w)
+    return _color_scaled(coloring, w, d)
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +146,19 @@ class ColoringReport:
 
 
 # Each sampled coordinate is k/den with den drawn from DRAW_DENS and
-# |k| <= 3 den; DRAW_SCALE puts every draw on one denominator.
+# |k| <= 3 den; DRAW_SCALE puts every draw on one denominator.  A draw from
+# DRAW_TABLE, each den's numerators at that scale, makes the same two RNG
+# calls as choosing den and then k by randint.
 DRAW_DENS = (2, 3, 4, 5, 7, 8, 9, 12, 16)
 DRAW_SCALE = math.lcm(*DRAW_DENS)
+DRAW_TABLE = tuple(tuple(k * (DRAW_SCALE // den) for k in range(-3 * den, 3 * den + 1)) for den in DRAW_DENS)
 
 
 def _random_scaled_point(coloring: CosetColoring, rng: random.Random) -> tuple:
     """A random point w/d of the coloring's space, as (w, d); for A_n the
     draw is projected onto the zero-sum hyperplane."""
-    m = coloring.lattice.ambient_dim
-    w = []
-    for _ in range(m):
-        den = rng.choice(DRAW_DENS)
-        w.append(rng.randint(-3 * den, 3 * den) * (DRAW_SCALE // den))
+    m, choice = coloring.lattice.ambient_dim, rng.choice
+    w = [choice(choice(DRAW_TABLE)) for _ in range(m)]
     if coloring.family == "an":
         s = sum(w)
         return [c * m - s for c in w], DRAW_SCALE * m
@@ -214,29 +200,32 @@ def boundary_catalog(coloring: CosetColoring) -> tuple:
 
 def verify_coloring(coloring: CosetColoring, samples: int, seed: int) -> ColoringReport:
     """Sampled and cataloged properness checks: two points at gauge distance
-    exactly 1 must receive different colors.  Expected violation count: 0."""
+    exactly 1 must receive different colors.  Expected violation count: 0.
+    Every point goes to the unchecked ``kernel``: each sampled step is
+    checked to lie at gauge 1 and each catalog step by the decoder's check."""
     rng = random.Random(seed)
+    kernel, is_unit = coloring.kernel, coloring.gauge.is_unit_scaled
     violations = []
-
-    def check(xw, xd, cx, yw, yd) -> None:
-        cy = _color_scaled(coloring, yw, yd)
-        if cx == cy:
-            violations.append(ColoringViolation(from_scaled(xw, xd), from_scaled(yw, yd), cx))
-
     for _ in range(samples):
         xw, xd = _random_scaled_point(coloring, rng)
         bw, bd = _random_unit_step(coloring, rng)
-        if not coloring.gauge.is_unit_scaled(bw, bd):
+        if not is_unit(bw, bd):
             raise CertificateError(f"sampled step {from_scaled(bw, bd)} is not at gauge distance 1")
-        yw = [a * bd + b * xd for a, b in zip(xw, bw)]
-        check(xw, xd, _color_scaled(coloring, xw, xd), yw, xd * bd)
-    # the base points 0 and steps[i]/2 are exact: every step is even
+        yw, yd = [a * bd + b * xd for a, b in zip(xw, bw)], xd * bd
+        cx = kernel(xw, xd)
+        if kernel(yw, yd) == cx:
+            violations.append(ColoringViolation(from_scaled(xw, xd), from_scaled(yw, yd), cx))
     steps, scale = boundary_catalog(coloring)
+    for b in steps:
+        coloring.lattice._check_point(b)
+    # the base points 0 and steps[i]/2 are exact: every step is even
     base_points = [(0,) * len(steps[0])] + [tuple(c // 2 for c in b) for b in steps[:6]]
     for x in base_points:
-        cx = _color_scaled(coloring, x, scale)
+        cx = kernel(x, scale)
         for b in steps:
-            check(x, scale, cx, [a + c for a, c in zip(x, b)], scale)
+            y = [a + c for a, c in zip(x, b)]
+            if kernel(y, scale) == cx:
+                violations.append(ColoringViolation(from_scaled(x, scale), from_scaled(y, scale), cx))
     cat_pairs = len(base_points) * len(steps)
     return ColoringReport(coloring.family, coloring.dim, coloring.color_count, samples, cat_pairs, violations)
 

@@ -2,7 +2,7 @@
 
 Vectors with Fraction components, the lattice families Z^n / A_n / D_n /
 planar, Lagrange-Gauss reduction of planar bases, closest-point decoding and
-basis coordinates on scaled integers, and the integer box enumerators and
+coset bits on scaled integers, and the integer box enumerators and
 counts of the graph vertex sets.  Everything is exact; no floating point is
 used anywhere.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[int, Fraction, str]
@@ -124,10 +124,22 @@ def _round_half_up(x: Fraction) -> int:
 # Lattice families
 
 
-class _IntegerLattice:
+class _Lattice:
+    """Base of every lattice: a subclass gives the check ``_check_point`` and
+    the unchecked decoder ``_nearest``, which the coset coloring calls."""
+
+    def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
+        """The lexicographically least lattice point closest to w/d (d > 0),
+        as an integer tuple at ``scale``; raises DimensionMismatch when w is
+        not a point of the lattice's space."""
+        self._check_point(w)
+        return self._nearest(w, d)
+
+
+class _IntegerLattice(_Lattice):
     """Base of Z^n, A_n and D_n: integer points (``scale`` 1) spanned by the
     cached ``int_basis``.  A subclass gives the basis, its membership rule
-    ``_admits`` on the coordinate sum and the decoder ``nearest_scaled``."""
+    ``_admits`` on the coordinate sum, ``_nearest`` and ``coset_bits``."""
 
     min_n = 1
     scale = 1
@@ -144,6 +156,8 @@ class _IntegerLattice:
     def _check_dim(self, v: Sequence) -> None:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(f"expected dim {self.ambient_dim}, got {len(v)}")
+
+    _check_point = _check_dim
 
     def contains(self, v: Vec) -> bool:
         self._check_dim(v)
@@ -167,15 +181,15 @@ class ZnLattice(_IntegerLattice):
     def int_basis(self) -> tuple:
         return tuple(tuple(int(j == i) for j in range(self.n)) for i in range(self.n))
 
-    def coordinates(self, p: Sequence[int]) -> list:
-        """The ``int_basis`` coordinates of the lattice point p."""
-        return list(p)
+    def coset_bits(self, p: Sequence[int]) -> int:
+        """Bit i: the parity of coordinate i of the lattice point p."""
+        bits = 0
+        for c in reversed(p):
+            bits = bits << 1 | c & 1
+        return bits
 
-    def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
-        """The lexicographically least lattice point closest to w/d (d > 0),
-        as an integer tuple at ``scale``: each coordinate rounded, exact
-        halves down."""
-        self._check_dim(w)
+    def _nearest(self, w: Sequence[int], d: int) -> tuple:
+        # each coordinate rounded, exact halves down
         return tuple((2 * c + d - 1) // (2 * d) for c in w)
 
 
@@ -192,31 +206,35 @@ class AnLattice(_IntegerLattice):
     def int_basis(self) -> tuple:
         return tuple(_differences(self.n + 1, self.n))
 
-    def coordinates(self, p: Sequence[int]) -> list:
-        """The ``int_basis`` coordinates of the lattice point p: the
-        coefficient of e_i - e_{i+1} is p_0 + ... + p_i."""
-        return list(accumulate(p[:-1]))
+    def _check_point(self, w: Sequence[int]) -> None:
+        self._check_dim(w)
+        if sum(w) != 0:
+            raise DimensionMismatch("point off the zero-sum hyperplane")
 
-    def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
-        """The lexicographically least lattice point closest to w/d (d > 0),
-        as an integer tuple at ``scale``.
+    def coset_bits(self, p: Sequence[int]) -> int:
+        """Bit i: the parity of the coefficient of e_i - e_{i+1} in the lattice
+        point p, p_0 + ... + p_i = -(p_{i+1} + ... + p_n), folded from the last."""
+        bits = t = 0
+        for c in p[:0:-1]:
+            t += c
+            bits = bits << 1 | t & 1
+        return bits
 
-        Every closest point lies in lo + {0, 1}^m with lo = floor(w/d) and
+    def _nearest(self, w: Sequence[int], d: int) -> tuple:
+        """Every closest point lies in lo + {0, 1}^m with lo = floor(w/d) and
         takes k = -sum(lo) unit steps up; a step at coordinate i adds
         d*(d - 2(w_i mod d)) to the squared distance (Conway and Sloane,
         1982).  With lambda the k-th least step cost, the closest points
         raise every coordinate that costs less than lambda and share the
         remaining steps among those that cost exactly lambda; the least
         point gives them to the last such coordinates."""
-        self._check_dim(w)
-        if sum(w) != 0:
-            raise DimensionMismatch("point off the zero-sum hyperplane")
         z = [c // d for c in w]
         k = -sum(z)
         if k:
             cost = [d - 2 * (c % d) for c in w]
-            lam = sorted(cost)[k - 1]
-            ties = k - sum(c < lam for c in cost)
+            ranked = sorted(cost)
+            lam = ranked[k - 1]
+            ties = k - ranked.index(lam)  # the costs below lambda come first
             for i in reversed(range(len(z))):
                 if cost[i] < lam:
                     z[i] += 1
@@ -239,24 +257,23 @@ class DnLattice(_IntegerLattice):
     def int_basis(self) -> tuple:
         return tuple([(1, 1) + (0,) * (self.n - 2)] + _differences(self.n, self.n - 1))
 
-    def coordinates(self, p: Sequence[int]) -> list:
-        """The ``int_basis`` coordinates of the lattice point p: e_0 + e_1
-        takes half the coordinate sum, e_0 - e_1 the rest of p_0, and
-        e_{i-1} - e_i, for i >= 2, minus p_i + ... + p_{n-1}."""
-        half = sum(p) // 2
-        tails = list(accumulate(reversed(p[2:])))
-        return [half, p[0] - half] + [-s for s in reversed(tails)]
+    def coset_bits(self, p: Sequence[int]) -> int:
+        """Bit i: the parity of ``int_basis`` coordinate i of the lattice point
+        p.  e_0 + e_1 takes half the coordinate sum, e_0 - e_1 the rest of
+        p_0, and e_{i-1} - e_i, for i >= 2, minus p_i + ... + p_{n-1}."""
+        bits = t = 0
+        for c in p[:1:-1]:
+            t += c
+            bits = bits << 1 | t & 1
+        half = (t + p[0] + p[1]) // 2
+        return bits << 2 | (p[0] - half) << 1 & 2 | half & 1
 
-    def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
-        """The lexicographically least lattice point closest to w/d (d > 0),
-        as an integer tuple at ``scale``.
-
-        Round each coordinate, exact halves down.  An odd sum is mended at
+    def _nearest(self, w: Sequence[int], d: int) -> tuple:
+        """Round each coordinate, exact halves down.  An odd sum is mended at
         no cost by raising the last exact half, if there is one; otherwise
         the closest points are the cheapest single +-1 changes, the change
         s at coordinate i adding d*(d + 2s(z_i*d - w_i)) to the squared
         distance (Conway and Sloane, 1982)."""
-        self._check_dim(w)
         z = [(2 * c + d - 1) // (2 * d) for c in w]
         if sum(z) % 2:
             halves = [i for i, c in enumerate(w) if 2 * (c % d) == d]
@@ -308,7 +325,7 @@ def count_planar_coset_in_box(p: Sequence[int], q: Sequence[int], offset: Sequen
     return sum(max(0, hi - lo + 1) for _, lo, hi in _planar_rows(p, q, offset, bound))
 
 
-class PlanarLattice:
+class PlanarLattice(_Lattice):
     """Rank-2 lattice in R^2 spanned by b0, b1.
 
     ``scale`` is the common denominator of the basis; ``int_basis`` holds
@@ -336,11 +353,14 @@ class PlanarLattice:
         n0, n1, det = u[0] * q1 - u[1] * q0, p0 * u[1] - p1 * u[0], p0 * q1 - p1 * q0
         return (n0, n1, det) if det > 0 else (-n0, -n1, -det)
 
-    def coordinates(self, p: Sequence[int]) -> list:
-        """The ``int_basis`` coordinates of the lattice point p (integers at
-        ``scale``)."""
+    def coset_bits(self, p: Sequence[int]) -> int:
+        """Bit i: the parity of ``int_basis`` coordinate i of the point p."""
         n0, n1, det = self._cramer(p)
-        return [n0 // det, n1 // det]
+        return n0 // det & 1 | (n1 // det & 1) << 1
+
+    def _check_point(self, w: Sequence[int]) -> None:
+        if len(w) != 2:
+            raise DimensionMismatch("expected dim 2")
 
     def contains(self, v: Vec) -> bool:
         if v.dim != 2:
@@ -349,18 +369,13 @@ class PlanarLattice:
         n0, n1, det = self._cramer([self.scale * c for c in w])
         return n0 % (d * det) == 0 and n1 % (d * det) == 0
 
-    def nearest_scaled(self, w: Sequence[int], d: int) -> tuple:
-        """The lexicographically least lattice point closest to w/d (d > 0),
-        as an integer tuple at ``scale``.
-
-        With u = scale*w, the point a0*b0 + a1*b1 costs |u - d*(a0*p + a1*q)|^2
+    def _nearest(self, w: Sequence[int], d: int) -> tuple:
+        """With u = scale*w, the point a0*b0 + a1*b1 costs |u - d*(a0*p + a1*q)|^2
         for the integer basis (p, q).  For fixed a0 the least cost over real
         a1, times |q|^2, is |r|^2 |q|^2 - <r, q>^2 with r = u - d*a0*p; it is
         convex in a0, so a0 runs outward from the Cramer solution until that
         bound exceeds the best cost, and a1 likewise for each a0, keeping the
         least point of the least cost."""
-        if len(w) != 2:
-            raise DimensionMismatch("expected dim 2")
         (p0, p1), (q0, q1) = self.int_basis
         u0, u1 = self.scale * w[0], self.scale * w[1]
         n0, n1, det = self._cramer((u0, u1))
@@ -488,22 +503,20 @@ def count_an_half_dual_scaled(n: int, radius: RatLike) -> int:
     """len(enumerate_an_half_dual_scaled(n, radius)), counted without
     enumerating: the zero-sum (n+1)-tuples over each residue's values.
 
-    A residue with no value counts none and one with a single value v
-    counts one tuple exactly when v = 0, so a box much narrower than n
-    costs O(n), not one (n+1)-step pass per residue."""
-    total = 0
+    With m = n+1, the values a, a + m, ..., a + (k-1)m of a residue sum to
+    zero over m coordinates exactly when the steps j_i in [0, k-1] sum to
+    s = -a, and by inclusion-exclusion over the steps that reach k there
+    are sum_t (-1)^t C(m, t) C(s - tk + m - 1, m - 1) such tuples; with
+    k <= 2 that is C(m, s), the choice of the coordinates that step.  So a
+    box much narrower than n costs O(n) binomials."""
+    m, total = n + 1, 0
     for vals in _an_residue_values(n, radius):
-        if len(vals) < 2:
-            total += vals == [0]
-            continue
-        ways = {0: 1}
-        for _ in range(n + 1):
-            nxt: dict = {}
-            for s, c in ways.items():
-                for v in vals:
-                    nxt[s + v] = nxt.get(s + v, 0) + c
-            ways = nxt
-        total += ways.get(0, 0)
+        if vals and 0 <= -vals[0] <= m * (len(vals) - 1):
+            k, s = len(vals), -vals[0]
+            if k <= 2:
+                total += math.comb(m, s)
+            else:
+                total += sum((-1) ** t * math.comb(m, t) * math.comb(s - t * k + n, n) for t in range(s // k + 1))
     return total
 
 

@@ -126,6 +126,15 @@ def _check_size(count: int, limit: int = MAX_UNIT_DISTANCE_VERTICES, kind: str =
         raise ValueError(f"{kind} graph of {count} vertices exceeds the limit of {limit}")
 
 
+def _check_an_box(n: int, radius: Fraction, limit: int = MAX_UNIT_DISTANCE_VERTICES, kind: str = "unit-distance") -> None:
+    """Refuse the box of (1/2)A_n^# above limit points.  At radius 1/2 or more
+    it holds, at scale 2(n+1), the origin and for each r in 1..n the C(n+1, r)
+    points with r coordinates r - (n+1) and the rest r: at least 2^n."""
+    if radius >= Fraction(1, 2) and n >= limit.bit_length():
+        raise ValueError(f"{kind} graph of at least 2^{n} vertices exceeds the limit of {limit}")
+    _check_size(count_an_half_dual_scaled(n, radius), limit, kind)
+
+
 # Largest n at which a cap on a count of at least 2^n computes the count; a
 # larger n is refused by its exponent (2^(10^8) has too many digits to print).
 MAX_COUNTED_EXPONENT = 1024
@@ -210,7 +219,7 @@ def an_unit_distance_graph(n: int, radius) -> GeometricGraph:
     A box of fewer than two points has no pair, so no edge, and builds no
     gauge (its n(n+1) rows are the cost of a narrow box at large n)."""
     radius = Fraction(radius)
-    _check_size(count_an_half_dual_scaled(n, radius))
+    _check_an_box(n, radius)
     pts = enumerate_an_half_dual_scaled(n, radius)
     scale = an_half_dual_scale(n)
     if len(pts) < 2:
@@ -279,7 +288,7 @@ def an_property_d(n: int, radius) -> PropertyDReport:
     (1/2)V_P; raises ValueError above MAX_CAYLEY_VERTICES box points or
     generators."""
     radius = Fraction(radius)
-    _check_size(count_an_half_dual_scaled(n, radius), MAX_CAYLEY_VERTICES, "Cayley")
+    _check_an_box(n, radius, MAX_CAYLEY_VERTICES, "Cayley")
     check_cayley_generators("an", n)
     # the cell vertices at scale n+1 are (1/2)V_P at the lattice's scale 2(n+1)
     return _cayley_property_d(

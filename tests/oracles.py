@@ -1,5 +1,5 @@
 """Reference helpers shared by the tests: brute-force lattice boxes, the
-exact Fraction coset enumerator, the full-tie-set closest-point search, the
+subset-sum count of the A_n box, the exact Fraction coset enumerator, the full-tie-set closest-point search, the
 Fraction gauge functional lists, the Fraction cell vertices and boundary
 catalog, the box graphs' margin metadata (step extents, interior
 vertices, class-B masks), the box Cayley graphs on the half dual lattices,
@@ -85,6 +85,25 @@ def box_points(lattice, radius) -> list:
         return sorted(coset_in_box(lattice.b0, lattice.b1, zero_vec(2), F(radius)))
     b = math.floor(radius)
     return [v for v in map(Vec, product(range(-b, b + 1), repeat=lattice.ambient_dim)) if lattice.contains(v)]
+
+
+def an_box_count_by_subset_sum(n: int, radius) -> int:
+    """The points of (1/2)A_n^# in the box, counted by one subset-sum pass
+    per coordinate residue: the zero-sum (n+1)-tuples over its values."""
+    m = n + 1
+    bound = math.floor(F(radius) * an_half_dual_scale(n))
+    total = 0
+    for r in range(m):
+        vals = range(-bound + (r + bound) % m, bound + 1, m)
+        ways = {0: 1}
+        for _ in range(m):
+            nxt: dict = {}
+            for s, c in ways.items():
+                for v in vals:
+                    nxt[s + v] = nxt.get(s + v, 0) + c
+            ways = nxt
+        total += ways.get(0, 0)
+    return total
 
 
 def _closest_integer_points(w: Sequence[int], d: int, sum_zero: bool = False, even_sum: bool = False) -> list:

@@ -870,6 +870,20 @@ def test_witness_below_the_first_ball_is_found(tmp_path, k):
             ["property-d", "an", "--dim", "100000", "--radius", "1/1000"],
             "A_100000 has at least 2^100000 Cayley generators, over the limit of 65536",
         ),
+        # a box of radius 1/2 or more holds at least 2^(n+1) - 1 points,
+        # refused on that bound before the exact count
+        (
+            ["ratio", "an", "--dim", "200", "--radii", "1"],
+            "unit-distance graph of at least 2^200 vertices exceeds the limit of 16384",
+        ),
+        (
+            ["ratio", "an", "--dim", "400", "--radii", "1"],
+            "unit-distance graph of at least 2^400 vertices exceeds the limit of 16384",
+        ),
+        (
+            ["property-d", "an", "--dim", "200", "--radius", "1"],
+            "Cayley graph of at least 2^200 vertices exceeds the limit of 65536",
+        ),
         # refused by the exponent alone, before 2^n is computed
         (
             ["bound", "cube", "--dim", "100000000"],

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from voronorm import coloring as coloring_module
 from voronorm.coloring import (
     ColoringReport,
+    CosetColoring,
     ColoringViolation,
     WITNESS_NODE_BUDGET,
     _color_scaled,
@@ -29,6 +30,7 @@ from voronorm.constructions import CertificateError, hexagon_pattern
 from voronorm.geometry import (
     AnLattice,
     DegenerateCell,
+    DimensionMismatch,
     DnLattice,
     PlanarLattice,
     Vec,
@@ -260,12 +262,43 @@ def test_sampler_matches_fraction_oracle(name):
 @pytest.mark.parametrize("name", ["an3", "hexagon"])
 def test_violations_match_fraction_oracle(name, monkeypatch):
     # with every colour collapsed to 0 each pair is a violation, so the
-    # reports compare the points and colours of every sampled and catalog pair
-    monkeypatch.setattr(coloring_module, "_parity_index", lambda coords: 0)
-    coloring = WORKLOAD_COLORINGS[name]
+    # reports compare the points and colours of every sampled and catalog
+    # pair; the kernel binds the lattice's coset bits when it is built
+    cell = WORKLOAD_COLORINGS[name].cell
+    monkeypatch.setattr(type(cell.lattice), "coset_bits", lambda self, p: 0)
+    coloring = CosetColoring(cell)
     rep = verify_coloring(coloring, 30, 5)
     assert len(rep.violations) == rep.sampled_pairs + rep.catalog_pairs
     assert rep == _verify_coloring_oracle(coloring, 30, 5)
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("name", ["an3", "dn4", "cube3", "hexagon"])
+def test_bad_catalog_step_is_refused(name, where, monkeypatch):
+    # each catalog step is checked once, before the unchecked kernel sees
+    # it, with the decoder's own check: a step one coordinate short or long,
+    # or for A_n off the zero-sum hyperplane, raises what the checked decoder
+    # raised on the points built from it (a long last step used to be cut
+    # to length by zip and pass)
+    coloring = WORKLOAD_COLORINGS[name]
+    steps, scale = boundary_catalog(coloring)
+    m = len(steps[0])
+    bad = {
+        "short": (steps[where][:-1], "expected dim 2" if name == "hexagon" else f"expected dim {m}, got {m - 1}"),
+        "long": (steps[where] + (0,), "expected dim 2" if name == "hexagon" else f"expected dim {m}, got {m + 1}"),
+    }
+    if name == "an3":
+        bad["off"] = ((steps[where][0] + 2,) + steps[where][1:], "point off the zero-sum hyperplane")
+    for step, message in bad.values():
+        patched = list(steps)
+        patched[where] = step
+        monkeypatch.setattr(coloring_module, "boundary_catalog", lambda c: (patched, scale))
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            verify_coloring(coloring, 3, 1)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            coloring.lattice.nearest_scaled(step, scale)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            color(coloring, from_scaled(step, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +414,20 @@ def test_color_matches_fraction_oracle(name, data):
     assert color(coloring, x) == _oracle_index(coloring, lam)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_COLORINGS))
+@PROPERTY
+@given(data=st.data())
+def test_kernel_matches_color(name, data):
+    # the kernel reads w/d reduced or not, d odd or even; color() reads the
+    # reduced fraction after its checks, on the same tie-heavy points as the
+    # Fraction oracle above
+    coloring = ORACLE_COLORINGS[name]
+    x = data.draw(_points(coloring))
+    k = data.draw(st.sampled_from([1, 2, 3, 4, 6]))
+    w, d = scaled_ints(x)
+    assert coloring.kernel([k * c for c in w], k * d) == color(coloring, x)
+
+
 def test_coset_index_rejects_points_off_half_lattice():
     c = coset_coloring("dn", 4)
     assert coset_index(c, Vec([F(1, 2), F(1, 2), 0, 0])) == 1
@@ -445,13 +492,13 @@ COORDINATE_LATTICES = {
 @pytest.mark.parametrize("name", sorted(COORDINATE_LATTICES))
 @PROPERTY
 @given(data=st.data())
-def test_coordinates_invert_the_basis_sum(name, data):
+def test_coset_bits_are_the_basis_coordinate_parities(name, data):
     # the oracle is the basis sum itself: p = sum a_i * int_basis[i]
     lattice = COORDINATE_LATTICES[name]
     basis = lattice.int_basis
     a = data.draw(st.lists(st.integers(-9, 9), min_size=len(basis), max_size=len(basis)))
     p = tuple(sum(c * b[i] for c, b in zip(a, basis)) for i in range(lattice.ambient_dim))
-    assert lattice.coordinates(p) == a
+    assert lattice.coset_bits(p) == sum((c & 1) << i for i, c in enumerate(a))
 
 
 def _fraction_cramer(lattice, x: Vec) -> tuple:

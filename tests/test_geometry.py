@@ -26,6 +26,7 @@ from voronorm.geometry import (
     reduce_planar_basis,
     to_scaled,
 )
+import oracles
 from oracles import box_points, closest_points, coset_in_box, zero_vec
 
 
@@ -402,6 +403,15 @@ def test_dn_half_dual_characterization():
 def test_an_half_dual_count_matches_enumeration(n):
     for radius in (0, F(1, 4), F(1, 2), F(2, 3), F(3, 4), 1, F(5, 4)):
         assert count_an_half_dual_scaled(n, radius) == len(enumerate_an_half_dual_scaled(n, radius)), radius
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_an_half_dual_count_matches_subset_sum(n):
+    # one to five values per residue, and boxes at and just off the radii
+    # 1/4 and 1/2 where a residue first holds two and three values
+    radii = (0, F(1, 7), F(1, 4), F(1, 3), F(1, 2), F(3, 5), 1, F(5, 4), F(7, 4), 2)
+    for radius in radii:
+        assert count_an_half_dual_scaled(n, radius) == oracles.an_box_count_by_subset_sum(n, radius), radius
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -20,6 +20,7 @@ from voronorm.constructions import (
 from voronorm.geometry import (
     Vec,
     an_half_dual_scale,
+    count_an_half_dual_scaled,
     dn_half_dual_scale,
     enumerate_an_half_dual_scaled,
     enumerate_dn_half_dual_scaled,
@@ -39,6 +40,7 @@ from voronorm.graphs import (
 )
 from voronorm.reports import witness_edge_list
 from oracles import (
+    an_box_count_by_subset_sum,
     an_cayley_graph,
     build_cayley_graph,
     cayley_step_extent,
@@ -501,6 +503,21 @@ def test_edge_list_round_trip():
         pb = Vec(Fraction(c) for c in b.split(","))
         parsed.add((vertex(g, pa), vertex(g, pb)))
     assert parsed == set(g.edges())
+
+
+def test_an_box_is_refused_on_its_lower_bound():
+    # at radius 1/2 or more the box holds at least 2^(n+1) - 1 points, so
+    # once 2^n exceeds the cap it is refused on that bound; below, the
+    # exact count is named
+    for n in range(2, 15):
+        assert count_an_half_dual_scaled(n, F(1, 2)) >= 2 ** (n + 1) - 1
+    assert count_an_half_dual_scaled(14, F(1, 2)) == an_box_count_by_subset_sum(14, F(1, 2)) == 1820373
+    with pytest.raises(ValueError, match=r"^unit-distance graph of 1820373 vertices exceeds the limit of 16384$"):
+        an_unit_distance_graph(14, F(1, 2))
+    with pytest.raises(ValueError, match=r"^unit-distance graph of at least 2\^15 vertices exceeds the limit of 16384$"):
+        an_unit_distance_graph(15, F(1, 2))
+    with pytest.raises(ValueError, match=r"^Cayley graph of at least 2\^17 vertices exceeds the limit of 65536$"):
+        an_property_d(17, F(1, 2))
 
 
 def test_dn_box_is_counted_before_enumerating():
